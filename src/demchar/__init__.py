@@ -34,8 +34,6 @@ from .theorem import (
     chi_prime_longest,
     epsilon_char,
     psi_character,
-    theorem_lhs,
-    theorem_rhs,
     verify_lemma31,
     verify_theorem,
 )

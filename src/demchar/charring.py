@@ -34,6 +34,15 @@ CHAR_ELEMENT_SCHEMA = {
 }
 
 
+def _json_int(x, what: str) -> int:
+    if not isinstance(x, bool) and isinstance(x, (int, str)):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise ValueError(f"{what} must be an integer or a decimal string, got {x!r}")
+
+
 class CharElement:
     """A sparse element of the group ring of the weight lattice."""
 
@@ -119,14 +128,23 @@ class CharElement:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "CharElement":
-        rank = int(data["rank"])
+    def from_json_dict(cls, data) -> "CharElement":
+        """Parse the JSON form; ValueError on a missing or ill-typed field."""
+        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+            raise ValueError('a character must be a JSON object with "rank" and a "terms" list')
+        rank = _json_int(data.get("rank"), "rank")
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
         terms = {}
         for item in data["terms"]:
-            mu = tuple(int(x) for x in item["weight"])
+            if not isinstance(item, dict) or not isinstance(item.get("weight"), list):
+                raise ValueError('each term must be a JSON object with a "weight" list and a "coeff"')
+            mu = tuple(_json_int(x, "a weight coordinate") for x in item["weight"])
             if len(mu) != rank:
                 raise ValueError(f"weight {list(mu)} does not have rank {rank}")
-            terms[mu] = int(item["coeff"])
+            if mu in terms:
+                raise ValueError(f"weight {list(mu)} appears in more than one term")
+            terms[mu] = _json_int(item.get("coeff"), "coeff")
         return cls(rank, terms)
 
     def __str__(self) -> str:
@@ -151,24 +169,8 @@ def monomial(lam: Weight) -> CharElement:
     return CharElement.monomial(lam)
 
 
-def add(u: CharElement, v: CharElement) -> CharElement:
-    return u + v
-
-
-def scale(n: int, v: CharElement) -> CharElement:
-    return v * n
-
-
-def mul(u: CharElement, v: CharElement) -> CharElement:
-    return u * v
-
-
 def star(v: CharElement) -> CharElement:
     return v.star()
-
-
-def dimension(v: CharElement) -> int:
-    return v.dimension()
 
 
 def w_apply(w, v: CharElement) -> CharElement:

@@ -1,5 +1,5 @@
-"""Command-line surface: type queries, character computations, batch
-verification sweeps, and a persistent Weyl-group cache.
+"""Command-line surface: type queries, character computations, and batch
+verification sweeps.
 
 Exit codes: 0 all checks verified, 1 mathematical mismatch, 2 usage error.
 Output is deterministic and byte-identical between serial and parallel runs.
@@ -8,13 +8,11 @@ Output is deterministic and byte-identical between serial and parallel runs.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
-import os
 import random
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .charring import CharElement
@@ -28,23 +26,11 @@ from .kernel import (
 )
 from .rootsys import Weight, build_datum, weight_neg, weight_sub
 from .theorem import sweep_verify_lemma31, sweep_verify_theorem
-from .weyl import (
-    CACHE_FORMAT_VERSION,
-    DEFAULT_MAX_GROUP_ORDER,
-    WeylGroup,
-    bruhat_leq,
-    element_by_word,
-    generate,
-    group_from_payload,
-    group_to_payload,
-    lower_interval,
-)
+from .weyl import DEFAULT_MAX_GROUP_ORDER, WeylGroup, bruhat_leq, element_by_word, generate, lower_interval
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-
-ENV_CACHE_DIR = "DEMCHAR_CACHE_DIR"
 
 # fixed seed: randomized kernel combinations must print identically across runs
 KERNEL_SWEEP_SEED = 0x5EED
@@ -52,7 +38,7 @@ KERNEL_SWEEP_SEED = 0x5EED
 
 @dataclass
 class RunConfig:
-    """Parsed invocation; round-trips through to_dict/from_dict."""
+    """Parsed invocation."""
 
     command: str
     family: str
@@ -63,37 +49,37 @@ class RunConfig:
     mu: tuple[int, ...] | None = None
     grid: int = 2
     fmt: str = "plain"
-    cache_dir: str | None = None
     parallel: bool = False
     max_group_order: int = DEFAULT_MAX_GROUP_ORDER
     dot: bool = False
     charfile: str | None = None
 
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["lam"] = list(self.lam) if self.lam is not None else None
-        data["mu"] = list(self.mu) if self.mu is not None else None
-        return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        if data.get("lam") is not None:
-            data["lam"] = tuple(data["lam"])
-        if data.get("mu") is not None:
-            data["mu"] = tuple(data["mu"])
-        return cls(**data)
-
-
-def _parse_weight(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse weight {text!r}; expected comma-separated integers")
+        raise ValueError(f"cannot parse {text!r}; expected comma-separated integers") from None
+
+
+def _parse_weight(text: str | None, rank: int) -> tuple[int, ...] | None:
+    if text is None:
+        return None
+    lam = _parse_ints(text)
+    if len(lam) != rank:
+        raise ValueError(f"weight {text} has {len(lam)} coordinates, but --rank {rank} needs {rank}")
+    return lam
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exits 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="demchar",
         description="Exact Demazure-operator computations and identity verification "
         "on weight-lattice character rings.",
@@ -102,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--type", required=True, dest="family", help="family letter A-G")
     common.add_argument("--rank", required=True, type=int)
     common.add_argument("--format", default="plain", choices=("plain", "json"), dest="fmt")
-    common.add_argument("--cache-dir", default=None, help=f"Weyl-table cache (default ${ENV_CACHE_DIR})")
     common.add_argument("--parallel", action="store_true", help="parallelize sweeps over weights")
     common.add_argument("--max-group-order", type=int, default=DEFAULT_MAX_GROUP_ORDER)
 
@@ -146,11 +131,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         rank=args.rank,
         tau=getattr(args, "tau", None),
         w=getattr(args, "w", None),
-        lam=_parse_weight(args.lam) if getattr(args, "lam", None) else None,
-        mu=_parse_weight(args.mu) if getattr(args, "mu", None) else None,
+        lam=_parse_weight(getattr(args, "lam", None), args.rank),
+        mu=_parse_weight(getattr(args, "mu", None), args.rank),
         grid=getattr(args, "grid", 2),
         fmt=args.fmt,
-        cache_dir=args.cache_dir,
         parallel=args.parallel,
         max_group_order=args.max_group_order,
         dot=getattr(args, "dot", False),
@@ -158,29 +142,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def cache_path(cache_dir: str, family: str, rank: int) -> Path:
-    return Path(cache_dir) / f"weyl-{family}{rank}-v{CACHE_FORMAT_VERSION}.json"
-
-
 def load_group(cfg: RunConfig) -> WeylGroup:
-    d = build_datum(cfg.family, cfg.rank)
-    cache_dir = cfg.cache_dir or os.environ.get(ENV_CACHE_DIR)
-    if not cache_dir:
-        return generate(d, cfg.max_group_order)
-    path = cache_path(cache_dir, d.family, d.rank)
-    if path.exists():
-        try:
-            cached = group_from_payload(d, json.loads(path.read_text()))
-        except (json.JSONDecodeError, KeyError, ValueError):
-            cached = None
-        if cached is not None:
-            return cached
-    g = generate(d, cfg.max_group_order)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(group_to_payload(g), sort_keys=True))
-    tmp.replace(path)
-    return g
+    """The Weyl group of the configured type; sweep workers receive this same group."""
+    return generate(build_datum(cfg.family, cfg.rank), cfg.max_group_order)
 
 
 def _resolve_element(g: WeylGroup, selector: str):
@@ -188,7 +152,7 @@ def _resolve_element(g: WeylGroup, selector: str):
         return g.identity_element
     if selector == "w0":
         return g.longest_element
-    return element_by_word(g, _parse_weight(selector))
+    return element_by_word(g, _parse_ints(selector))
 
 
 def _dump_json(obj) -> None:
@@ -302,13 +266,9 @@ def cmd_bruhat(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_group(family: str, rank: int, max_order: int) -> WeylGroup:
-    return generate(build_datum(family, rank), max_order)
-
-
-def _sweep_lambda(g: WeylGroup, mode: str, lam: Weight) -> dict:
-    sweep = sweep_verify_theorem if mode == "theorem" else sweep_verify_lemma31
+def _sweep_lambda(g: WeylGroup, command: str, lam: Weight) -> dict:
+    # built per call, so a replaced module attribute takes effect
+    sweep = {"verify-theorem": sweep_verify_theorem, "verify-lemma31": sweep_verify_lemma31}[command]
     reports = sweep(g, lam)
     return {
         "lambda": list(lam),
@@ -316,28 +276,27 @@ def _sweep_lambda(g: WeylGroup, mode: str, lam: Weight) -> dict:
     }
 
 
+# set in each pool worker by _init_worker, never in the main process
+_worker_group: WeylGroup | None = None
+
+
+def _init_worker(g: WeylGroup) -> None:
+    global _worker_group
+    _worker_group = g
+
+
 def _sweep_task(args: tuple) -> dict:
-    family, rank, max_order, mode, lam = args
-    return _sweep_lambda(_cached_group(family, rank, max_order), mode, lam)
+    command, lam = args
+    return _sweep_lambda(_worker_group, command, lam)
 
 
-def _run_sweep(cfg: RunConfig, g: WeylGroup, mode: str, lams: list[Weight]) -> list[dict]:
-    if cfg.parallel and len(lams) > 1:
-        import multiprocessing
-
-        tasks = [(g.datum.family, g.datum.rank, cfg.max_group_order, mode, lam) for lam in lams]
-        with multiprocessing.Pool() as pool:
-            return pool.map(_sweep_task, tasks, chunksize=1)
-    return [_sweep_lambda(g, mode, lam) for lam in lams]
-
-
-def _emit_sweep(cfg: RunConfig, name: str, g: WeylGroup, results: list[dict]) -> int:
+def _emit_sweep(cfg: RunConfig, g: WeylGroup, results: list[dict]) -> int:
     checks = sum(len(block["reports"]) for block in results)
     failures = [r for block in results for r in block["reports"] if not r["passed"]]
     if cfg.fmt == "json":
         _dump_json(
             {
-                "command": name,
+                "command": cfg.command,
                 "family": g.datum.family,
                 "rank": g.datum.rank,
                 "grid": cfg.grid,
@@ -347,7 +306,7 @@ def _emit_sweep(cfg: RunConfig, name: str, g: WeylGroup, results: list[dict]) ->
             }
         )
     else:
-        print(f"{name} type={g.datum.family}{g.datum.rank} grid={cfg.grid} elements={g.order}")
+        print(f"{cfg.command} type={g.datum.family}{g.datum.rank} grid={cfg.grid} elements={g.order}")
         for block in results:
             ok = all(r["passed"] for r in block["reports"])
             print(f"lambda={block['lambda']} checks={len(block['reports'])} {'ok' if ok else 'MISMATCH'}")
@@ -362,15 +321,14 @@ def _emit_sweep(cfg: RunConfig, name: str, g: WeylGroup, results: list[dict]) ->
 def cmd_verify(cfg: RunConfig) -> int:
     g = load_group(cfg)
     lams = _lambda_grid(g.datum.rank, cfg.grid)
-    results = _run_sweep(cfg, g, "theorem", lams)
-    return _emit_sweep(cfg, "verify-theorem", g, results)
+    if cfg.parallel and len(lams) > 1:
+        import multiprocessing
 
-
-def cmd_verify_lemma(cfg: RunConfig) -> int:
-    g = load_group(cfg)
-    lams = _lambda_grid(g.datum.rank, cfg.grid)
-    results = _run_sweep(cfg, g, "lemma31", lams)
-    return _emit_sweep(cfg, "verify-lemma31", g, results)
+        with multiprocessing.Pool(initializer=_init_worker, initargs=(g,)) as pool:
+            results = pool.map(_sweep_task, [(cfg.command, lam) for lam in lams], chunksize=1)
+    else:
+        results = [_sweep_lambda(g, cfg.command, lam) for lam in lams]
+    return _emit_sweep(cfg, g, results)
 
 
 def _random_char(rng: random.Random, rank: int) -> CharElement:
@@ -475,7 +433,7 @@ _COMMANDS = {
     "topchar": cmd_topchar,
     "euler": cmd_euler,
     "verify-theorem": cmd_verify,
-    "verify-lemma31": cmd_verify_lemma,
+    "verify-lemma31": cmd_verify,
     "verify-kernel": cmd_kernel,
     "decompose": cmd_decompose,
     "bruhat": cmd_bruhat,

@@ -14,8 +14,10 @@ evaluated along reduced words with the last letter acting first.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .charring import CharElement
-from .rootsys import RootDatum, Weight, is_dominant, is_regular_dominant
+from .rootsys import RootDatum, Weight, check_weight_rank, is_dominant, is_regular_dominant
 from .weyl import WeylElement, WeylGroup
 
 
@@ -61,6 +63,7 @@ def demazure_char(g: WeylGroup, tau: WeylElement, lam: Weight) -> CharElement:
     Defined for dominant lam only: the operator string along tau's canonical
     reduced word applied to e^lam.
     """
+    check_weight_rank(g.datum, lam)
     if not is_dominant(g.datum, lam):
         raise ValueError(f"weight {list(lam)} is not dominant")
     return demazure_word(g.datum, tau.word, CharElement.monomial(lam))
@@ -68,6 +71,7 @@ def demazure_char(g: WeylGroup, tau: WeylElement, lam: Weight) -> CharElement:
 
 def euler_char(g: WeylGroup, w: WeylElement, mu: Weight) -> CharElement:
     """Alternating sum of cohomology characters for any weight mu."""
+    check_weight_rank(g.datum, mu)
     return demazure_word(g.datum, w.word, CharElement.monomial(mu))
 
 
@@ -77,28 +81,34 @@ def top_cohomology_char(g: WeylGroup, w: WeylElement, lam: Weight) -> CharElemen
     Requires lam regular dominant, which concentrates cohomology in degree
     l(w); the character is then the Euler characteristic up to sign.
     """
+    check_weight_rank(g.datum, lam)
     if not is_regular_dominant(g.datum, lam):
         raise ValueError(f"weight {list(lam)} is not regular dominant")
     v = euler_char(g, w, tuple(-c for c in lam))
     return -v if w.length % 2 else v
 
 
-def all_demazure_images(g: WeylGroup, v: CharElement) -> list[CharElement]:
+def all_demazure_images(
+    g: WeylGroup, v: CharElement, within: Iterable[WeylElement] | None = None, /
+) -> list[CharElement | None]:
     """D_w(v) for every group element at once, indexed like ``g.elements``.
 
     Peels the smallest left descent of each element, which is exactly the
     first letter of its canonical word, so each value is one operator step
-    away from an already-computed one.
+    away from an already-computed one.  ``within``, if given, is a set of
+    elements closed under that peeling, such as a union of lower intervals;
+    only its entries are computed and the others are None.
     """
     images: list[CharElement | None] = [None] * g.order
     images[g.identity] = v
     d = g.datum
-    for e in g.elements:
+    elements = g.elements if within is None else sorted(within, key=lambda e: e.index)
+    for e in elements:
         if e.length == 0:
             continue
         i = e.word[0]
-        parent = g.left_mult[e.index][i - 1]
-        base = images[parent]
-        assert base is not None
+        base = images[g.left_mult[e.index][i - 1]]
+        if base is None:
+            raise ValueError(f"element {list(e.word)} is in the set but not its left-descent parent")
         images[e.index] = CharElement(v.rank, _step_terms(d.simple_roots[i - 1], i - 1, base.terms))
-    return images  # type: ignore[return-value]
+    return images

@@ -225,6 +225,12 @@ def reflection_matrix(d: RootDatum, i: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def check_weight_rank(d: RootDatum, lam: Weight) -> None:
+    """Raise ValueError unless lam has one coordinate per simple root."""
+    if len(lam) != d.rank:
+        raise ValueError(f"weight {list(lam)} has {len(lam)} coordinates; {d.family}{d.rank} needs {d.rank}")
+
+
 def is_dominant(d: RootDatum, lam: Weight) -> bool:
     return all(c >= 0 for c in lam)
 

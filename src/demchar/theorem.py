@@ -5,15 +5,18 @@ The two sides of the main identity are computed by independent routes: the
 left side sums starred top-cohomology characters over a Bruhat lower
 interval, the right side is a single operator string shifted by e^rho.  A
 report never fudges: passed is exact term-by-term equality of both sides.
+The kernel-character identity is the main identity times e^-rho, checked by
+the same engine; it is not independent evidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .charring import CharElement
-from .demazure import all_demazure_images, demazure_char, top_cohomology_char
-from .rootsys import Weight, is_regular_dominant, weight_add, weight_sub
+from .demazure import all_demazure_images, top_cohomology_char
+from .rootsys import Weight, check_weight_rank, is_regular_dominant, weight_add, weight_neg, weight_sub
 from .weyl import WeylElement, WeylGroup, lower_interval
 
 VERIFICATION_REPORT_SCHEMA = {
@@ -54,7 +57,20 @@ class VerificationReport:
     dim_lhs: int
     dim_rhs: int
     interval_size: int
-    per_w_terms: dict[tuple[int, ...], CharElement] | None = None
+
+    @classmethod
+    def compare(cls, lhs: CharElement, rhs: CharElement, interval_size: int) -> "VerificationReport":
+        """Report on lhs = rhs; passed is exact term-by-term equality."""
+        difference = lhs - rhs
+        return cls(
+            lhs=lhs,
+            rhs=rhs,
+            difference=difference,
+            passed=difference.is_zero(),
+            dim_lhs=lhs.dimension(),
+            dim_rhs=rhs.dimension(),
+            interval_size=interval_size,
+        )
 
     def to_json_dict(self, tau: WeylElement, lam: Weight) -> dict:
         return {
@@ -72,66 +88,67 @@ class VerificationReport:
 
 
 def _require_regular_dominant(g: WeylGroup, lam: Weight) -> None:
+    check_weight_rank(g.datum, lam)
     if not is_regular_dominant(g.datum, lam):
         raise ValueError(f"weight {list(lam)} is not regular dominant")
 
 
-def starred_top_characters(g: WeylGroup, lam: Weight) -> list[CharElement]:
-    """Duals of the top-cohomology characters for every w, indexed like g.elements."""
+def starred_top_characters(
+    g: WeylGroup, lam: Weight, within: Iterable[WeylElement] | None = None, /
+) -> list[CharElement | None]:
+    """Duals of the top-cohomology characters for every w, indexed like g.elements.
+
+    ``within`` restricts the table as in ``all_demazure_images``.
+    """
     _require_regular_dominant(g, lam)
-    images = all_demazure_images(g, CharElement.monomial(tuple(-c for c in lam)))
+    images = all_demazure_images(g, CharElement.monomial(tuple(-c for c in lam)), within)
     return [
-        (v if g.elements[k].length % 2 == 0 else -v).star() for k, v in enumerate(images)
+        None if v is None else (v if g.elements[k].length % 2 == 0 else -v).star()
+        for k, v in enumerate(images)
     ]
 
 
-def theorem_lhs(
-    g: WeylGroup, tau: WeylElement, lam: Weight, terms: list[CharElement] | None = None
-) -> CharElement:
-    """Sum of starred top-cohomology characters over the lower interval of tau.
+def _times_monomial(mu: Weight, v: CharElement) -> CharElement:
+    return CharElement.monomial(mu) * v if any(mu) else v
 
-    ``terms`` may carry precomputed values from ``starred_top_characters`` to
-    share work across a sweep.
+
+def _interval_reports(
+    g: WeylGroup, lam: Weight, taus: Sequence[WeylElement], twist: Weight
+) -> list[VerificationReport]:
+    """Check e^twist * sum_{w <= tau} T*_w = e^(twist + rho) * D_tau(e^(lam - rho)) per tau.
+
+    T*_w is the starred top-cohomology character of -lam on w.  The left
+    side sums a table over the lower interval; the right side is one entry
+    of a table of operator strings.  Both tables cover only the union of the
+    taus' lower intervals, which is closed under peeling the first letter of
+    a canonical word, so a single tau costs in proportion to its interval.
     """
     _require_regular_dominant(g, lam)
-    total = CharElement.zero(g.datum.rank)
-    for w in lower_interval(g, tau):
-        total = total + (terms[w.index] if terms is not None else top_cohomology_char(g, w, lam).star())
-    return total
-
-
-def theorem_rhs(g: WeylGroup, tau: WeylElement, lam: Weight) -> CharElement:
-    """e^rho times the section character of the (lam - rho)-bundle on tau."""
-    _require_regular_dominant(g, lam)
     rho = g.datum.rho
-    return CharElement.monomial(rho) * demazure_char(g, tau, weight_sub(lam, rho))
+    intervals = [lower_interval(g, tau) for tau in taus]
+    within = {w.index: w for interval in intervals for w in interval}.values()
+    starred = starred_top_characters(g, lam, within)
+    sections = all_demazure_images(g, CharElement.monomial(weight_sub(lam, rho)), within)
+    terms = [None if t is None else _times_monomial(twist, t) for t in starred]
+    section_twist = weight_add(twist, rho)
+    reports = []
+    for tau, interval in zip(taus, intervals):
+        lhs = CharElement.zero(g.datum.rank)
+        for w in interval:
+            lhs = lhs + terms[w.index]
+        rhs = _times_monomial(section_twist, sections[tau.index])
+        reports.append(VerificationReport.compare(lhs, rhs, len(interval)))
+    return reports
 
 
-def verify_theorem(
-    g: WeylGroup,
-    tau: WeylElement,
-    lam: Weight,
-    keep_per_w: bool = False,
-    terms: list[CharElement] | None = None,
-) -> VerificationReport:
+def verify_theorem(g: WeylGroup, tau: WeylElement, lam: Weight) -> VerificationReport:
     """Check the summed-dual-characters identity for one (tau, lam)."""
-    lhs = theorem_lhs(g, tau, lam, terms=terms)
-    rhs = theorem_rhs(g, tau, lam)
-    difference = lhs - rhs
-    per_w = None
-    if keep_per_w:
-        shared = terms if terms is not None else starred_top_characters(g, lam)
-        per_w = {w.word: shared[w.index] for w in lower_interval(g, tau)}
-    return VerificationReport(
-        lhs=lhs,
-        rhs=rhs,
-        difference=difference,
-        passed=difference.is_zero(),
-        dim_lhs=lhs.dimension(),
-        dim_rhs=rhs.dimension(),
-        interval_size=len(lower_interval(g, tau)),
-        per_w_terms=per_w,
-    )
+    return _interval_reports(g, lam, [tau], (0,) * g.datum.rank)[0]
+
+
+def sweep_verify_theorem(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
+    """Reports of ``verify_theorem`` for every tau at one lam, indexed like g.elements."""
+    return _interval_reports(g, lam, g.elements, (0,) * g.datum.rank)
 
 
 def epsilon_char(g: WeylGroup, w: WeylElement, lam: Weight) -> CharElement:
@@ -142,86 +159,17 @@ def epsilon_char(g: WeylGroup, w: WeylElement, lam: Weight) -> CharElement:
 
 
 def verify_lemma31(g: WeylGroup, tau: WeylElement, lam: Weight) -> VerificationReport:
-    """Check that the kernel characters over the interval sum to the section character."""
-    _require_regular_dominant(g, lam)
-    interval = lower_interval(g, tau)
-    lhs = CharElement.zero(g.datum.rank)
-    for w in interval:
-        lhs = lhs + epsilon_char(g, w, lam)
-    rhs = demazure_char(g, tau, weight_sub(lam, g.datum.rho))
-    difference = lhs - rhs
-    return VerificationReport(
-        lhs=lhs,
-        rhs=rhs,
-        difference=difference,
-        passed=difference.is_zero(),
-        dim_lhs=lhs.dimension(),
-        dim_rhs=rhs.dimension(),
-        interval_size=len(interval),
-    )
+    """Check that the kernel characters over the interval sum to the section character.
 
-
-def sweep_verify_theorem(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
-    """Reports for every tau at one lam, sharing per-w work across the sweep.
-
-    Left sides reuse one starred-top-character table; right sides reuse one
-    table of operator images of e^{lam-rho}.  The two sides still follow
-    their separate formula routes.
+    This is the main identity multiplied by e^-rho, computed from the same
+    tables, so it is not independent evidence for the theorem.
     """
-    _require_regular_dominant(g, lam)
-    rank = g.datum.rank
-    terms = starred_top_characters(g, lam)
-    sections = all_demazure_images(g, CharElement.monomial(weight_sub(lam, g.datum.rho)))
-    e_rho = CharElement.monomial(g.datum.rho)
-    reports = []
-    for tau in g.elements:
-        interval = lower_interval(g, tau)
-        lhs = CharElement.zero(rank)
-        for w in interval:
-            lhs = lhs + terms[w.index]
-        rhs = e_rho * sections[tau.index]
-        difference = lhs - rhs
-        reports.append(
-            VerificationReport(
-                lhs=lhs,
-                rhs=rhs,
-                difference=difference,
-                passed=difference.is_zero(),
-                dim_lhs=lhs.dimension(),
-                dim_rhs=rhs.dimension(),
-                interval_size=len(interval),
-            )
-        )
-    return reports
+    return _interval_reports(g, lam, [tau], weight_neg(g.datum.rho))[0]
 
 
 def sweep_verify_lemma31(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
-    """Reports for every tau at one lam for the kernel-character sum identity."""
-    _require_regular_dominant(g, lam)
-    rank = g.datum.rank
-    minus_rho = CharElement.monomial(tuple(-c for c in g.datum.rho))
-    eps = [minus_rho * t for t in starred_top_characters(g, lam)]
-    sections = all_demazure_images(g, CharElement.monomial(weight_sub(lam, g.datum.rho)))
-    reports = []
-    for tau in g.elements:
-        interval = lower_interval(g, tau)
-        lhs = CharElement.zero(rank)
-        for w in interval:
-            lhs = lhs + eps[w.index]
-        rhs = sections[tau.index]
-        difference = lhs - rhs
-        reports.append(
-            VerificationReport(
-                lhs=lhs,
-                rhs=rhs,
-                difference=difference,
-                passed=difference.is_zero(),
-                dim_lhs=lhs.dimension(),
-                dim_rhs=rhs.dimension(),
-                interval_size=len(interval),
-            )
-        )
-    return reports
+    """Reports of ``verify_lemma31`` for every tau at one lam, indexed like g.elements."""
+    return _interval_reports(g, lam, g.elements, weight_neg(g.datum.rho))
 
 
 def psi_character(w: WeylElement, chi_prime: Weight) -> Weight:

@@ -16,9 +16,6 @@ Matrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_MAX_GROUP_ORDER = 1_000_000
 
-# bump when the cache payload layout changes
-CACHE_FORMAT_VERSION = 1
-
 
 @dataclass(frozen=True, eq=False)
 class WeylElement:
@@ -236,53 +233,3 @@ def inversions(g: WeylGroup, w: WeylElement) -> int:
         if tuple(-c for c in image) in positives:
             count += 1
     return count
-
-
-def group_to_payload(g: WeylGroup) -> dict:
-    """Serializable form of the expensive tables, keyed by type and version."""
-    return {
-        "format_version": CACHE_FORMAT_VERSION,
-        "family": g.datum.family,
-        "rank": g.datum.rank,
-        "words": [list(e.word) for e in g.elements],
-        "bruhat_rows": [format(row, "x") for row in g.bruhat_rows],
-    }
-
-
-def group_from_payload(d: RootDatum, payload: dict) -> WeylGroup | None:
-    """Rebuild a group from a cache payload; None if the key does not match."""
-    if (
-        payload.get("format_version") != CACHE_FORMAT_VERSION
-        or payload.get("family") != d.family
-        or payload.get("rank") != d.rank
-    ):
-        return None
-    rank = d.rank
-    refl = [reflection_matrix(d, i) for i in range(1, rank + 1)]
-    matrices: list[Matrix] = []
-    elements: list[WeylElement] = []
-    index_of: dict[Matrix, int] = {}
-    for k, word in enumerate(payload["words"]):
-        m = _identity_matrix(rank)
-        for i in word:
-            m = _matmul(m, refl[i - 1])
-        matrices.append(m)
-        index_of[m] = k
-        elements.append(WeylElement(index=k, matrix=m, length=len(word), word=tuple(word)))
-    n = len(elements)
-    right_mult = tuple(
-        tuple(index_of[_matmul(matrices[k], refl[i])] for i in range(rank)) for k in range(n)
-    )
-    left_mult = tuple(
-        tuple(index_of[_matmul(refl[i], matrices[k])] for i in range(rank)) for k in range(n)
-    )
-    return WeylGroup(
-        datum=d,
-        elements=tuple(elements),
-        identity=0,
-        longest=n - 1,
-        right_mult=right_mult,
-        left_mult=left_mult,
-        bruhat_rows=tuple(int(row, 16) for row in payload["bruhat_rows"]),
-        index_of=index_of,
-    )

@@ -1,8 +1,9 @@
 """Independent oracles and shared helpers for the test suite.
 
 Everything here deliberately avoids the code paths it is used to check:
-the dimension formula works from the positive coroots alone, and the
-Bruhat oracle enumerates subwords of a single fixed reduced word.
+the dimension formula works from the positive coroots alone, the
+Bruhat oracle enumerates subwords of a single fixed reduced word, and the
+theorem reference evaluates one operator string per interval element.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from fractions import Fraction
 
 from demchar import build_datum, generate
 from demchar.charring import CharElement
-from demchar.rootsys import RootDatum, Weight
+from demchar.demazure import demazure_char, top_cohomology_char
+from demchar.rootsys import RootDatum, Weight, weight_sub
 from demchar.weyl import WeylGroup
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
@@ -81,6 +83,20 @@ def subword_lower_set(g: WeylGroup, tau) -> set[int]:
                 idx = g.right_mult[idx][letter - 1]
         reachable.add(idx)
     return reachable
+
+
+def theorem_sides(g: WeylGroup, tau, lam: Weight) -> tuple[CharElement, CharElement]:
+    """Both sides of the main identity, evaluated term by term.
+
+    The left side is one operator string per w in the subword lower set of
+    tau, starred and summed; the right side is e^rho times the section
+    character of lam - rho.  No table and no Bruhat row is shared.
+    """
+    lhs = CharElement.zero(g.datum.rank)
+    for k in sorted(subword_lower_set(g, tau)):
+        lhs = lhs + top_cohomology_char(g, g.elements[k], lam).star()
+    rho = g.datum.rho
+    return lhs, CharElement.monomial(rho) * demazure_char(g, tau, weight_sub(lam, rho))
 
 
 def integer_adjugate(d: RootDatum) -> tuple[list[list[int]], int]:

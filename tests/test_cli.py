@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 from demchar.charring import CHAR_ELEMENT_SCHEMA
-from demchar.cli import RunConfig, build_parser, config_from_args
+from demchar.cli import build_parser, config_from_args
 from demchar.kernel import DECOMPOSITION_SCHEMA, kernel_basis_element
 
 import oracles
@@ -158,37 +158,52 @@ def test_decompose_rejects_non_member():
 
 
 def test_serial_and_parallel_outputs_identical():
-    base = ["verify-theorem", "--type", "A", "--rank", "3", "--grid", "1"]
-    serial = run_cli(*base)
-    parallel = run_cli(*base, "--parallel")
-    assert serial.returncode == parallel.returncode == 0
-    assert serial.stdout == parallel.stdout
+    for command in ("verify-theorem", "verify-lemma31"):
+        base = [command, "--type", "A", "--rank", "3", "--grid", "2", "--format", "json"]
+        serial = run_cli(*base)
+        parallel = run_cli(*base, "--parallel")
+        assert serial.returncode == parallel.returncode == 0
+        assert serial.stdout == parallel.stdout
+        assert json.loads(serial.stdout)["command"] == command
 
 
-def test_cache_round_trip(tmp_path):
-    cache = tmp_path / "cache"
-    args = ["info", "--type", "B", "--rank", "2", "--cache-dir", str(cache)]
-    first = run_cli(*args)
-    assert first.returncode == 0
-    files = list(cache.glob("weyl-B2-v*.json"))
-    assert len(files) == 1
-    second = run_cli(*args)
-    assert second.stdout == first.stdout
-    # corrupted cache is ignored and rebuilt
-    files[0].write_text("{not json")
-    third = run_cli(*args)
-    assert third.returncode == 0
-    assert third.stdout == first.stdout
-    assert json.loads(files[0].read_text())["family"] == "B"
+def assert_usage_error(r):
+    assert r.returncode == 2
+    assert len(r.stderr.strip().splitlines()) == 1, r.stderr
+    assert "Traceback" not in r.stderr
 
 
-def test_cache_env_var(tmp_path, monkeypatch):
-    import os
+def test_cache_dir_is_gone():
+    r = run_cli("info", "--type", "A", "--rank", "2", "--cache-dir", "unused")
+    assert_usage_error(r)
+    assert "--cache-dir" in r.stderr
 
-    env = dict(os.environ, DEMCHAR_CACHE_DIR=str(tmp_path / "envcache"))
-    r = run_cli("info", "--type", "A", "--rank", "2", env=env)
-    assert r.returncode == 0
-    assert list((tmp_path / "envcache").glob("weyl-A2-v*.json"))
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["demchar", "--type", "A", "--rank", "2", "--mu", "1,1,5"],
+        ["demchar", "--type", "A", "--rank", "2", "--mu", "1"],
+        ["topchar", "--type", "A", "--rank", "2", "--lambda", "1"],
+        ["euler", "--type", "B", "--rank", "2", "--mu", "1,0,0"],
+    ],
+)
+def test_weight_length_must_match_rank(args):
+    r = run_cli(*args)
+    assert_usage_error(r)
+    assert "coordinates" in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("body", ["{}", "[]", '{"rank": 2}', "not json", '{"rank": 2, "terms": [7]}'])
+def test_decompose_malformed_input_is_usage_error(body):
+    r = run_cli("decompose", "--type", "A", "--rank", "2", stdin=body)
+    assert_usage_error(r)
+
+
+def test_argument_errors_are_one_line():
+    assert_usage_error(run_cli("info", "--type", "A", "--rank", "two"))
+    assert_usage_error(run_cli("demchar", "--type", "A", "--rank", "2"))
 
 
 def test_run_config_round_trip():
@@ -210,12 +225,13 @@ def test_run_config_round_trip():
         ]
     )
     cfg = config_from_args(args)
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
+    assert (cfg.command, cfg.family, cfg.rank, cfg.grid) == ("verify-theorem", "B", 3, 2)
+    assert (cfg.fmt, cfg.parallel, cfg.max_group_order) == ("json", True, 5000)
+    assert cfg.lam is None and cfg.mu is None
     cfg2 = config_from_args(
         build_parser().parse_args(["demchar", "--type", "A", "--rank", "2", "--mu", "1,2"])
     )
     assert cfg2.mu == (1, 2)
-    assert RunConfig.from_dict(cfg2.to_dict()) == cfg2
 
 
 def test_max_group_order_flag():
@@ -245,7 +261,7 @@ def test_emit_sweep_reports_mismatch_with_exit_one(capsys):
             }
         ],
     }
-    code = _emit_sweep(cfg, "verify-theorem", g, [failing])
+    code = _emit_sweep(cfg, g, [failing])
     out = capsys.readouterr().out
     assert code == EXIT_MISMATCH
     assert "first counterexample:" in out

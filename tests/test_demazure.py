@@ -12,7 +12,7 @@ from demchar.demazure import (
     top_cohomology_char,
 )
 from demchar.rootsys import build_datum, simple_reflection, weight_neg, weight_sub
-from demchar.weyl import alternative_reduced_words, element_by_word
+from demchar.weyl import alternative_reduced_words, element_by_word, lower_interval
 
 import oracles
 
@@ -197,3 +197,24 @@ def test_all_demazure_images_match_wordwise_evaluation():
         images = all_demazure_images(g, v)
         for e in g.elements:
             assert images[e.index] == demazure_word(g.datum, e.word, v)
+
+
+def test_image_table_restricted_to_lower_intervals():
+    g = oracles.group("B", 3)
+    v = oracles.random_char(random.Random(47), 3)
+    full = all_demazure_images(g, v)
+    taus = [element_by_word(g, (1, 2)), element_by_word(g, (3, 2, 3))]
+    within = {w.index: w for tau in taus for w in lower_interval(g, tau)}
+    images = all_demazure_images(g, v, within.values())
+    for e in g.elements:
+        assert images[e.index] == (full[e.index] if e.index in within else None)
+    with pytest.raises(ValueError):
+        all_demazure_images(g, v, [g.identity_element, element_by_word(g, (1, 2))])
+
+
+@pytest.mark.parametrize("weight", [(1,), (1, 1, 5)])
+def test_weight_length_must_match_rank(weight):
+    g = oracles.group("A", 2)
+    for fn in (demazure_char, euler_char, top_cohomology_char):
+        with pytest.raises(ValueError, match="coordinates"):
+            fn(g, g.longest_element, weight)

@@ -6,18 +6,16 @@ import pytest
 
 from demchar.charring import CharElement, extreme_weight, monomial
 from demchar.demazure import demazure_char, top_cohomology_char
-from demchar.rootsys import weight_sub
+from demchar import theorem
+from demchar.rootsys import weight_neg, weight_sub
 from demchar.theorem import (
     VERIFICATION_REPORT_SCHEMA,
     chi_prime_identity,
     chi_prime_longest,
     epsilon_char,
     psi_character,
-    starred_top_characters,
     sweep_verify_lemma31,
     sweep_verify_theorem,
-    theorem_lhs,
-    theorem_rhs,
     verify_lemma31,
     verify_theorem,
 )
@@ -29,21 +27,21 @@ import oracles
 def test_lhs_frozen_examples():
     g1 = oracles.group("A", 1)
     s = g1.longest_element
-    assert theorem_lhs(g1, s, (2,)) == monomial((2,)) + monomial((0,))
-    assert theorem_lhs(g1, g1.identity_element, (3,)) == monomial((3,))
+    assert verify_theorem(g1, s, (2,)).lhs == monomial((2,)) + monomial((0,))
+    assert verify_theorem(g1, g1.identity_element, (3,)).lhs == monomial((3,))
     g2 = oracles.group("A", 2)
     s1 = element_by_word(g2, (1,))
-    assert theorem_lhs(g2, s1, (2, 1)) == monomial((2, 1)) + monomial((0, 2))
+    assert verify_theorem(g2, s1, (2, 1)).lhs == monomial((2, 1)) + monomial((0, 2))
 
 
 def test_rhs_frozen_examples():
     g1 = oracles.group("A", 1)
     s = g1.longest_element
-    assert theorem_rhs(g1, s, (2,)) == monomial((2,)) + monomial((0,))
+    assert verify_theorem(g1, s, (2,)).rhs == monomial((2,)) + monomial((0,))
     g2 = oracles.group("A", 2)
     s1 = element_by_word(g2, (1,))
-    assert theorem_rhs(g2, s1, (2, 1)) == monomial((2, 1)) + monomial((0, 2))
-    assert theorem_rhs(g2, g2.longest_element, (1, 1)) == monomial((1, 1))
+    assert verify_theorem(g2, s1, (2, 1)).rhs == monomial((2, 1)) + monomial((0, 2))
+    assert verify_theorem(g2, g2.longest_element, (1, 1)).rhs == monomial((1, 1))
 
 
 def test_verify_examples():
@@ -67,9 +65,23 @@ def test_verify_exhaustive_a2():
 
 def test_precondition_regular_dominant():
     g = oracles.group("A", 2)
-    for fn in (theorem_lhs, theorem_rhs, verify_theorem, verify_lemma31):
+    for fn in (verify_theorem, verify_lemma31, epsilon_char):
         with pytest.raises(ValueError):
             fn(g, g.longest_element, (0, 1))
+    for fn in (sweep_verify_theorem, sweep_verify_lemma31):
+        with pytest.raises(ValueError):
+            fn(g, (0, 1))
+
+
+def test_weight_length_must_match_rank():
+    g = oracles.group("A", 2)
+    for lam in [(1,), (1, 1, 5)]:
+        for fn in (verify_theorem, verify_lemma31, epsilon_char):
+            with pytest.raises(ValueError, match="coordinates"):
+                fn(g, g.longest_element, lam)
+        for fn in (sweep_verify_theorem, sweep_verify_lemma31):
+            with pytest.raises(ValueError, match="coordinates"):
+                fn(g, lam)
 
 
 def test_report_passed_iff_difference_zero():
@@ -81,15 +93,14 @@ def test_report_passed_iff_difference_zero():
 def test_report_json_schema_and_per_w():
     g = oracles.group("A", 2)
     tau = g.longest_element
-    r = verify_theorem(g, tau, (2, 1), keep_per_w=True)
+    r = verify_theorem(g, tau, (2, 1))
     data = r.to_json_dict(tau, (2, 1))
     jsonschema.validate(data, VERIFICATION_REPORT_SCHEMA)
     assert data["passed"] is True
     assert data["difference_terms"] == []
-    assert set(r.per_w_terms) == {w.word for w in lower_interval(g, tau)}
     total = CharElement.zero(2)
-    for term in r.per_w_terms.values():
-        total = total + term
+    for w in lower_interval(g, tau):
+        total = total + top_cohomology_char(g, w, (2, 1)).star()
     assert total == r.lhs
 
 
@@ -174,23 +185,43 @@ def test_psi_character_arithmetic_identity():
 
 
 def test_sweeps_match_pairwise_verification():
-    g = oracles.group("B", 2)
-    lam = (2, 1)
-    sweep_t = sweep_verify_theorem(g, lam)
-    sweep_l = sweep_verify_lemma31(g, lam)
-    for tau in g.elements:
-        direct_t = verify_theorem(g, tau, lam)
-        direct_l = verify_lemma31(g, tau, lam)
-        assert sweep_t[tau.index].lhs == direct_t.lhs
-        assert sweep_t[tau.index].rhs == direct_t.rhs
-        assert sweep_l[tau.index].lhs == direct_l.lhs
-        assert sweep_l[tau.index].rhs == direct_l.rhs
-        assert sweep_t[tau.index].passed and sweep_l[tau.index].passed
+    for family, rank, lam in [("B", 2, (2, 1)), ("G", 2, (1, 2))]:
+        g = oracles.group(family, rank)
+        sweep_t = sweep_verify_theorem(g, lam)
+        sweep_l = sweep_verify_lemma31(g, lam)
+        for tau in g.elements:
+            assert verify_theorem(g, tau, lam) == sweep_t[tau.index]
+            assert verify_lemma31(g, tau, lam) == sweep_l[tau.index]
 
 
-def test_theorem_lhs_accepts_precomputed_terms():
-    g = oracles.group("A", 2)
-    lam = (2, 2)
-    terms = starred_top_characters(g, lam)
-    for tau in g.elements:
-        assert theorem_lhs(g, tau, lam, terms=terms) == theorem_lhs(g, tau, lam)
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_both_identities_match_reference(family, rank):
+    g = oracles.group(family, rank)
+    minus_rho = monomial(weight_neg(g.datum.rho))
+    for lam in [(1, 1), (2, 1), (1, 3), (3, 2)]:
+        sweep_t = sweep_verify_theorem(g, lam)
+        sweep_l = sweep_verify_lemma31(g, lam)
+        for tau in g.elements:
+            lhs, rhs = oracles.theorem_sides(g, tau, lam)
+            assert lhs == rhs, (family, tau.word, lam)
+            t, l = sweep_t[tau.index], sweep_l[tau.index]
+            assert (t.lhs, t.rhs) == (lhs, rhs)
+            assert (l.lhs, l.rhs) == (minus_rho * lhs, minus_rho * rhs)
+            assert t.interval_size == l.interval_size == len(oracles.subword_lower_set(g, tau))
+
+
+def test_single_tau_tables_cover_only_its_interval(monkeypatch):
+    g = oracles.group("B", 3)
+    tau = element_by_word(g, (1, 2))
+    real = theorem.all_demazure_images
+    computed = []
+
+    def spy(*args):
+        images = real(*args)
+        computed.append(sum(1 for v in images if v is not None))
+        return images
+
+    monkeypatch.setattr(theorem, "all_demazure_images", spy)
+    assert verify_theorem(g, tau, (1, 2, 1)).passed
+    assert verify_lemma31(g, tau, (1, 2, 1)).passed
+    assert computed == [len(lower_interval(g, tau))] * 4

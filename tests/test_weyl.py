@@ -10,8 +10,6 @@ from demchar.weyl import (
     dot_apply,
     element_by_word,
     generate,
-    group_from_payload,
-    group_to_payload,
     inversions,
     lower_interval,
 )
@@ -187,20 +185,6 @@ def test_simple_multiplication_changes_length_by_one():
 def test_max_order_guard():
     with pytest.raises(ValueError):
         generate(build_datum("A", 3), max_order=10)
-
-
-def test_payload_round_trip():
-    g = oracles.group("B", 2)
-    payload = group_to_payload(g)
-    rebuilt = group_from_payload(g.datum, payload)
-    assert rebuilt is not None
-    assert [e.word for e in rebuilt.elements] == [e.word for e in g.elements]
-    assert rebuilt.bruhat_rows == g.bruhat_rows
-    assert rebuilt.right_mult == g.right_mult
-    # key mismatch is rejected
-    assert group_from_payload(build_datum("A", 2), payload) is None
-    stale = dict(payload, format_version=-1)
-    assert group_from_payload(g.datum, stale) is None
 
 
 def test_element_by_word_validates_letters():
