@@ -8,6 +8,7 @@ parallel additive reductions are safe.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Literal, Mapping
 
 from .rootsys import RootDatum, Weight, root_coordinates, weight_add, weight_neg
@@ -58,6 +59,17 @@ class CharElement:
     @classmethod
     def monomial(cls, lam: Weight) -> "CharElement":
         return cls(len(lam), {tuple(lam): 1})
+
+    @classmethod
+    def adopt(cls, rank: int, terms: dict[Weight, int]) -> "CharElement":
+        """Wrap ``terms`` as an element, copying it only to drop zero coefficients.
+
+        The caller hands the dict over and must not change it afterwards.
+        """
+        v = cls.__new__(cls)
+        v.rank = rank
+        v.terms = {mu: c for mu, c in terms.items() if c} if 0 in terms.values() else terms
+        return v
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -112,6 +124,12 @@ class CharElement:
         return CharElement(self.rank, out)
 
     __rmul__ = __mul__
+
+    def shift(self, mu: Weight) -> "CharElement":
+        """The product e^mu * self, computed as a shift of every weight."""
+        if len(mu) != self.rank:
+            raise ValueError(f"rank mismatch: {self.rank} vs {len(mu)}")
+        return CharElement.adopt(self.rank, {tuple(map(add, nu, mu)): c for nu, c in self.terms.items()})
 
     def star(self) -> "CharElement":
         """Dual character: e^mu -> e^{-mu}."""

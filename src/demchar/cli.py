@@ -1,7 +1,8 @@
 """Command-line surface: type queries, character computations, and batch
 verification sweeps.
 
-Exit codes: 0 all checks verified, 1 mathematical mismatch, 2 usage error.
+Exit codes: 0 all checks verified, 1 mathematical mismatch, 2 usage error,
+3 internal error (a consistency check inside the library failed).
 Output is deterministic and byte-identical between serial and parallel runs.
 """
 
@@ -31,6 +32,7 @@ from .weyl import DEFAULT_MAX_GROUP_ORDER, WeylGroup, bruhat_leq, element_by_wor
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 # fixed seed: randomized kernel combinations must print identically across runs
 KERNEL_SWEEP_SEED = 0x5EED
@@ -449,6 +451,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -40,8 +40,15 @@ def _step_terms(alpha: Weight, pos: int, terms: dict[Weight, int]) -> dict[Weigh
     return {mu: c for mu, c in out.items() if c}
 
 
+def check_char_rank(d: RootDatum, v: CharElement) -> None:
+    """Raise ValueError unless v is a character of d's rank."""
+    if v.rank != d.rank:
+        raise ValueError(f"character of rank {v.rank} given; {d.family}{d.rank} needs rank {d.rank}")
+
+
 def demazure_step(d: RootDatum, i: int, v: CharElement) -> CharElement:
     """Apply the Demazure operator of the i-th simple root (1-based)."""
+    check_char_rank(d, v)
     if not 1 <= i <= d.rank:
         raise ValueError(f"simple-root index {i} out of range 1..{d.rank}")
     return CharElement(v.rank, _step_terms(d.simple_roots[i - 1], i - 1, v.terms))
@@ -49,6 +56,7 @@ def demazure_step(d: RootDatum, i: int, v: CharElement) -> CharElement:
 
 def demazure_word(d: RootDatum, word, v: CharElement) -> CharElement:
     """Compose Demazure steps along a word; the last letter acts first."""
+    check_char_rank(d, v)
     terms = v.terms
     for i in reversed(tuple(word)):
         if not 1 <= i <= d.rank:
@@ -99,6 +107,7 @@ def all_demazure_images(
     elements closed under that peeling, such as a union of lower intervals;
     only its entries are computed and the others are None.
     """
+    check_char_rank(g.datum, v)
     images: list[CharElement | None] = [None] * g.order
     images[g.identity] = v
     d = g.datum

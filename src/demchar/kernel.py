@@ -6,8 +6,8 @@ greedy triangular decomposition into the full-group section-character basis.
 from __future__ import annotations
 
 from .charring import CharElement, w_apply
-from .demazure import all_demazure_images, demazure_char, demazure_step
-from .rootsys import Weight, is_regular_dominant, root_coordinates, weight_add
+from .demazure import all_demazure_images, check_char_rank, demazure_char, demazure_step
+from .rootsys import Weight, check_weight_rank, is_regular_dominant, root_coordinates, weight_add
 from .weyl import WeylGroup
 
 DECOMPOSITION_SCHEMA = {
@@ -34,16 +34,19 @@ DECOMPOSITION_SCHEMA = {
 
 def in_kernel(g: WeylGroup, v: CharElement) -> bool:
     """True iff every simple-root Demazure operator annihilates v."""
+    check_char_rank(g.datum, v)
     return all(demazure_step(g.datum, i, v).is_zero() for i in range(1, g.datum.rank + 1))
 
 
 def is_demazure_invariant(g: WeylGroup, v: CharElement) -> bool:
     """True iff every simple-root Demazure operator fixes v."""
+    check_char_rank(g.datum, v)
     return all(demazure_step(g.datum, i, v) == v for i in range(1, g.datum.rank + 1))
 
 
 def kernel_basis_element(g: WeylGroup, lam: Weight) -> CharElement:
     """Sum over the whole group of the top-cohomology characters of -lam."""
+    check_weight_rank(g.datum, lam)
     if not is_regular_dominant(g.datum, lam):
         raise ValueError(f"weight {list(lam)} is not regular dominant")
     images = all_demazure_images(g, CharElement.monomial(tuple(-c for c in lam)))
@@ -55,6 +58,7 @@ def kernel_basis_element(g: WeylGroup, lam: Weight) -> CharElement:
 
 def verify_characterization(g: WeylGroup, v: CharElement) -> bool:
     """Check the biconditional: v is in N iff e^rho * v is Demazure-invariant."""
+    check_char_rank(g.datum, v)
     twisted = CharElement.monomial(g.datum.rho) * v
     return in_kernel(g, v) == is_demazure_invariant(g, twisted)
 
@@ -88,6 +92,7 @@ def decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
     section characters.  Returns {mu -> coefficient}; the basis element of N
     recovered at mu is the one attached to the weight mu + rho.
     """
+    check_char_rank(g.datum, v)
     if not in_kernel(g, v):
         raise ValueError("element is not in the joint Demazure kernel")
     d = g.datum

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .charring import CharElement
 from .demazure import all_demazure_images, top_cohomology_char
 from .rootsys import Weight, check_weight_rank, is_regular_dominant, weight_add, weight_neg, weight_sub
-from .weyl import WeylElement, WeylGroup, lower_interval
+from .weyl import WeylElement, WeylGroup, bit_indices
 
 VERIFICATION_REPORT_SCHEMA = {
     "type": "object",
@@ -61,7 +61,7 @@ class VerificationReport:
     @classmethod
     def compare(cls, lhs: CharElement, rhs: CharElement, interval_size: int) -> "VerificationReport":
         """Report on lhs = rhs; passed is exact term-by-term equality."""
-        difference = lhs - rhs
+        difference = lhs - rhs if lhs != rhs else CharElement.zero(lhs.rank)
         return cls(
             lhs=lhs,
             rhs=rhs,
@@ -108,37 +108,51 @@ def starred_top_characters(
     ]
 
 
-def _times_monomial(mu: Weight, v: CharElement) -> CharElement:
-    return CharElement.monomial(mu) * v if any(mu) else v
-
-
 def _interval_reports(
     g: WeylGroup, lam: Weight, taus: Sequence[WeylElement], twist: Weight
 ) -> list[VerificationReport]:
     """Check e^twist * sum_{w <= tau} T*_w = e^(twist + rho) * D_tau(e^(lam - rho)) per tau.
 
     T*_w is the starred top-cohomology character of -lam on w.  The left
-    side sums a table over the lower interval; the right side is one entry
-    of a table of operator strings.  Both tables cover only the union of the
-    taus' lower intervals, which is closed under peeling the first letter of
-    a canonical word, so a single tau costs in proportion to its interval.
+    side L(tau) is summed over the lower interval, the right side is one
+    entry of a table of operator strings.  Both tables cover only the union
+    of the taus' lower intervals, which is closed under peeling the first
+    letter s of a canonical word, so a single tau costs in proportion to its
+    interval.  By the lifting property, sigma = s*tau < tau has
+    [e, tau] = [e, sigma] u s[e, sigma], so L(tau) is L(sigma) plus T*_w over
+    the bits of rows[tau] & ~rows[sigma] alone.
     """
     _require_regular_dominant(g, lam)
-    rho = g.datum.rho
-    intervals = [lower_interval(g, tau) for tau in taus]
-    within = {w.index: w for interval in intervals for w in interval}.values()
+    rank, rho = g.datum.rank, g.datum.rho
+    rows = g.bruhat_rows
+    needed = 0
+    for tau in taus:
+        needed |= rows[tau.index]
+    within = [g.elements[k] for k in bit_indices(needed)]
     starred = starred_top_characters(g, lam, within)
     sections = all_demazure_images(g, CharElement.monomial(weight_sub(lam, rho)), within)
-    terms = [None if t is None else _times_monomial(twist, t) for t in starred]
+    if any(twist):
+        starred = [None if t is None else t.shift(twist) for t in starred]
+    sums: list[CharElement | None] = [None] * g.order
+    for e in within:
+        k = e.index
+        if e.length == 0:
+            acc, new = {}, rows[k]
+        else:
+            sigma = g.left_mult[k][e.word[0] - 1]
+            acc, new = dict(sums[sigma].terms), rows[k] & ~rows[sigma]
+        get = acc.get
+        for w in bit_indices(new):
+            for mu, c in starred[w].terms.items():
+                acc[mu] = get(mu, 0) + c
+        sums[k] = CharElement.adopt(rank, acc)
     section_twist = weight_add(twist, rho)
-    reports = []
-    for tau, interval in zip(taus, intervals):
-        lhs = CharElement.zero(g.datum.rank)
-        for w in interval:
-            lhs = lhs + terms[w.index]
-        rhs = _times_monomial(section_twist, sections[tau.index])
-        reports.append(VerificationReport.compare(lhs, rhs, len(interval)))
-    return reports
+    return [
+        VerificationReport.compare(
+            sums[t.index], sections[t.index].shift(section_twist), rows[t.index].bit_count()
+        )
+        for t in taus
+    ]
 
 
 def verify_theorem(g: WeylGroup, tau: WeylElement, lam: Weight) -> VerificationReport:
@@ -154,8 +168,7 @@ def sweep_verify_theorem(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
 def epsilon_char(g: WeylGroup, w: WeylElement, lam: Weight) -> CharElement:
     """Character of the boundary-restriction kernel on w, via the e^rho twist."""
     _require_regular_dominant(g, lam)
-    minus_rho = tuple(-c for c in g.datum.rho)
-    return CharElement.monomial(minus_rho) * top_cohomology_char(g, w, lam).star()
+    return top_cohomology_char(g, w, lam).star().shift(weight_neg(g.datum.rho))
 
 
 def verify_lemma31(g: WeylGroup, tau: WeylElement, lam: Weight) -> VerificationReport:

@@ -186,6 +186,20 @@ def bruhat_leq(g: WeylGroup, w: WeylElement, tau: WeylElement) -> bool:
     return bool((g.bruhat_rows[tau.index] >> w.index) & 1)
 
 
+def bit_indices(mask: int) -> list[int]:
+    """Positions of the set bits of a Bruhat row (or any mask), ascending.
+
+    ``lower_interval`` keeps its own scan of the row, so tests that compare
+    the sweep with it do not share this code.
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def lower_interval(g: WeylGroup, tau: WeylElement) -> list[WeylElement]:
     """All w <= tau, ordered by length then canonical word."""
     row = g.bruhat_rows[tau.index]

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the code paths it is used to check:
 the dimension formula works from the positive coroots alone, the
 Bruhat oracle enumerates subwords of a single fixed reduced word, and the
-theorem reference evaluates one operator string per interval element.
+theorem references evaluate one operator string per interval element.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from demchar import build_datum, generate
 from demchar.charring import CharElement
 from demchar.demazure import demazure_char, top_cohomology_char
 from demchar.rootsys import RootDatum, Weight, weight_sub
-from demchar.weyl import WeylGroup
+from demchar.weyl import WeylGroup, lower_interval
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
@@ -97,6 +97,18 @@ def theorem_sides(g: WeylGroup, tau, lam: Weight) -> tuple[CharElement, CharElem
         lhs = lhs + top_cohomology_char(g, g.elements[k], lam).star()
     rho = g.datum.rho
     return lhs, CharElement.monomial(rho) * demazure_char(g, tau, weight_sub(lam, rho))
+
+
+def interval_sum(g: WeylGroup, tau, lam: Weight) -> CharElement:
+    """The left side of the main identity, one addition per w in lower_interval(g, tau).
+
+    Each term is the signed top-cohomology character of -lam on w, starred
+    and evaluated from its own operator string; no partial sum is reused.
+    """
+    total = CharElement.zero(g.datum.rank)
+    for w in lower_interval(g, tau):
+        total = total + top_cohomology_char(g, w, lam).star()
+    return total
 
 
 def integer_adjugate(d: RootDatum) -> tuple[list[list[int]], int]:

@@ -266,3 +266,16 @@ def test_emit_sweep_reports_mismatch_with_exit_one(capsys):
     assert code == EXIT_MISMATCH
     assert "first counterexample:" in out
     assert out.strip().endswith("FAIL")
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    from demchar import cli
+
+    def broken(cfg):
+        raise RuntimeError("decomposition failed to terminate; internal inconsistency")
+
+    monkeypatch.setitem(cli._COMMANDS, "info", broken)
+    assert cli.main(["info", "--type", "A", "--rank", "1"]) == cli.EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: decomposition failed to terminate; internal inconsistency\n"

@@ -218,3 +218,19 @@ def test_weight_length_must_match_rank(weight):
     for fn in (demazure_char, euler_char, top_cohomology_char):
         with pytest.raises(ValueError, match="coordinates"):
             fn(g, g.longest_element, weight)
+
+
+@pytest.mark.parametrize(
+    "apply",
+    [
+        lambda g, v: demazure_step(g.datum, 1, v),
+        lambda g, v: demazure_word(g.datum, (1, 2), v),
+        lambda g, v: all_demazure_images(g, v),
+    ],
+    ids=["demazure_step", "demazure_word", "all_demazure_images"],
+)
+def test_character_rank_must_match_rank(apply):
+    g = oracles.group("A", 2)
+    for v in [CharElement(3, {(1, 0, 0): 1}), CharElement(1, {(1,): 1})]:
+        with pytest.raises(ValueError, match="needs rank 2"):
+            apply(g, v)

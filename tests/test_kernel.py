@@ -142,3 +142,18 @@ def test_decomposition_json_schema():
     assert tuple(entry["mu"]) == dual_label(g, (2, 1))
     assert [a + b for a, b in zip(entry["mu"], [1, 1])] == entry["lambda"]
     assert entry["coeff"] == "1"
+
+
+@pytest.mark.parametrize("fn", [in_kernel, is_demazure_invariant, verify_characterization, decompose])
+def test_character_rank_must_match_rank(fn):
+    # _step_terms reads weights through zip, so an unchecked rank-3 character would be cut to rank 2
+    g = oracles.group("A", 2)
+    for v in [CharElement(3, {(1, 0, 0): 1}), CharElement(1, {(1,): 1})]:
+        with pytest.raises(ValueError, match="needs rank 2"):
+            fn(g, v)
+
+
+@pytest.mark.parametrize("lam", [(1,), (1, 1, 5)])
+def test_kernel_basis_element_weight_length_must_match_rank(lam):
+    with pytest.raises(ValueError, match="coordinates"):
+        kernel_basis_element(oracles.group("A", 2), lam)

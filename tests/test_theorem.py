@@ -225,3 +225,18 @@ def test_single_tau_tables_cover_only_its_interval(monkeypatch):
     assert verify_theorem(g, tau, (1, 2, 1)).passed
     assert verify_lemma31(g, tau, (1, 2, 1)).passed
     assert computed == [len(lower_interval(g, tau))] * 4
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3)])
+def test_incremental_sums_match_interval_reference(family, rank):
+    g = oracles.group(family, rank)
+    minus_rho = monomial(weight_neg(g.datum.rho))
+    for lam in [(1, 1, 1), (2, 1, 3)]:
+        sweep_t = sweep_verify_theorem(g, lam)
+        sweep_l = sweep_verify_lemma31(g, lam)
+        for tau in g.elements:
+            reference = oracles.interval_sum(g, tau, lam)
+            t, l = sweep_t[tau.index], sweep_l[tau.index]
+            assert t.lhs == reference, (family, tau.word, lam)
+            assert l.lhs == minus_rho * reference, (family, tau.word, lam)
+            assert t.interval_size == l.interval_size == len(lower_interval(g, tau))

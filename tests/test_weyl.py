@@ -6,6 +6,7 @@ from demchar.rootsys import build_datum
 from demchar.weyl import (
     alternative_reduced_words,
     apply,
+    bit_indices,
     bruhat_leq,
     dot_apply,
     element_by_word,
@@ -123,6 +124,7 @@ def test_lower_interval_ordering_and_monotonicity():
         interval = lower_interval(g, tau)
         keys = [(x.length, x.word) for x in interval]
         assert keys == sorted(keys)
+        assert [x.index for x in interval] == bit_indices(g.bruhat_rows[tau.index])
         for w in interval:
             assert set(lower_interval(g, w)) <= set(interval)
 
