@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import add
 from typing import Iterable, Literal, Mapping
 
-from .rootsys import RootDatum, Weight, root_coordinates, weight_add, weight_neg
+from .rootsys import RootDatum, Weight, dominance_leq, height, weight_add, weight_neg
 
 CHAR_ELEMENT_SCHEMA = {
     "type": "object",
@@ -212,21 +212,11 @@ def extreme_weight(
         raise ValueError("the zero element has no extreme weight")
     if direction not in ("lowest", "highest"):
         raise ValueError(f"direction must be 'lowest' or 'highest', got {direction!r}")
-    weights = sorted(v.terms)
-    coords = {mu: root_coordinates(d, mu) for mu in weights}
-    heights = {mu: sum(coords[mu]) for mu in weights}
     sign = 1 if direction == "lowest" else -1
-    best = min(weights, key=lambda mu: (sign * heights[mu], mu))
-    if sum(1 for mu in weights if heights[mu] == heights[best]) > 1:
+    heights = {mu: sign * height(d, mu) for mu in v.terms}
+    best = min(heights, key=heights.get)
+    # the extreme weight, if any, is the only one of least signed height
+    if sum(1 for h in heights.values() if h == heights[best]) > 1:
         return None
-    cb = coords[best]
-    for mu in weights:
-        if mu == best:
-            continue
-        # for 'lowest' need best <= mu: mu - best a nonnegative integral combination
-        delta = [a - b for a, b in zip(coords[mu], cb)]
-        if sign < 0:
-            delta = [-x for x in delta]
-        if any(x.denominator != 1 or x < 0 for x in delta):
-            return None
-    return best
+    pairs = ((best, mu) if sign > 0 else (mu, best) for mu in v.terms)
+    return best if all(dominance_leq(d, lo, hi) for lo, hi in pairs) else None

@@ -413,7 +413,12 @@ def cmd_kernel(cfg: RunConfig) -> int:
 def cmd_decompose(cfg: RunConfig) -> int:
     g = load_group(cfg)
     text = sys.stdin.read() if cfg.charfile in (None, "-") else Path(cfg.charfile).read_text()
-    v = CharElement.from_json_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        # a RecursionError is a RuntimeError, which would be reported as internal
+        raise ValueError("JSON input is nested too deeply") from None
+    v = CharElement.from_json_dict(data)
     if v.rank != g.datum.rank:
         raise ValueError(f"element rank {v.rank} does not match --rank {g.datum.rank}")
     coefficients = decompose(g, v)

@@ -51,7 +51,7 @@ def demazure_step(d: RootDatum, i: int, v: CharElement) -> CharElement:
     check_char_rank(d, v)
     if not 1 <= i <= d.rank:
         raise ValueError(f"simple-root index {i} out of range 1..{d.rank}")
-    return CharElement(v.rank, _step_terms(d.simple_roots[i - 1], i - 1, v.terms))
+    return CharElement.adopt(v.rank, _step_terms(d.simple_roots[i - 1], i - 1, v.terms))
 
 
 def demazure_word(d: RootDatum, word, v: CharElement) -> CharElement:
@@ -62,7 +62,7 @@ def demazure_word(d: RootDatum, word, v: CharElement) -> CharElement:
         if not 1 <= i <= d.rank:
             raise ValueError(f"word letter {i} out of range 1..{d.rank}")
         terms = _step_terms(d.simple_roots[i - 1], i - 1, terms)
-    return CharElement(v.rank, terms)
+    return CharElement.adopt(v.rank, terms)
 
 
 def demazure_char(g: WeylGroup, tau: WeylElement, lam: Weight) -> CharElement:
@@ -119,5 +119,5 @@ def all_demazure_images(
         base = images[g.left_mult[e.index][i - 1]]
         if base is None:
             raise ValueError(f"element {list(e.word)} is in the set but not its left-descent parent")
-        images[e.index] = CharElement(v.rank, _step_terms(d.simple_roots[i - 1], i - 1, base.terms))
+        images[e.index] = CharElement.adopt(v.rank, _step_terms(d.simple_roots[i - 1], i - 1, base.terms))
     return images

@@ -1,13 +1,14 @@
 """The joint kernel N of all Demazure operators: membership, the e^rho-twist
 characterization, basis elements from summed top-cohomology characters, and a
-greedy triangular decomposition into the full-group section-character basis.
+triangular decomposition into the full-group section-character basis that
+peels the support by height.
 """
 
 from __future__ import annotations
 
 from .charring import CharElement, w_apply
 from .demazure import all_demazure_images, check_char_rank, demazure_char, demazure_step
-from .rootsys import Weight, check_weight_rank, is_regular_dominant, root_coordinates, weight_add
+from .rootsys import Weight, check_weight_rank, height, is_regular_dominant, weight_add
 from .weyl import WeylGroup
 
 DECOMPOSITION_SCHEMA = {
@@ -50,53 +51,38 @@ def kernel_basis_element(g: WeylGroup, lam: Weight) -> CharElement:
     if not is_regular_dominant(g.datum, lam):
         raise ValueError(f"weight {list(lam)} is not regular dominant")
     images = all_demazure_images(g, CharElement.monomial(tuple(-c for c in lam)))
-    total = CharElement.zero(g.datum.rank)
-    for k, v in enumerate(images):
-        total = total + (-v if g.elements[k].length % 2 else v)
-    return total
+    total: dict[Weight, int] = {}
+    get = total.get
+    for e, v in zip(g.elements, images):
+        sign = -1 if e.length % 2 else 1
+        for mu, c in v.terms.items():
+            total[mu] = get(mu, 0) + sign * c
+    return CharElement.adopt(g.datum.rank, total)
 
 
 def verify_characterization(g: WeylGroup, v: CharElement) -> bool:
     """Check the biconditional: v is in N iff e^rho * v is Demazure-invariant."""
     check_char_rank(g.datum, v)
-    twisted = CharElement.monomial(g.datum.rho) * v
+    twisted = v.shift(g.datum.rho)
     return in_kernel(g, v) == is_demazure_invariant(g, twisted)
-
-
-def _dominance_maximal(g: WeylGroup, terms: dict[Weight, int]) -> list[Weight]:
-    # support weights with no other support weight strictly above them
-    weights = sorted(terms)
-    coords = {mu: root_coordinates(g.datum, mu) for mu in weights}
-    maximal = []
-    for mu in weights:
-        cm = coords[mu]
-        dominated = False
-        for nu in weights:
-            if nu == mu:
-                continue
-            delta = [a - b for a, b in zip(coords[nu], cm)]
-            if all(x.denominator == 1 and x >= 0 for x in delta) and any(x > 0 for x in delta):
-                dominated = True
-                break
-        if not dominated:
-            maximal.append(mu)
-    return maximal
 
 
 def decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
     """Write e^rho * v as an integer combination of full-group section characters.
 
-    Requires v in N.  Greedy triangular extraction: each round takes the
-    dominance-maximal support weights of the running remainder (dominant by
-    invariance), records their coefficients, and subtracts the matching
-    section characters.  Returns {mu -> coefficient}; the basis element of N
-    recovered at mu is the one attached to the weight mu + rho.
+    Requires v in N.  Triangular extraction: each round takes the support
+    weights of greatest height in the running remainder.  No support weight
+    lies above them, since it would be higher, so they are dominant by
+    W-invariance; the other weights of a section character lie below its
+    highest weight, so the round records their coefficients and subtracts
+    the matching section characters.  Returns {mu -> coefficient}; the basis
+    element of N recovered at mu is the one attached to the weight mu + rho.
     """
     check_char_rank(g.datum, v)
     if not in_kernel(g, v):
         raise ValueError("element is not in the joint Demazure kernel")
     d = g.datum
-    u = CharElement.monomial(d.rho) * v
+    u = v.shift(d.rho)
     for i in range(1, d.rank + 1):
         s_i = g.elements[g.left_mult[g.identity][i - 1]]
         if w_apply(s_i, u) != u:
@@ -113,7 +99,9 @@ def decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
         rounds += 1
         if rounds > max_rounds:
             raise RuntimeError("decomposition failed to terminate; internal inconsistency")
-        for mu in _dominance_maximal(g, u.terms):
+        heights = {mu: height(d, mu) for mu in u.terms}
+        top = max(heights.values())
+        for mu in sorted(mu for mu, h in heights.items() if h == top):
             if mu in processed:
                 raise RuntimeError(f"weight {list(mu)} re-entered the support; internal inconsistency")
             if any(c < 0 for c in mu):

@@ -3,15 +3,15 @@
 Weights are integer coordinate vectors in the fundamental-weight basis, so
 pairing a weight with the i-th simple coroot is a coordinate lookup.  The
 simple roots are the columns of the Cartan matrix under the convention
-``cartan[i][j] = <alpha_j, alpha_i^vee>``.  Everything is exact: integer
-tuples throughout, Fractions where a rational solve is unavoidable.
+``cartan[i][j] = <alpha_j, alpha_i^vee>``.  Everything is exact and
+integral: the one linear solve, for simple-root coordinates, is scaled by
+det(C) so that it never leaves the integers.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 Weight = tuple[int, ...]
 
@@ -43,7 +43,9 @@ class RootDatum:
 
     ``positive_coroots[k]`` holds the coroot of ``positive_roots[k]`` in the
     simple-coroot basis, so ``<lam, beta^vee>`` is an integer dot product.
-    Instances are safe for unrestricted concurrent reads.
+    ``cartan_adjugate`` is det(C) * C^-1, an integer matrix, and
+    ``cartan_det`` is det(C) > 0.  Instances are safe for unrestricted
+    concurrent reads.
     """
 
     family: str
@@ -53,7 +55,8 @@ class RootDatum:
     positive_roots: tuple[Weight, ...]
     positive_coroots: tuple[tuple[int, ...], ...]
     rho: Weight
-    cartan_inverse: tuple[tuple[Fraction, ...], ...]
+    cartan_det: int
+    cartan_adjugate: tuple[tuple[int, ...], ...]
 
 
 def weight_add(a: Weight, b: Weight) -> Weight:
@@ -129,19 +132,23 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _invert_rational(matrix: list[list[int]]) -> tuple[tuple[Fraction, ...], ...]:
+def _bareiss_adjugate(matrix: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """det and adjugate of an integer matrix by fraction-free Gauss-Jordan (Bareiss).
+
+    Reduces [matrix | I] to [det * I | adj]; every division is exact.  No
+    pivoting: the leading principal minors of a Cartan matrix are positive.
+    """
     n = len(matrix)
-    work = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    prev = 1
+    for k in range(n):
+        pivot = work[k][k]
         for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+            if r != k:
+                f = work[r][k]
+                work[r] = [(pivot * x - f * y) // prev for x, y in zip(work[r], work[k])]
+        prev = pivot
+    return prev, tuple(tuple(row[n:]) for row in work)
 
 
 def _positive_root_closure(cartan: list[list[int]]) -> tuple[list[Weight], list[tuple[int, ...]]]:
@@ -188,6 +195,7 @@ def build_datum(family: str, rank: int, *, max_rank: int = DEFAULT_MAX_RANK) -> 
     family = _validate_family_rank(family, rank, max_rank)
     cartan = _cartan_matrix(family, rank)
     roots, coroots = _positive_root_closure(cartan)
+    det, adjugate = _bareiss_adjugate(cartan)
     return RootDatum(
         family=family,
         rank=rank,
@@ -196,7 +204,8 @@ def build_datum(family: str, rank: int, *, max_rank: int = DEFAULT_MAX_RANK) -> 
         positive_roots=tuple(roots),
         positive_coroots=tuple(coroots),
         rho=(1,) * rank,
-        cartan_inverse=_invert_rational(cartan),
+        cartan_det=det,
+        cartan_adjugate=adjugate,
     )
 
 
@@ -239,23 +248,34 @@ def is_regular_dominant(d: RootDatum, lam: Weight) -> bool:
     return all(c >= 1 for c in lam)
 
 
-def root_coordinates(d: RootDatum, lam: Weight) -> tuple[Fraction, ...]:
-    """Coordinates of lam in the simple-root basis (exact rational solve)."""
-    inv = d.cartan_inverse
-    return tuple(sum(inv[i][j] * lam[j] for j in range(d.rank)) for i in range(d.rank))
+def root_coordinates(d: RootDatum, lam: Weight) -> tuple[int, ...]:
+    """det(C) times the coordinates of lam in the simple-root basis.
+
+    The scaled coordinates are integers; lam is in the root lattice exactly
+    when each is divisible by ``d.cartan_det``.
+    """
+    return tuple(sum(a * x for a, x in zip(row, lam)) for row in d.cartan_adjugate)
+
+
+def height(d: RootDatum, mu: Weight) -> int:
+    """det(C) times the sum of mu's simple-root coordinates.
+
+    Strictly larger on mu than on any weight strictly below mu in dominance,
+    since their difference is a nonzero sum of simple roots.
+    """
+    return sum(root_coordinates(d, mu))
 
 
 def dominance_compare(d: RootDatum, lam: Weight, mu: Weight) -> Dominance:
     """Classify mu against lam in the dominance order on the weight lattice.
 
-    Solves lam - mu = sum_i c_i alpha_i exactly and reads off the signs and
-    integrality of the c_i.
+    Solves lam - mu = sum_i c_i alpha_i in integers scaled by det(C) and
+    reads off the signs and integrality of the c_i.
     """
-    diff = weight_sub(lam, mu)
-    coeffs = root_coordinates(d, diff)
-    if all(c == 0 for c in coeffs):
+    coeffs = root_coordinates(d, weight_sub(lam, mu))
+    if not any(coeffs):
         return Dominance.EQUAL
-    if any(c.denominator != 1 for c in coeffs):
+    if any(c % d.cartan_det for c in coeffs):
         return Dominance.NON_INTEGRAL
     if all(c >= 0 for c in coeffs):
         return Dominance.LESS_OR_EQUAL

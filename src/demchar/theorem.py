@@ -103,8 +103,10 @@ def starred_top_characters(
     _require_regular_dominant(g, lam)
     images = all_demazure_images(g, CharElement.monomial(tuple(-c for c in lam)), within)
     return [
-        None if v is None else (v if g.elements[k].length % 2 == 0 else -v).star()
-        for k, v in enumerate(images)
+        None
+        if v is None
+        else CharElement.adopt(v.rank, {weight_neg(mu): -c if e.length % 2 else c for mu, c in v.terms.items()})
+        for e, v in zip(g.elements, images)
     ]
 
 

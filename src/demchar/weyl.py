@@ -8,13 +8,28 @@ closure and are immutable afterwards, so concurrent reads are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import factorial
 
 from .rootsys import RootDatum, Weight, reflection_matrix
 
 Matrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_MAX_GROUP_ORDER = 1_000_000
+
+_EXCEPTIONAL_ORDER = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600, ("F", 4): 1152, ("G", 2): 12}
+
+
+def classified_order(d: RootDatum) -> int:
+    """|W| from the classification, known before any element is generated."""
+    n = d.rank
+    if d.family == "A":
+        return factorial(n + 1)
+    if d.family in ("B", "C"):
+        return 2**n * factorial(n)
+    if d.family == "D":
+        return 2 ** (n - 1) * factorial(n)
+    return _EXCEPTIONAL_ORDER[d.family, n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +74,6 @@ class WeylGroup:
     right_mult: tuple[tuple[int, ...], ...]
     left_mult: tuple[tuple[int, ...], ...]
     bruhat_rows: tuple[int, ...]
-    index_of: dict[Matrix, int] = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -72,9 +86,6 @@ class WeylGroup:
     @property
     def longest_element(self) -> WeylElement:
         return self.elements[self.longest]
-
-    def element(self, matrix: Matrix) -> WeylElement:
-        return self.elements[self.index_of[matrix]]
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -92,9 +103,16 @@ def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGrou
 
     BFS depth gives the length; the first discovery (parents scanned in
     canonical-word order, generators ascending) gives the lexicographically
-    smallest reduced word, so output is deterministic.  Raises ValueError if
-    the group exceeds ``max_order`` elements.
+    smallest reduced word, so output is deterministic.  Raises ValueError,
+    before generating anything, if the group has more than ``max_order``
+    elements.
     """
+    order = classified_order(d)
+    if order > max_order:
+        raise ValueError(
+            f"Weyl group of {d.family}{d.rank} has {order} elements, which exceeds the bound "
+            f"{max_order}; raise max_order (--max-group-order on the command line)"
+        )
     rank = d.rank
     refl = [reflection_matrix(d, i) for i in range(1, rank + 1)]
     ident = _identity_matrix(rank)
@@ -109,10 +127,6 @@ def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGrou
             for i in range(1, rank + 1):
                 m = _matmul(matrices[p], refl[i - 1])
                 if m not in index_of:
-                    if len(matrices) >= max_order:
-                        raise ValueError(
-                            f"Weyl group of {d.family}{d.rank} exceeds the bound {max_order}"
-                        )
                     index_of[m] = len(matrices)
                     nxt.append(len(matrices))
                     matrices.append(m)
@@ -121,6 +135,8 @@ def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGrou
         level = nxt
 
     n = len(matrices)
+    if n != order:
+        raise RuntimeError(f"generated {n} elements, but the Weyl group of {d.family}{d.rank} has {order}")
     elements = tuple(
         WeylElement(index=k, matrix=matrices[k], length=lengths[k], word=words[k]) for k in range(n)
     )
@@ -142,7 +158,6 @@ def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGrou
         right_mult=right_mult,
         left_mult=left_mult,
         bruhat_rows=bruhat_rows,
-        index_of=index_of,
     )
 
 
@@ -176,7 +191,6 @@ def apply(w: WeylElement, lam: Weight) -> Weight:
 
 def dot_apply(w: WeylElement, lam: Weight) -> Weight:
     """Affine dot action w(lam + rho) - rho (rho is all-ones)."""
-    rank = len(w.matrix)
     shifted = tuple(c + 1 for c in lam)
     return tuple(c - 1 for c in w.apply(shifted))
 

@@ -20,6 +20,15 @@ from demchar.weyl import WeylGroup, lower_interval
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
+# every valid (family, rank) that build_datum accepts by default
+ALL_TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(3, 9)]
+    + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
 
 def group(family: str, rank: int) -> WeylGroup:
     key = (family, rank)
@@ -111,26 +120,37 @@ def interval_sum(g: WeylGroup, tau, lam: Weight) -> CharElement:
     return total
 
 
-def integer_adjugate(d: RootDatum) -> tuple[list[list[int]], int]:
-    """det(C) * C^-1 as an integer matrix, plus det(C) (> 0 for Cartan matrices)."""
-    det = Fraction(1)
+def rational_inverse(d: RootDatum) -> tuple[list[list[Fraction]], Fraction]:
+    """C^-1 and det(C) by Gauss-Jordan over the rationals, with row pivoting."""
     n = d.rank
-    work = [[Fraction(d.cartan[i][j]) for j in range(n)] for i in range(n)]
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(d.cartan)]
+    det = Fraction(1)
     for col in range(n):
         pivot = next(r for r in range(col, n) if work[r][col] != 0)
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
             det = -det
         det *= work[col][col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
+        work[col] = [x / work[col][col] for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
                 factor = work[r][col]
                 work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    det_int = int(det)
-    adj = [[int(d.cartan_inverse[i][j] * det_int) for j in range(n)] for i in range(n)]
-    return adj, det_int
+    return [row[n:] for row in work], det
+
+
+def simple_root_solve(d: RootDatum, lam: Weight) -> list[Fraction]:
+    """Coordinates of lam in the simple-root basis, as exact rationals."""
+    inv, _ = rational_inverse(d)
+    return [sum(a * x for a, x in zip(row, lam)) for row in inv]
+
+
+def integer_adjugate(d: RootDatum) -> tuple[list[list[int]], int]:
+    """det(C) * C^-1 as an integer matrix, plus det(C) (> 0 for Cartan matrices)."""
+    inv, det = rational_inverse(d)
+    scaled = [[x * det for x in row] for row in inv]
+    assert det.denominator == 1 and all(x.denominator == 1 for row in scaled for x in row)
+    return [[int(x) for x in row] for row in scaled], int(det)
 
 
 def is_dominance_minimum(d: RootDatum, v: CharElement, nu: Weight) -> bool:

@@ -226,3 +226,28 @@ def test_fast_minimum_oracle_agrees_with_extreme_weight():
             assert oracles.is_dominance_minimum(d, v, low)
         for mu in v.terms:
             assert oracles.is_dominance_minimum(d, v, mu) == (low == mu)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([("A", 2), ("B", 2), ("G", 2), ("A", 3)]),
+    st.sampled_from(["lowest", "highest"]),
+    st.data(),
+)
+def test_extreme_weight_agrees_with_pairwise_oracle(family_rank, direction, data):
+    d = build_datum(*family_rank)
+    base = data.draw(st.tuples(*[st.integers(-4, 4)] * d.rank))
+    terms = {base: 1}
+    for steps in data.draw(st.lists(st.tuples(*[st.integers(-1, 2)] * d.rank), max_size=4)):
+        mu = base
+        for c, alpha in zip(steps, d.simple_roots):
+            mu = tuple(m + c * a for m, a in zip(mu, alpha))
+        terms[mu] = 1
+    if data.draw(st.booleans()):
+        terms[data.draw(st.tuples(*[st.integers(-4, 4)] * d.rank))] = 1
+    v = CharElement(d.rank, terms)
+    # the highest weight of v is minus the lowest weight of its dual
+    probe, sign = (v, 1) if direction == "lowest" else (star(v), -1)
+    expected = [mu for mu in probe.terms if oracles.is_dominance_minimum(d, probe, mu)]
+    result = extreme_weight(d, v, direction)
+    assert result == (tuple(sign * c for c in expected[0]) if expected else None)

@@ -1,24 +1,29 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from demchar.charring import CHAR_ELEMENT_SCHEMA
-from demchar.cli import build_parser, config_from_args
+from demchar.cli import build_parser, config_from_args, main
 from demchar.kernel import DECOMPOSITION_SCHEMA, kernel_basis_element
 
 import oracles
 
 
-def run_cli(*args, stdin=None, env=None):
+def run_cli(*args, stdin=None, env=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "demchar", *args],
         capture_output=True,
         text=True,
         input=stdin,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -279,3 +284,121 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: decomposition failed to terminate; internal inconsistency\n"
+
+
+def test_deeply_nested_json_is_usage_error():
+    # the JSON parser raises RecursionError, a RuntimeError, on deep nesting
+    r = run_cli("decompose", "--type", "A", "--rank", "1", stdin="[" * 200_000)
+    assert_usage_error(r)
+    assert "nested too deeply" in r.stderr
+
+
+def test_too_large_group_is_refused_up_front():
+    r = run_cli("info", "--type", "E", "--rank", "7", timeout=60)
+    assert_usage_error(r)
+    assert "--max-group-order" in r.stderr
+
+
+def run_in_process(argv: list[str], stdin: str = "") -> tuple[int, str]:
+    """Exit code and stderr of one ``main`` call; any other exception propagates."""
+    err = io.StringIO()
+    saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved_stdin
+    return code, err.getvalue()
+
+
+FUZZ_TYPES = [("A", "1"), ("A", "2"), ("G", "2")]
+COMMANDS = [
+    "info", "weyl", "demchar", "topchar", "euler", "bruhat",
+    "verify-theorem", "verify-lemma31", "verify-kernel", "decompose", "nosuch",
+]
+# no token starts with "-" by accident, so argparse never expands a random
+# prefix such as "--gr" into an option with an unbounded value
+PLAIN_TOKEN = st.text(alphabet="0123456789,.ew x", max_size=6)
+WEIGHT_TEXT = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["", "x", "1,,2", "1.5", "=-1"]),
+    PLAIN_TOKEN,
+)
+ELEMENT_TEXT = st.one_of(
+    st.sampled_from(["e", "w0"]),
+    st.lists(st.integers(-1, 3), max_size=7).map(lambda xs: ",".join(map(str, xs))),
+    PLAIN_TOKEN,
+)
+FRAGMENT = st.one_of(
+    st.tuples(st.sampled_from(["--mu", "--lambda"]), WEIGHT_TEXT),
+    st.tuples(st.sampled_from(["--tau", "--w"]), ELEMENT_TEXT),
+    st.tuples(st.just("--grid"), st.sampled_from(["-1", "0", "1", "2", "x"])),
+    st.tuples(st.just("--format"), st.sampled_from(["plain", "json", "xml"])),
+    st.tuples(st.just("--max-group-order"), st.sampled_from(["-3", "0", "5", "12", "1000000"])),
+    st.tuples(st.sampled_from(["--dot", "--", "-", "--nosuch", "-h"])),
+    st.tuples(PLAIN_TOKEN),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(COMMANDS),
+    st.sampled_from(FUZZ_TYPES),
+    st.lists(FRAGMENT, max_size=4),
+    st.data(),
+)
+def test_cli_fuzz_argv(command, family_rank, fragments, data):
+    family, rank = family_rank
+    argv = [command, "--type", family, "--rank", rank] + [token for frag in fragments for token in frag]
+    if data.draw(st.booleans()):
+        del argv[data.draw(st.integers(0, len(argv) - 1))]
+    code, err = run_in_process(argv, '{"rank": 1, "terms": []}')
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+CHAR_LIKE = st.fixed_dictionaries(
+    {
+        "rank": st.integers(0, 3) | st.text(max_size=2),
+        "terms": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "weight": st.lists(st.integers(-3, 3), max_size=3),
+                    "coeff": st.integers(-5, 5) | st.integers(-5, 5).map(str) | st.text(max_size=3),
+                }
+            ),
+            max_size=4,
+        ),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(FUZZ_TYPES),
+    st.one_of(
+        st.text(max_size=30),
+        st.integers(1, 5000).map(lambda n: "[" * n),
+        JSON_VALUE.map(json.dumps),
+        CHAR_LIKE.map(json.dumps),
+    ),
+)
+def test_cli_fuzz_decompose_json(family_rank, body):
+    family, rank = family_rank
+    code, err = run_in_process(["decompose", "--type", family, "--rank", rank], body)
+    assert code in (0, 1, 2), (body, code, err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("family,rank", FUZZ_TYPES)
+def test_cli_decompose_in_process_accepts_kernel_members(family, rank):
+    v = kernel_basis_element(oracles.group(family, int(rank)), (2,) * int(rank))
+    assert run_in_process(["decompose", "--type", family, "--rank", rank], json.dumps(v.to_json_dict())) == (0, "")

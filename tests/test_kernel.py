@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 from demchar.charring import CharElement, monomial, zero
+from demchar.demazure import demazure_char, top_cohomology_char
 from demchar.kernel import (
     DECOMPOSITION_SCHEMA,
     decompose,
@@ -14,7 +15,7 @@ from demchar.kernel import (
     kernel_basis_element,
     verify_characterization,
 )
-from demchar.rootsys import weight_neg, weight_sub
+from demchar.rootsys import Dominance, dominance_compare, weight_neg, weight_sub
 
 import oracles
 
@@ -157,3 +158,46 @@ def test_character_rank_must_match_rank(fn):
 def test_kernel_basis_element_weight_length_must_match_rank(lam):
     with pytest.raises(ValueError, match="coordinates"):
         kernel_basis_element(oracles.group("A", 2), lam)
+
+
+@pytest.mark.parametrize("family,rank,lam", [("A", 2, (2, 1)), ("B", 2, (1, 2)), ("G", 2, (2, 2)), ("B", 3, (1, 2, 1))])
+def test_kernel_basis_element_is_the_sum_of_top_characters(family, rank, lam):
+    g = oracles.group(family, rank)
+    total = zero(rank)
+    for w in g.elements:
+        total = total + top_cohomology_char(g, w, lam)
+    assert kernel_basis_element(g, lam) == total
+
+
+def test_decompose_takes_incomparable_weights_in_one_round():
+    g = oracles.group("A", 2)
+    v = kernel_basis_element(g, (4, 1)) + kernel_basis_element(g, (1, 4)) - 2 * kernel_basis_element(g, (2, 2))
+    coeffs, rounds = decompose(g, v, with_stats=True)
+    assert coeffs == {(0, 3): 1, (3, 0): 1, (1, 1): -2}
+    assert dominance_compare(g.datum, (0, 3), (3, 0)) == Dominance.INCOMPARABLE
+    # round 1 peels both (0, 3) and (3, 0); round 2 peels (1, 1)
+    assert rounds == 2
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("G", 2)])
+def test_decomposition_reconstructs_the_twisted_element(family, rank):
+    g = oracles.group(family, rank)
+    grid = list(itertools.product((1, 2), repeat=rank))
+    basis = {lam: kernel_basis_element(g, lam) for lam in grid}
+    rng = random.Random(59)
+    for _ in range(6):
+        v = zero(rank)
+        for lam in rng.sample(grid, rng.randint(1, 3)):
+            v = v + rng.choice([-2, -1, 1, 3]) * basis[lam]
+        rebuilt = zero(rank)
+        for mu, c in decompose(g, v).items():
+            rebuilt = rebuilt + c * demazure_char(g, g.longest_element, mu)
+        assert rebuilt == v.shift(g.datum.rho)
+
+
+def test_decompose_f4():
+    g = oracles.group("F", 4)
+    rho = g.datum.rho
+    neg_rho = weight_neg(rho)
+    v = demazure_char(g, g.longest_element, rho).shift(neg_rho) + 3 * monomial(neg_rho)
+    assert decompose(g, v) == {rho: 1, (0, 0, 0, 0): 3}

@@ -9,15 +9,21 @@ from demchar.rootsys import (
     build_datum,
     dominance_compare,
     dominance_leq,
+    height,
     is_dominant,
     is_regular_dominant,
     pairing,
+    root_coordinates,
     simple_reflection,
     weight_add,
     weight_sub,
 )
 
 import oracles
+
+# det(C) is the index of the root lattice in the weight lattice
+INDEX_OF_CONNECTION = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2, "D": lambda n: 4}
+INDEX_OF_CONNECTION_EXCEPTIONAL = {("E", 6): 3, ("E", 7): 2, ("E", 8): 1, ("F", 4): 1, ("G", 2): 1}
 
 TEST_MATRIX = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6)]
 
@@ -162,3 +168,45 @@ def test_dominance_transitivity_random_triples():
 
 def test_family_normalization():
     assert build_datum("a", 2).family == "A"
+
+
+@pytest.mark.parametrize("family,rank", oracles.ALL_TYPES)
+def test_cartan_adjugate_is_det_times_inverse(family, rank):
+    d = build_datum(family, rank)
+    adj, det, cartan = d.cartan_adjugate, d.cartan_det, d.cartan
+    product = [[sum(adj[i][k] * cartan[k][j] for k in range(rank)) for j in range(rank)] for i in range(rank)]
+    assert product == [[det * (i == j) for j in range(rank)] for i in range(rank)]
+    expected = INDEX_OF_CONNECTION_EXCEPTIONAL.get((family, rank)) or INDEX_OF_CONNECTION[family](rank)
+    assert det == expected
+    assert ([list(row) for row in adj], det) == oracles.integer_adjugate(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TEST_MATRIX), st.data())
+def test_root_coordinates_are_det_times_rational_solve(family_rank, data):
+    d = build_datum(*family_rank)
+    lam = data.draw(st.tuples(*[st.integers(-20, 20)] * d.rank))
+    coords = root_coordinates(d, lam)
+    assert all(isinstance(c, int) for c in coords)
+    assert list(coords) == [d.cartan_det * c for c in oracles.simple_root_solve(d, lam)]
+    assert height(d, lam) == sum(coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TEST_MATRIX), st.data())
+def test_height_increases_along_positive_roots(family_rank, data):
+    d = build_datum(*family_rank)
+    mu = data.draw(st.tuples(*[st.integers(-9, 9)] * d.rank))
+    beta = data.draw(st.sampled_from(d.positive_roots))
+    above = weight_add(mu, beta)
+    assert height(d, above) > height(d, mu)
+    assert dominance_compare(d, above, mu) == Dominance.LESS_OR_EQUAL
+
+
+def test_dominance_compare_non_integral_on_other_cosets():
+    # D4 has index 4: omega_1 and omega_1 - omega_3 are not in the root lattice;
+    # omega_2, the highest root, is, and lies above 0
+    d = build_datum("D", 4)
+    assert dominance_compare(d, (1, 0, 0, 0), (0, 0, 1, 0)) == Dominance.NON_INTEGRAL
+    assert dominance_compare(d, (1, 0, 0, 0), (0, 0, 0, 0)) == Dominance.NON_INTEGRAL
+    assert dominance_compare(d, (0, 1, 0, 0), (0, 0, 0, 0)) == Dominance.LESS_OR_EQUAL

@@ -8,6 +8,7 @@ from demchar.weyl import (
     apply,
     bit_indices,
     bruhat_leq,
+    classified_order,
     dot_apply,
     element_by_word,
     generate,
@@ -187,6 +188,18 @@ def test_simple_multiplication_changes_length_by_one():
 def test_max_order_guard():
     with pytest.raises(ValueError):
         generate(build_datum("A", 3), max_order=10)
+    assert generate(build_datum("A", 2), max_order=6).order == 6
+
+
+@pytest.mark.parametrize("family,rank", oracles.ALL_TYPES)
+def test_classified_order(family, rank):
+    assert classified_order(build_datum(family, rank)) == oracles.classical_weyl_order(family, rank)
+
+
+def test_too_large_group_is_refused_before_generation():
+    # generating E7 element by element up to the default bound takes minutes
+    with pytest.raises(ValueError, match="2903040 elements.*--max-group-order"):
+        generate(build_datum("E", 7))
 
 
 def test_element_by_word_validates_letters():
