@@ -326,6 +326,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.parallel and len(lams) > 1:
         import multiprocessing
 
+        g.bruhat_rows  # built once here, so every worker receives the table
+
         with multiprocessing.Pool(initializer=_init_worker, initargs=(g,)) as pool:
             results = pool.map(_sweep_task, [(cfg.command, lam) for lam in lams], chunksize=1)
     else:

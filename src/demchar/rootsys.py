@@ -17,9 +17,9 @@ Weight = tuple[int, ...]
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
-# Construction refuses larger ranks unless overridden: Weyl groups beyond
-# this are no longer desk-scale.
-DEFAULT_MAX_RANK = 8
+# Construction refuses larger ranks: Weyl groups beyond this are no longer
+# desk-scale, and the rank arrives from outside the program.
+MAX_RANK = 8
 
 
 class Dominance(enum.Enum):
@@ -71,17 +71,14 @@ def weight_neg(a: Weight) -> Weight:
     return tuple(-x for x in a)
 
 
-def _validate_family_rank(family: str, rank: int, max_rank: int) -> str:
+def _validate_family_rank(family: str, rank: int) -> str:
     family = family.upper()
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
-    if rank > max_rank:
-        raise ValueError(
-            f"rank {rank} exceeds the configured bound {max_rank}; "
-            "pass max_rank explicitly to override"
-        )
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} exceeds the supported bound {MAX_RANK}")
     minimum = {"A": 1, "B": 2, "C": 3, "D": 4}
     if family in minimum and rank < minimum[family]:
         raise ValueError(f"{family}_{rank} is not a valid type ({family}_n needs n >= {minimum[family]})")
@@ -187,12 +184,12 @@ def _positive_root_closure(cartan: list[list[int]]) -> tuple[list[Weight], list[
     return roots, coroots
 
 
-def build_datum(family: str, rank: int, *, max_rank: int = DEFAULT_MAX_RANK) -> RootDatum:
+def build_datum(family: str, rank: int) -> RootDatum:
     """Build the full root datum for a valid finite (family, rank) pair.
 
-    Raises ValueError for invalid pairs or ranks beyond ``max_rank``.
+    Raises ValueError for invalid pairs or ranks beyond ``MAX_RANK``.
     """
-    family = _validate_family_rank(family, rank, max_rank)
+    family = _validate_family_rank(family, rank)
     cartan = _cartan_matrix(family, rank)
     roots, coroots = _positive_root_closure(cartan)
     det, adjugate = _bareiss_adjugate(cartan)
@@ -221,17 +218,6 @@ def simple_reflection(d: RootDatum, i: int, lam: Weight) -> Weight:
     t = pairing(d, lam, i)
     alpha = d.simple_roots[i - 1]
     return tuple(x - t * a for x, a in zip(lam, alpha))
-
-
-def reflection_matrix(d: RootDatum, i: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the i-th simple reflection acting on omega-coordinates."""
-    if not 1 <= i <= d.rank:
-        raise ValueError(f"simple-root index {i} out of range 1..{d.rank}")
-    j0 = i - 1
-    return tuple(
-        tuple((1 if k == j else 0) - (d.cartan[k][j0] if j == j0 else 0) for j in range(d.rank))
-        for k in range(d.rank)
-    )
 
 
 def check_weight_rank(d: RootDatum, lam: Weight) -> None:

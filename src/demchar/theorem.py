@@ -189,8 +189,7 @@ def sweep_verify_lemma31(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
 
 def psi_character(w: WeylElement, chi_prime: Weight) -> Weight:
     """Serre-duality twist weight: rho + w(rho) - w(chi')."""
-    rank = len(w.matrix)
-    rho = (1,) * rank
+    rho = (1,) * len(chi_prime)
     return weight_sub(weight_add(rho, w.apply(rho)), w.apply(chi_prime))
 
 

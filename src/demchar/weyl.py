@@ -1,19 +1,20 @@
 """Weyl-group generation, reduced words, the Bruhat order, and the dot action.
 
-Elements are integer matrices acting on omega-coordinates, deduplicated and
-hashed by matrix alone; each element carries one canonical reduced word (the
-lexicographically smallest).  Groups are generated once by breadth-first
-closure and are immutable afterwards, so concurrent reads are safe.
+The group is enumerated as the orbit of the regular weight rho: element w is
+keyed by w^-1(rho), so w*s_i has the key s_i(w^-1(rho)), and each step of
+the search is one simple reflection of a vector.  Elements are plain indices
+with one canonical reduced word each (the lexicographically smallest), and
+they act on weights along that word.  Generation is one breadth-first
+search; the Bruhat table is built on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 
-from .rootsys import RootDatum, Weight, reflection_matrix
-
-Matrix = tuple[tuple[int, ...], ...]
+from .rootsys import RootDatum, Weight, simple_reflection
 
 DEFAULT_MAX_GROUP_ORDER = 1_000_000
 
@@ -32,27 +33,26 @@ def classified_order(d: RootDatum) -> int:
     return _EXCEPTIONAL_ORDER[d.family, n]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WeylElement:
-    """One group element: matrix, length, and its canonical reduced word.
+    """One group element: its index, length and canonical reduced word.
 
-    Words use 1-based simple-root letters.  Equality and hashing use the
-    matrix only; words are not unique.
+    Words use 1-based simple-root letters.  Equality and hashing use
+    (index, length, word); ``simple_roots`` is the datum's shared tuple,
+    kept only so that ``apply`` needs no group.
     """
 
     index: int
-    matrix: Matrix
     length: int
     word: tuple[int, ...]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
+    simple_roots: tuple[Weight, ...] = field(compare=False, repr=False)
 
     def apply(self, lam: Weight) -> Weight:
-        return tuple(sum(row[j] * lam[j] for j in range(len(lam))) for row in self.matrix)
+        """w(lam): the simple reflections of the word, last letter first."""
+        for i in reversed(self.word):
+            t = lam[i - 1]
+            lam = tuple(x - t * a for x, a in zip(lam, self.simple_roots[i - 1]))
+        return tuple(lam)
 
     def __repr__(self) -> str:
         return f"WeylElement(index={self.index}, length={self.length}, word={list(self.word)})"
@@ -60,11 +60,10 @@ class WeylElement:
 
 @dataclass(frozen=True, eq=False)
 class WeylGroup:
-    """A fully generated Weyl group with precomputed order tables.
+    """A fully generated Weyl group with its multiplication tables.
 
-    ``elements`` is sorted by (length, canonical word); ``bruhat_rows[t]``
-    is a bitmask over element indices w with w <= elements[t] in Bruhat
-    order.  Immutable after generation.
+    ``elements`` is sorted by (length, canonical word).  Immutable after
+    generation apart from the cached Bruhat table.
     """
 
     datum: RootDatum
@@ -73,7 +72,6 @@ class WeylGroup:
     longest: int
     right_mult: tuple[tuple[int, ...], ...]
     left_mult: tuple[tuple[int, ...], ...]
-    bruhat_rows: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -87,23 +85,25 @@ class WeylGroup:
     def longest_element(self) -> WeylElement:
         return self.elements[self.longest]
 
+    @cached_property
+    def bruhat_rows(self) -> tuple[int, ...]:
+        """``bruhat_rows[t]`` is a bitmask over the indices w with w <= elements[t].
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    rng = range(n)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in rng) for j in rng) for i in rng)
-
-
-def _identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        The rows are built on first read, in O(|W|^2), and then cached on the
+        group, so a pickled group carries them once they exist.  Two threads
+        that read first may both compute them (Python 3.12 dropped the lock
+        of ``cached_property``); both compute the same tuple from immutable
+        tables, so the group stays safe to share across threads.
+        """
+        return _bruhat_table(self.elements, self.left_mult)
 
 
 def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGroup:
-    """Generate the full Weyl group of a root datum by breadth-first closure.
+    """Generate the full Weyl group of a root datum as the orbit of rho.
 
-    BFS depth gives the length; the first discovery (parents scanned in
-    canonical-word order, generators ascending) gives the lexicographically
-    smallest reduced word, so output is deterministic.  Raises ValueError,
+    A queue visits parents in index order and letters ascending, so BFS
+    depth is the length and the first discovery gives the lexicographically
+    smallest reduced word; output is deterministic.  Raises ValueError,
     before generating anything, if the group has more than ``max_order``
     elements.
     """
@@ -113,51 +113,43 @@ def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGrou
             f"Weyl group of {d.family}{d.rank} has {order} elements, which exceeds the bound "
             f"{max_order}; raise max_order (--max-group-order on the command line)"
         )
-    rank = d.rank
-    refl = [reflection_matrix(d, i) for i in range(1, rank + 1)]
-    ident = _identity_matrix(rank)
-    matrices: list[Matrix] = [ident]
     words: list[tuple[int, ...]] = [()]
-    lengths: list[int] = [0]
-    index_of: dict[Matrix, int] = {ident: 0}
-    level = [0]
-    while level:
-        nxt: list[int] = []
-        for p in level:
-            for i in range(1, rank + 1):
-                m = _matmul(matrices[p], refl[i - 1])
-                if m not in index_of:
-                    index_of[m] = len(matrices)
-                    nxt.append(len(matrices))
-                    matrices.append(m)
-                    words.append(words[p] + (i,))
-                    lengths.append(lengths[p] + 1)
-        level = nxt
+    index_of: dict[Weight, int] = {d.rho: 0}
+    keys: list[Weight] = [d.rho]
+    right_mult: list[tuple[int, ...]] = []
+    # keys grows while it is read, so this loop is the BFS queue
+    for p, key in enumerate(keys):
+        row = []
+        for i in range(1, d.rank + 1):
+            child = simple_reflection(d, i, key)
+            k = index_of.get(child)
+            if k is None:
+                k = index_of[child] = len(keys)
+                keys.append(child)
+                words.append(words[p] + (i,))
+            row.append(k)
+        right_mult.append(tuple(row))
 
-    n = len(matrices)
+    n = len(keys)
     if n != order:
         raise RuntimeError(f"generated {n} elements, but the Weyl group of {d.family}{d.rank} has {order}")
-    elements = tuple(
-        WeylElement(index=k, matrix=matrices[k], length=lengths[k], word=words[k]) for k in range(n)
-    )
-    right_mult = tuple(
-        tuple(index_of[_matmul(matrices[k], refl[i])] for i in range(rank)) for k in range(n)
-    )
-    left_mult = tuple(
-        tuple(index_of[_matmul(refl[i], matrices[k])] for i in range(rank)) for k in range(n)
-    )
-    if n >= 2 and lengths[-2] == lengths[-1]:
+    if n >= 2 and len(words[-2]) == len(words[-1]):
         raise RuntimeError("no unique longest element; generation is inconsistent")
-
-    bruhat_rows = _bruhat_table(elements, left_mult)
+    inv = []
+    for word in words:
+        k = 0
+        for i in reversed(word):
+            k = right_mult[k][i - 1]
+        inv.append(k)
+    # s_i * w = (w^-1 * s_i)^-1
+    left_mult = tuple(tuple(inv[j] for j in right_mult[inv[k]]) for k in range(n))
     return WeylGroup(
         datum=d,
-        elements=elements,
+        elements=tuple(WeylElement(k, len(words[k]), words[k], d.simple_roots) for k in range(n)),
         identity=0,
         longest=n - 1,
-        right_mult=right_mult,
+        right_mult=tuple(right_mult),
         left_mult=left_mult,
-        bruhat_rows=bruhat_rows,
     )
 
 

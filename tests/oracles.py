@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 the dimension formula works from the positive coroots alone, the
-Bruhat oracle enumerates subwords of a single fixed reduced word, and the
-theorem references evaluate one operator string per interval element.
+Bruhat oracle enumerates subwords of a single fixed reduced word, the
+reference generator multiplies integer matrices, and the theorem references
+evaluate one operator string per interval element.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from demchar import build_datum, generate
 from demchar.charring import CharElement
@@ -20,7 +22,7 @@ from demchar.weyl import WeylGroup, lower_interval
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
-# every valid (family, rank) that build_datum accepts by default
+# every valid (family, rank) that build_datum accepts
 ALL_TYPES = (
     [("A", n) for n in range(1, 9)]
     + [("B", n) for n in range(2, 9)]
@@ -35,6 +37,78 @@ def group(family: str, rank: int) -> WeylGroup:
     if key not in _GROUPS:
         _GROUPS[key] = generate(build_datum(family, rank))
     return _GROUPS[key]
+
+
+Matrix = tuple[tuple[int, ...], ...]
+
+
+def reflection_matrix(d: RootDatum, i: int) -> Matrix:
+    """Matrix of the i-th simple reflection acting on omega-coordinates."""
+    j0 = i - 1
+    return tuple(
+        tuple((1 if k == j else 0) - (d.cartan[k][j0] if j == j0 else 0) for j in range(d.rank))
+        for k in range(d.rank)
+    )
+
+
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    rng = range(len(a))
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in rng) for j in rng) for i in rng)
+
+
+class MatrixGroup(NamedTuple):
+    """A Weyl group as integer matrices, indexed in generation order."""
+
+    matrices: list[Matrix]
+    words: list[tuple[int, ...]]
+    right_mult: tuple[tuple[int, ...], ...]
+    left_mult: tuple[tuple[int, ...], ...]
+    bruhat_rows: tuple[int, ...]
+
+
+def matrix_group(d: RootDatum) -> MatrixGroup:
+    """The reference generator: breadth-first closure under matrix products.
+
+    Levels are scanned with parents in index order and generators ascending,
+    so the first discovery gives the lexicographically smallest reduced
+    word.  Both multiplication tables are matrix products looked up by
+    matrix.  Bruhat row t is the definition of the order, with no lifting
+    property: t itself plus the rows of every t*s_beta of smaller length,
+    over the reflections s_beta of all positive roots.
+    """
+    rank = d.rank
+    refl = [reflection_matrix(d, i) for i in range(1, rank + 1)]
+    ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    matrices, words = [ident], [()]
+    index_of = {ident: 0}
+    level = [0]
+    while level:
+        nxt = []
+        for p in level:
+            for i in range(1, rank + 1):
+                m = _matmul(matrices[p], refl[i - 1])
+                if m not in index_of:
+                    index_of[m] = len(matrices)
+                    nxt.append(len(matrices))
+                    matrices.append(m)
+                    words.append(words[p] + (i,))
+        level = nxt
+    right_mult = tuple(tuple(index_of[_matmul(m, r)] for r in refl) for m in matrices)
+    left_mult = tuple(tuple(index_of[_matmul(r, m)] for r in refl) for m in matrices)
+    # s_beta(lam) = lam - <lam, beta^vee> beta, with beta^vee in the simple-coroot basis
+    reflections = [
+        tuple(tuple(int(k == j) - beta[k] * coroot[j] for j in range(rank)) for k in range(rank))
+        for beta, coroot in zip(d.positive_roots, d.positive_coroots)
+    ]
+    rows: list[int] = []
+    for t, m in enumerate(matrices):
+        row = 1 << t
+        for r in reflections:
+            u = index_of[_matmul(m, r)]
+            if len(words[u]) < len(words[t]):
+                row |= rows[u]
+        rows.append(row)
+    return MatrixGroup(matrices, words, right_mult, left_mult, tuple(rows))
 
 
 def classical_weyl_order(family: str, rank: int) -> int:

@@ -299,6 +299,21 @@ def test_too_large_group_is_refused_up_front():
     assert "--max-group-order" in r.stderr
 
 
+def test_rank_beyond_bound_is_usage_error():
+    r = run_cli("info", "--type", "A", "--rank", "9")
+    assert_usage_error(r)
+    assert "bound 8" in r.stderr
+    assert "max_rank" not in r.stderr
+
+
+def test_e6_info_finishes():
+    r = run_cli("info", "--type", "E", "--rank", "6", "--format", "json", timeout=60)
+    assert r.returncode == 0, r.stderr
+    data = json.loads(r.stdout)
+    assert data["order"] == 51840
+    assert len(data["longest_word"]) == 36
+
+
 def run_in_process(argv: list[str], stdin: str = "") -> tuple[int, str]:
     """Exit code and stderr of one ``main`` call; any other exception propagates."""
     err = io.StringIO()
@@ -402,3 +417,64 @@ def test_cli_fuzz_decompose_json(family_rank, body):
 def test_cli_decompose_in_process_accepts_kernel_members(family, rank):
     v = kernel_basis_element(oracles.group(family, int(rank)), (2,) * int(rank))
     assert run_in_process(["decompose", "--type", family, "--rank", rank], json.dumps(v.to_json_dict())) == (0, "")
+
+
+def test_only_bruhat_commands_build_the_table(monkeypatch, tmp_path):
+    from demchar import weyl
+
+    real = weyl._bruhat_table
+    calls = []
+
+    def refuse(elements, left_mult):
+        raise AssertionError("the Bruhat table was built")
+
+    def counted(elements, left_mult):
+        calls.append(len(elements))
+        return real(elements, left_mult)
+
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(kernel_basis_element(oracles.group("A", 3), (1, 2, 1)).to_json_dict()))
+    monkeypatch.setattr(weyl, "_bruhat_table", refuse)
+    common = ["--type", "A", "--rank", "3"]
+    for command, *rest in (
+        ["info"],
+        ["demchar", "--mu", "1,0,2"],
+        ["topchar", "--lambda", "1,2,1"],
+        ["euler", "--w", "1,2", "--mu=-1,0,2"],
+        ["verify-kernel", "--grid", "1"],
+        ["decompose", str(basis)],
+    ):
+        assert run_in_process([command, *common, *rest]) == (0, ""), command
+
+    monkeypatch.setattr(weyl, "_bruhat_table", counted)
+    for argv in (["bruhat", *common, "--w", "1,3", "--tau", "w0"], ["weyl", *common]):
+        calls.clear()
+        assert run_in_process(argv) == (0, "")
+        assert calls == [24], argv
+
+
+def test_parallel_sweep_hands_workers_the_built_table(monkeypatch):
+    import multiprocessing
+
+    from demchar import cli
+
+    seen = []
+
+    class InlinePool:
+        def __init__(self, initializer, initargs):
+            seen.append("bruhat_rows" in vars(initargs[0]))
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(cli, "_worker_group", None)
+    assert run_in_process(["verify-theorem", "--type", "A", "--rank", "2", "--parallel"]) == (0, "")
+    assert seen == [True]

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -51,16 +52,34 @@ def test_longest_element_properties():
         assert element_by_word(g, w0.word + w0.word) == g.identity_element
 
 
-def test_matrix_is_ordered_word_product():
-    g = oracles.group("B", 2)
-    from demchar.rootsys import reflection_matrix
-    from demchar.weyl import _matmul, _identity_matrix
+REFERENCE_TYPES = [t for t in oracles.ALL_TYPES if oracles.classical_weyl_order(*t) <= 1920]
 
-    for e in g.elements:
-        m = _identity_matrix(2)
-        for i in e.word:
-            m = _matmul(m, reflection_matrix(g.datum, i))
-        assert m == e.matrix
+
+@pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
+def test_orbit_generation_matches_matrix_reference(family, rank):
+    g = oracles.group(family, rank)
+    ref = oracles.matrix_group(g.datum)
+    assert [e.word for e in g.elements] == ref.words
+    assert all(e.length == len(e.word) for e in g.elements)
+    assert g.right_mult == ref.right_mult
+    assert g.left_mult == ref.left_mult
+    assert g.bruhat_rows == ref.bruhat_rows
+    rng = random.Random(7)
+    for e, m in zip(g.elements, ref.matrices):
+        lam = oracles.random_weight(rng, rank, -6, 6)
+        assert e.apply(lam) == tuple(sum(a * x for a, x in zip(row, lam)) for row in m)
+
+
+def test_bruhat_rows_built_on_first_read_and_pickled():
+    g = generate(build_datum("B", 3))
+    assert "bruhat_rows" not in vars(g)
+    rows = g.bruhat_rows
+    assert vars(g)["bruhat_rows"] is rows
+    copy = pickle.loads(pickle.dumps(g))
+    assert vars(copy)["bruhat_rows"] == rows
+    assert copy.elements == g.elements
+    # one roots tuple shared by every element, so pickle stores it once
+    assert all(e.simple_roots is copy.datum.simple_roots for e in copy.elements)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("G", 2)])
