@@ -1,14 +1,14 @@
 """The joint kernel N of all Demazure operators: membership, the e^rho-twist
-characterization, basis elements from summed top-cohomology characters, and a
-triangular decomposition into the full-group section-character basis that
-peels the support by height.
+characterization, basis elements from summed top-cohomology characters, and
+the decomposition into the full-group section-character basis, read off by
+folding each weight into the dominant chamber (Weyl's character formula).
 """
 
 from __future__ import annotations
 
 from .charring import CharElement, w_apply
-from .demazure import all_demazure_images, check_char_rank, demazure_char, demazure_step
-from .rootsys import Weight, check_weight_rank, height, is_regular_dominant, weight_add
+from .demazure import all_demazure_images, check_char_rank, demazure_step
+from .rootsys import Weight, check_weight_rank, is_regular_dominant, simple_reflection, weight_add, weight_sub
 from .weyl import WeylGroup
 
 DECOMPOSITION_SCHEMA = {
@@ -70,13 +70,15 @@ def verify_characterization(g: WeylGroup, v: CharElement) -> bool:
 def decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
     """Write e^rho * v as an integer combination of full-group section characters.
 
-    Requires v in N.  Triangular extraction: each round takes the support
-    weights of greatest height in the running remainder.  No support weight
-    lies above them, since it would be higher, so they are dominant by
-    W-invariance; the other weights of a section character lie below its
-    highest weight, so the round records their coefficients and subtracts
-    the matching section characters.  Returns {mu -> coefficient}; the basis
-    element of N recovered at mu is the one attached to the weight mu + rho.
+    Requires v in N, so that u = e^rho * v is W-invariant.  By Weyl's
+    character formula A_rho * chi(mu) = A_{mu+rho} (Humphreys, GTM 9, section
+    24), the coefficient of chi(mu) is sum_w sign(w) u[w(mu+rho) - rho].  So
+    each x = nu + rho, nu in the support of u, is reflected in simple roots on
+    which it is negative until it is dominant, flipping the sign each time
+    (Brauer-Klimyk, Racah-Speiser); a regular x adds to mu = x - rho, an x on
+    a wall adds nothing.  Returns {mu -> coefficient} in weight order, and
+    with ``with_stats`` also the number of reflections; the basis element of
+    N recovered at mu is the one attached to the weight mu + rho.
     """
     check_char_rank(g.datum, v)
     if not in_kernel(g, v):
@@ -90,28 +92,25 @@ def decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
                 f"e^rho * v is not invariant under simple reflection {i}; "
                 "kernel membership and invariance disagree"
             )
-    coefficients: dict[Weight, int] = {}
-    w0 = g.longest_element
-    max_rounds = max(1, len(u.terms))
-    rounds = 0
-    processed: set[Weight] = set()
-    while not u.is_zero():
-        rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError("decomposition failed to terminate; internal inconsistency")
-        heights = {mu: height(d, mu) for mu in u.terms}
-        top = max(heights.values())
-        for mu in sorted(mu for mu, h in heights.items() if h == top):
-            if mu in processed:
-                raise RuntimeError(f"weight {list(mu)} re-entered the support; internal inconsistency")
-            if any(c < 0 for c in mu):
-                raise RuntimeError(f"dominance-maximal weight {list(mu)} is not dominant")
-            processed.add(mu)
-            c = u.terms[mu]
-            coefficients[mu] = c
-            u = u - c * demazure_char(g, w0, mu)
+    # each reflection turns exactly one positive coroot from negative to positive on x
+    bound = len(d.positive_roots)
+    totals: dict[Weight, int] = {}
+    reflections = 0
+    for nu, c in u.terms.items():
+        x = weight_add(nu, d.rho)
+        steps = 0
+        while min(x) < 0:
+            steps += 1
+            if steps > bound:
+                raise RuntimeError(f"weight {list(nu)} needs more than {bound} reflections; internal inconsistency")
+            x = simple_reflection(d, 1 + next(i for i, a in enumerate(x) if a < 0), x)
+        reflections += steps
+        if 0 not in x:
+            mu = weight_sub(x, d.rho)
+            totals[mu] = totals.get(mu, 0) + (-c if steps % 2 else c)
+    coefficients = {mu: c for mu, c in sorted(totals.items()) if c}
     if with_stats:
-        return coefficients, rounds
+        return coefficients, reflections
     return coefficients
 
 

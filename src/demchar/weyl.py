@@ -89,11 +89,11 @@ class WeylGroup:
     def bruhat_rows(self) -> tuple[int, ...]:
         """``bruhat_rows[t]`` is a bitmask over the indices w with w <= elements[t].
 
-        The rows are built on first read, in O(|W|^2), and then cached on the
-        group, so a pickled group carries them once they exist.  Two threads
-        that read first may both compute them (Python 3.12 dropped the lock
-        of ``cached_property``); both compute the same tuple from immutable
-        tables, so the group stays safe to share across threads.
+        The rows are built on first read, one OR per Bruhat pair, and then
+        cached on the group, so a pickled group carries them once they exist.
+        Two threads that read first may both compute them (Python 3.12 dropped
+        the lock of ``cached_property``); both compute the same tuple from
+        immutable tables, so the group stays safe to share across threads.
         """
         return _bruhat_table(self.elements, self.left_mult)
 
@@ -154,25 +154,17 @@ def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGrou
 
 
 def _bruhat_table(elements: tuple[WeylElement, ...], left_mult) -> tuple[int, ...]:
-    # Lifting property, filled bottom-up by length: pick s with s*tau < tau,
-    # then w <= tau iff (sw <= s*tau if sw < w else w <= s*tau).  The first
-    # letter of the canonical word is the smallest left descent.
-    n = len(elements)
-    rows = [0] * n
-    rows[0] = 1
-    for t in range(1, n):
-        lt = elements[t].length
+    # Filled by index, so by length: with s the first letter of tau's
+    # canonical word, sigma = s*tau < tau and [e, tau] = [e, sigma] | s[e, sigma]
+    # (lifting property).
+    rows = [1]
+    for t in range(1, len(elements)):
         s = elements[t].word[0] - 1
         base = rows[left_mult[t][s]]
-        mask = 0
-        for w in range(n):
-            if elements[w].length > lt:
-                break
-            sw = left_mult[w][s]
-            probe = sw if elements[sw].length < elements[w].length else w
-            if (base >> probe) & 1:
-                mask |= 1 << w
-        rows[t] = mask
+        mask = base
+        for w in bit_indices(base):
+            mask |= 1 << left_mult[w][s]
+        rows.append(mask)
     return tuple(rows)
 
 
@@ -188,8 +180,19 @@ def dot_apply(w: WeylElement, lam: Weight) -> Weight:
 
 
 def bruhat_leq(g: WeylGroup, w: WeylElement, tau: WeylElement) -> bool:
-    """True iff w <= tau in the Bruhat order."""
-    return bool((g.bruhat_rows[tau.index] >> w.index) & 1)
+    """True iff w <= tau in the Bruhat order, without the Bruhat table.
+
+    Lifting property (Bjorner-Brenti, GTM 231, Prop. 2.2.7): for the first
+    letter s of tau's canonical word, s*tau < tau, and w <= tau iff
+    min(w, s*w) <= s*tau.  The rest of the word is s*tau's canonical word, so
+    one pass over tau's letters takes l(tau) steps and ends at tau = e.
+    """
+    k = w.index
+    for i in tau.word:
+        sk = g.left_mult[k][i - 1]
+        if g.elements[sk].length < g.elements[k].length:
+            k = sk
+    return k == g.identity
 
 
 def bit_indices(mask: int) -> list[int]:

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths it is used to check:
 the dimension formula works from the positive coroots alone, the
 Bruhat oracle enumerates subwords of a single fixed reduced word, the
-reference generator multiplies integer matrices, and the theorem references
-evaluate one operator string per interval element.
+reference generator multiplies integer matrices, the theorem references
+evaluate one operator string per interval element, and the decomposition
+reference subtracts one full section character per peeled weight.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from demchar import build_datum, generate
-from demchar.charring import CharElement
-from demchar.demazure import demazure_char, top_cohomology_char
-from demchar.rootsys import RootDatum, Weight, weight_sub
+from demchar.charring import CharElement, w_apply
+from demchar.demazure import check_char_rank, demazure_char, top_cohomology_char
+from demchar.kernel import in_kernel
+from demchar.rootsys import RootDatum, Weight, height, weight_sub
 from demchar.weyl import WeylGroup, lower_interval
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
@@ -256,3 +258,50 @@ def random_char(
     for _ in range(rng.randint(1, max_terms)):
         terms[random_weight(rng, rank, lo, hi)] = rng.randint(-coeff_bound, coeff_bound)
     return CharElement(rank, terms)
+
+
+def peel_decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
+    """Reference for ``kernel.decompose``: triangular extraction by height.
+
+    Each round takes the support weights of greatest height in the running
+    remainder.  No support weight lies above them, since it would be higher,
+    so they are dominant by W-invariance; the other weights of a section
+    character lie below its highest weight, so the round records their
+    coefficients and subtracts the matching section characters.  With
+    ``with_stats``, also returns the number of rounds.
+    """
+    check_char_rank(g.datum, v)
+    if not in_kernel(g, v):
+        raise ValueError("element is not in the joint Demazure kernel")
+    d = g.datum
+    u = v.shift(d.rho)
+    for i in range(1, d.rank + 1):
+        s_i = g.elements[g.left_mult[g.identity][i - 1]]
+        if w_apply(s_i, u) != u:
+            raise RuntimeError(
+                f"e^rho * v is not invariant under simple reflection {i}; "
+                "kernel membership and invariance disagree"
+            )
+    coefficients: dict[Weight, int] = {}
+    w0 = g.longest_element
+    max_rounds = max(1, len(u.terms))
+    rounds = 0
+    processed: set[Weight] = set()
+    while not u.is_zero():
+        rounds += 1
+        if rounds > max_rounds:
+            raise RuntimeError("decomposition failed to terminate; internal inconsistency")
+        heights = {mu: height(d, mu) for mu in u.terms}
+        top = max(heights.values())
+        for mu in sorted(mu for mu, h in heights.items() if h == top):
+            if mu in processed:
+                raise RuntimeError(f"weight {list(mu)} re-entered the support; internal inconsistency")
+            if any(c < 0 for c in mu):
+                raise RuntimeError(f"dominance-maximal weight {list(mu)} is not dominant")
+            processed.add(mu)
+            c = u.terms[mu]
+            coefficients[mu] = c
+            u = u - c * demazure_char(g, w0, mu)
+    if with_stats:
+        return coefficients, rounds
+    return coefficients

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from demchar.charring import CHAR_ELEMENT_SCHEMA
+from demchar.charring import CHAR_ELEMENT_SCHEMA, CharElement
 from demchar.cli import build_parser, config_from_args, main
 from demchar.kernel import DECOMPOSITION_SCHEMA, kernel_basis_element
 
@@ -443,14 +443,33 @@ def test_only_bruhat_commands_build_the_table(monkeypatch, tmp_path):
         ["euler", "--w", "1,2", "--mu=-1,0,2"],
         ["verify-kernel", "--grid", "1"],
         ["decompose", str(basis)],
+        ["bruhat", "--w", "1,3", "--tau", "w0"],
     ):
         assert run_in_process([command, *common, *rest]) == (0, ""), command
 
     monkeypatch.setattr(weyl, "_bruhat_table", counted)
-    for argv in (["bruhat", *common, "--w", "1,3", "--tau", "w0"], ["weyl", *common]):
-        calls.clear()
-        assert run_in_process(argv) == (0, "")
-        assert calls == [24], argv
+    assert run_in_process(["weyl", *common]) == (0, "")
+    assert calls == [24]
+
+
+def test_e6_bruhat_comparison_needs_no_table():
+    common = ["bruhat", "--type", "E", "--rank", "6"]
+    r = run_cli(*common, "--w", "1", "--tau", "w0", timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "true\n", "")
+    r = run_cli(*common, "--w", "w0", "--tau", "1", timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "false\n", "")
+
+
+def test_verify_kernel_reports_a_basis_element_outside_n_as_mismatch(monkeypatch, capsys):
+    from demchar import cli
+
+    real = cli.kernel_basis_element
+    monkeypatch.setattr(cli, "kernel_basis_element", lambda g, lam: real(g, lam) + CharElement.monomial((1, 0)))
+    assert main(["verify-kernel", "--type", "A", "--rank", "2", "--grid", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert "member=False" in out and "roundtrip=False" in out
+    assert out.splitlines()[-1] == "FAIL"
+    assert err == ""
 
 
 def test_parallel_sweep_hands_workers_the_built_table(monkeypatch):
@@ -478,3 +497,13 @@ def test_parallel_sweep_hands_workers_the_built_table(monkeypatch):
     monkeypatch.setattr(cli, "_worker_group", None)
     assert run_in_process(["verify-theorem", "--type", "A", "--rank", "2", "--parallel"]) == (0, "")
     assert seen == [True]
+
+
+def test_decompose_fold_past_its_bound_exits_three(monkeypatch):
+    from demchar import kernel
+
+    v = kernel_basis_element(oracles.group("A", 2), (2, 3))
+    monkeypatch.setattr(kernel, "simple_reflection", lambda d, i, x: x)
+    code, err = run_in_process(["decompose", "--type", "A", "--rank", "2"], json.dumps(v.to_json_dict()))
+    assert code == 3
+    assert err.startswith("internal error:") and "reflections" in err

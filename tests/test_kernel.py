@@ -3,8 +3,10 @@ import random
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from demchar.charring import CharElement, monomial, zero
+from demchar.charring import CharElement, monomial, w_apply, zero
 from demchar.demazure import demazure_char, top_cohomology_char
 from demchar.kernel import (
     DECOMPOSITION_SCHEMA,
@@ -116,9 +118,12 @@ def test_decompose_round_count_bounded_by_support():
     g = oracles.group("A", 2)
     v = kernel_basis_element(g, (2, 2)) - 2 * kernel_basis_element(g, (1, 1))
     twisted_support = len((monomial(g.datum.rho) * v).terms)
-    coeffs, rounds = decompose(g, v, with_stats=True)
+    coeffs, rounds = oracles.peel_decompose(g, v, with_stats=True)
     assert rounds <= twisted_support
     assert set(coeffs.values()) == {1, -2}
+    folded, reflections = decompose(g, v, with_stats=True)
+    assert folded == coeffs
+    assert reflections <= twisted_support * len(g.datum.positive_roots)
 
 
 def test_decompose_is_deterministic():
@@ -172,11 +177,14 @@ def test_kernel_basis_element_is_the_sum_of_top_characters(family, rank, lam):
 def test_decompose_takes_incomparable_weights_in_one_round():
     g = oracles.group("A", 2)
     v = kernel_basis_element(g, (4, 1)) + kernel_basis_element(g, (1, 4)) - 2 * kernel_basis_element(g, (2, 2))
-    coeffs, rounds = decompose(g, v, with_stats=True)
+    coeffs, rounds = oracles.peel_decompose(g, v, with_stats=True)
     assert coeffs == {(0, 3): 1, (3, 0): 1, (1, 1): -2}
     assert dominance_compare(g.datum, (0, 3), (3, 0)) == Dominance.INCOMPARABLE
     # round 1 peels both (0, 3) and (3, 0); round 2 peels (1, 1)
     assert rounds == 2
+    folded, reflections = decompose(g, v, with_stats=True)
+    assert folded == coeffs
+    assert reflections <= len((monomial(g.datum.rho) * v).terms) * len(g.datum.positive_roots)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("G", 2)])
@@ -201,3 +209,61 @@ def test_decompose_f4():
     neg_rho = weight_neg(rho)
     v = demazure_char(g, g.longest_element, rho).shift(neg_rho) + 3 * monomial(neg_rho)
     assert decompose(g, v) == {rho: 1, (0, 0, 0, 0): 3}
+
+
+@pytest.mark.parametrize(
+    "family,rank,n",
+    [("A", 1, 25), ("A", 2, 25), ("A", 3, 25), ("B", 2, 25), ("B", 3, 25), ("C", 3, 25), ("G", 2, 25), ("D", 4, 10)],
+)
+def test_fold_matches_peel_on_seeded_combinations(family, rank, n):
+    g = oracles.group(family, rank)
+    grid = list(itertools.product((1, 2, 3) if rank <= 2 else (1, 2), repeat=rank))
+    basis = {lam: kernel_basis_element(g, lam) for lam in grid}
+    rng = random.Random(61)
+    for _ in range(n):
+        v = zero(rank)
+        for lam in rng.sample(grid, rng.randint(1, min(3, len(grid)))):
+            v = v + rng.choice([-3, -2, -1, 1, 2, 3]) * basis[lam]
+        coeffs = decompose(g, v)
+        assert coeffs == oracles.peel_decompose(g, v)
+        assert list(coeffs) == sorted(coeffs)
+
+
+def test_fold_matches_peel_f4():
+    g = oracles.group("F", 4)
+    neg_rho = weight_neg(g.datum.rho)
+    v = demazure_char(g, g.longest_element, g.datum.rho).shift(neg_rho) + 3 * monomial(neg_rho)
+    assert decompose(g, v) == oracles.peel_decompose(g, v)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    fr=st.sampled_from([("A", 2), ("B", 2), ("G", 2)]),
+    terms=st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-4, 4), min_size=1, max_size=4
+    ),
+)
+def test_fold_matches_peel_on_symmetrized_characters(fr, terms):
+    # e^-rho times a W-symmetrized character is in N; its support meets the walls
+    g = oracles.group(*fr)
+    f = CharElement(2, terms)
+    sym = zero(2)
+    for w in g.elements:
+        sym = sym + w_apply(w, f)
+    v = sym.shift(weight_neg(g.datum.rho))
+    coeffs = decompose(g, v)
+    assert coeffs == oracles.peel_decompose(g, v)
+    rebuilt = zero(2)
+    for mu, c in coeffs.items():
+        rebuilt = rebuilt + c * demazure_char(g, g.longest_element, mu)
+    assert rebuilt == sym
+
+
+def test_fold_past_its_bound_is_an_internal_error(monkeypatch):
+    from demchar import kernel
+
+    g = oracles.group("A", 2)
+    v = kernel_basis_element(g, (2, 3))
+    monkeypatch.setattr(kernel, "simple_reflection", lambda d, i, x: x)
+    with pytest.raises(RuntimeError, match="more than 3 reflections"):
+        decompose(g, v)

@@ -107,6 +107,15 @@ def test_bruhat_agrees_with_subword_oracle(family, rank):
             assert bruhat_leq(g, w, tau) == (w.index in reachable)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
+def test_bruhat_leq_walk_matches_the_table(family, rank):
+    g = oracles.group(family, rank)
+    for tau in g.elements:
+        row = g.bruhat_rows[tau.index]
+        for w in g.elements:
+            assert bruhat_leq(g, w, tau) == bool((row >> w.index) & 1)
+
+
 def test_bruhat_basics():
     g = oracles.group("A", 2)
     e = g.identity_element
