@@ -6,8 +6,8 @@ folding each weight into the dominant chamber (Weyl's character formula).
 
 from __future__ import annotations
 
-from .charring import CharElement, w_apply
-from .demazure import all_demazure_images, check_char_rank, demazure_step
+from .charring import CharElement
+from .demazure import all_demazure_images, check_char_rank, packing_for
 from .rootsys import Weight, check_weight_rank, is_regular_dominant, simple_reflection, weight_add, weight_sub
 from .weyl import WeylGroup
 
@@ -33,16 +33,24 @@ DECOMPOSITION_SCHEMA = {
 }
 
 
+def _packed_steps(g: WeylGroup, v: CharElement):
+    """v packed once, and a lazy stream of its images under each simple-root operator."""
+    check_char_rank(g.datum, v)
+    packing = packing_for(g.datum, v.terms)
+    terms = packing.pack_terms(v.terms)
+    return terms, (packing.step(pos, terms) for pos in range(g.datum.rank))
+
+
 def in_kernel(g: WeylGroup, v: CharElement) -> bool:
     """True iff every simple-root Demazure operator annihilates v."""
-    check_char_rank(g.datum, v)
-    return all(demazure_step(g.datum, i, v).is_zero() for i in range(1, g.datum.rank + 1))
+    _, images = _packed_steps(g, v)
+    return not any(images)
 
 
 def is_demazure_invariant(g: WeylGroup, v: CharElement) -> bool:
     """True iff every simple-root Demazure operator fixes v."""
-    check_char_rank(g.datum, v)
-    return all(demazure_step(g.datum, i, v) == v for i in range(1, g.datum.rank + 1))
+    terms, images = _packed_steps(g, v)
+    return all(image == terms for image in images)
 
 
 def kernel_basis_element(g: WeylGroup, lam: Weight) -> CharElement:
@@ -85,9 +93,9 @@ def decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
         raise ValueError("element is not in the joint Demazure kernel")
     d = g.datum
     u = v.shift(d.rho)
+    # s_i permutes the weights, so u[s_i(nu)] == u[nu] for all nu is w_apply(s_i, u) == u
     for i in range(1, d.rank + 1):
-        s_i = g.elements[g.left_mult[g.identity][i - 1]]
-        if w_apply(s_i, u) != u:
+        if any(u.terms.get(simple_reflection(d, i, nu)) != c for nu, c in u.terms.items()):
             raise RuntimeError(
                 f"e^rho * v is not invariant under simple reflection {i}; "
                 "kernel membership and invariance disagree"

@@ -11,11 +11,11 @@ the same engine; it is not independent evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .charring import CharElement
-from .demazure import all_demazure_images, top_cohomology_char
+from .demazure import Packing, _image_table, packing_for, top_cohomology_char
 from .rootsys import Weight, check_weight_rank, is_regular_dominant, weight_add, weight_neg, weight_sub
 from .weyl import WeylElement, WeylGroup, bit_indices
 
@@ -46,31 +46,49 @@ VERIFICATION_REPORT_SCHEMA = {
 }
 
 
+class _Sides:
+    """Both sides of one check as packed terms, read back in the report's frame.
+
+    A side is unpacked and shifted by ``frame`` only when it is read, so a
+    passing check never leaves the packed form.  Two values are equal when
+    both sides read back equal.
+    """
+
+    def __init__(self, packing: Packing, lhs: dict[int, int], rhs: dict[int, int], frame: Weight):
+        self.packing, self.packed, self.frame = packing, (lhs, rhs), frame
+
+    def read(self, side: int) -> CharElement:
+        p = self.packing
+        return CharElement.adopt(p.rank, p.unpack_terms(self.packed[side])).shift(self.frame)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Sides) and all(self.read(k) == other.read(k) for k in (0, 1))
+
+
 @dataclass
 class VerificationReport:
-    """Outcome of one identity check: both sides, their difference, and sizes."""
+    """Outcome of one identity check: its verdict, sizes, and both sides on demand."""
 
-    lhs: CharElement
-    rhs: CharElement
-    difference: CharElement
     passed: bool
     dim_lhs: int
     dim_rhs: int
     interval_size: int
+    sides: _Sides = field(repr=False)
 
-    @classmethod
-    def compare(cls, lhs: CharElement, rhs: CharElement, interval_size: int) -> "VerificationReport":
-        """Report on lhs = rhs; passed is exact term-by-term equality."""
-        difference = lhs - rhs if lhs != rhs else CharElement.zero(lhs.rank)
-        return cls(
-            lhs=lhs,
-            rhs=rhs,
-            difference=difference,
-            passed=difference.is_zero(),
-            dim_lhs=lhs.dimension(),
-            dim_rhs=rhs.dimension(),
-            interval_size=interval_size,
-        )
+    @property
+    def lhs(self) -> CharElement:
+        return self.sides.read(0)
+
+    @property
+    def rhs(self) -> CharElement:
+        return self.sides.read(1)
+
+    @property
+    def difference(self) -> CharElement:
+        """lhs - rhs; passed is exact term-by-term equality, so a passing check reads zero."""
+        if self.passed:
+            return CharElement.zero(self.sides.packing.rank)
+        return self.lhs - self.rhs
 
     def to_json_dict(self, tau: WeylElement, lam: Weight) -> dict:
         return {
@@ -93,6 +111,22 @@ def _require_regular_dominant(g: WeylGroup, lam: Weight) -> None:
         raise ValueError(f"weight {list(lam)} is not regular dominant")
 
 
+def _starred_table(
+    g: WeylGroup, lam: Weight, within: Iterable[WeylElement] | None, packing: Packing, delta: Weight
+) -> list[dict[int, int] | None]:
+    """Packed e^delta * T*_w for every w, T*_w the starred top-cohomology character of -lam.
+
+    T*_w is (-1)^l(w) * D_w(e^-lam) with every weight negated, so the star
+    and the shift by delta are one subtraction per key.
+    """
+    images = _image_table(g, packing, {packing.pack(weight_neg(lam)): 1}, within)
+    m = packing.star_key(delta)
+    return [
+        None if p is None else {m - k: -c if e.length % 2 else c for k, c in p.items()}
+        for e, p in zip(g.elements, images)
+    ]
+
+
 def starred_top_characters(
     g: WeylGroup, lam: Weight, within: Iterable[WeylElement] | None = None, /
 ) -> list[CharElement | None]:
@@ -101,13 +135,9 @@ def starred_top_characters(
     ``within`` restricts the table as in ``all_demazure_images``.
     """
     _require_regular_dominant(g, lam)
-    images = all_demazure_images(g, CharElement.monomial(tuple(-c for c in lam)), within)
-    return [
-        None
-        if v is None
-        else CharElement.adopt(v.rank, {weight_neg(mu): -c if e.length % 2 else c for mu, c in v.terms.items()})
-        for e, v in zip(g.elements, images)
-    ]
+    packing = packing_for(g.datum, [lam])
+    starred = _starred_table(g, lam, within, packing, (0,) * g.datum.rank)
+    return [None if p is None else CharElement.adopt(g.datum.rank, packing.unpack_terms(p)) for p in starred]
 
 
 def _interval_reports(
@@ -123,38 +153,51 @@ def _interval_reports(
     interval.  By the lifting property, sigma = s*tau < tau has
     [e, tau] = [e, sigma] u s[e, sigma], so L(tau) is L(sigma) plus T*_w over
     the bits of rows[tau] & ~rows[sigma] alone.
+
+    Both tables are packed with one packing.  The starred entries carry the
+    factor e^-rho, folded into their negation, so e^-rho * L(tau) is
+    compared with the unshifted section entry as packed dicts; each side is
+    moved to the frame e^(twist + rho) only when a report is read.
     """
     _require_regular_dominant(g, lam)
-    rank, rho = g.datum.rank, g.datum.rho
+    rho = g.datum.rho
     rows = g.bruhat_rows
     needed = 0
     for tau in taus:
         needed |= rows[tau.index]
     within = [g.elements[k] for k in bit_indices(needed)]
-    starred = starred_top_characters(g, lam, within)
-    sections = all_demazure_images(g, CharElement.monomial(weight_sub(lam, rho)), within)
-    if any(twist):
-        starred = [None if t is None else t.shift(twist) for t in starred]
-    sums: list[CharElement | None] = [None] * g.order
+    packing = packing_for(g.datum, [lam], rho)
+    starred = _starred_table(g, lam, within, packing, weight_neg(rho))
+    sections = _image_table(g, packing, {packing.pack(weight_sub(lam, rho)): 1}, within)
+    sums: list[dict[int, int] | None] = [None] * g.order
     for e in within:
         k = e.index
         if e.length == 0:
             acc, new = {}, rows[k]
         else:
             sigma = g.left_mult[k][e.word[0] - 1]
-            acc, new = dict(sums[sigma].terms), rows[k] & ~rows[sigma]
+            acc, new = dict(sums[sigma]), rows[k] & ~rows[sigma]
         get = acc.get
         for w in bit_indices(new):
-            for mu, c in starred[w].terms.items():
+            for mu, c in starred[w].items():
                 acc[mu] = get(mu, 0) + c
-        sums[k] = CharElement.adopt(rank, acc)
-    section_twist = weight_add(twist, rho)
-    return [
-        VerificationReport.compare(
-            sums[t.index], sections[t.index].shift(section_twist), rows[t.index].bit_count()
+        sums[k] = acc
+    frame = weight_add(twist, rho)
+    reports = []
+    for t in taus:
+        lhs, rhs = sums[t.index], sections[t.index]
+        if 0 in lhs.values():
+            lhs = {mu: c for mu, c in lhs.items() if c}
+        reports.append(
+            VerificationReport(
+                passed=lhs == rhs,
+                dim_lhs=sum(lhs.values()),
+                dim_rhs=sum(rhs.values()),
+                interval_size=rows[t.index].bit_count(),
+                sides=_Sides(packing, lhs, rhs, frame),
+            )
         )
-        for t in taus
-    ]
+    return reports
 
 
 def verify_theorem(g: WeylGroup, tau: WeylElement, lam: Weight) -> VerificationReport:

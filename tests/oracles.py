@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths it is used to check:
 the dimension formula works from the positive coroots alone, the
 Bruhat oracle enumerates subwords of a single fixed reduced word, the
 reference generator multiplies integer matrices, the theorem references
-evaluate one operator string per interval element, and the decomposition
-reference subtracts one full section character per peeled weight.
+evaluate one operator string per interval element, the decomposition
+reference subtracts one full section character per peeled weight, and the
+operator reference steps weights as tuples instead of packed ints.
 """
 
 from __future__ import annotations
@@ -305,3 +306,31 @@ def peel_decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
     if with_stats:
         return coefficients, rounds
     return coefficients
+
+
+def tuple_step_terms(alpha: Weight, pos: int, terms: dict[Weight, int]) -> dict[Weight, int]:
+    """Reference for ``Packing.step``: the Demazure step with tuple weights."""
+    out: dict[Weight, int] = {}
+    get = out.get
+    for mu, c in terms.items():
+        t = mu[pos]
+        if t >= 0:
+            w = mu
+            out[w] = get(w, 0) + c
+            for _ in range(t):
+                w = tuple(x - a for x, a in zip(w, alpha))
+                out[w] = get(w, 0) + c
+        elif t <= -2:
+            w = mu
+            for _ in range(-t - 1):
+                w = tuple(x + a for x, a in zip(w, alpha))
+                out[w] = get(w, 0) - c
+    return {mu: c for mu, c in out.items() if c}
+
+
+def tuple_word(d: RootDatum, word, v: CharElement) -> CharElement:
+    """Reference for ``demazure_word``: ``tuple_step_terms`` along word, last letter first."""
+    terms = v.terms
+    for i in reversed(tuple(word)):
+        terms = tuple_step_terms(d.simple_roots[i - 1], i - 1, terms)
+    return CharElement(v.rank, terms)

@@ -507,3 +507,12 @@ def test_decompose_fold_past_its_bound_exits_three(monkeypatch):
     code, err = run_in_process(["decompose", "--type", "A", "--rank", "2"], json.dumps(v.to_json_dict()))
     assert code == 3
     assert err.startswith("internal error:") and "reflections" in err
+
+
+@pytest.mark.parametrize("mu", [(3, -(10**12)), (-3, 10**12)])
+def test_euler_with_twelve_digit_coordinates_prints_the_reference(mu):
+    # s_1 strings stay short (t = 3 and t = -3), so only the radix is large
+    r = run_cli("euler", "--type", "A", "--rank", "2", "--w", "1", "--mu=" + ",".join(map(str, mu)))
+    assert r.returncode == 0, r.stderr
+    expected = oracles.tuple_word(oracles.group("A", 2).datum, (1,), CharElement.monomial(mu))
+    assert r.stdout == f"{expected}\ndimension: {expected.dimension()}\n"

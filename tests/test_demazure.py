@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demchar.charring import CharElement, extreme_weight, monomial, w_apply, zero
 from demchar.demazure import (
@@ -9,6 +11,7 @@ from demchar.demazure import (
     demazure_step,
     demazure_word,
     euler_char,
+    packing_for,
     top_cohomology_char,
 )
 from demchar.rootsys import build_datum, simple_reflection, weight_neg, weight_sub
@@ -133,7 +136,9 @@ def test_demazure_char_rejects_non_dominant():
         demazure_char(g, g.longest_element, (-1, 2))
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2)])
+@pytest.mark.parametrize(
+    "family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
+)
 def test_full_demazure_char_matches_weyl_dimension(family, rank):
     g = oracles.group(family, rank)
     rng = random.Random(37)
@@ -234,3 +239,66 @@ def test_character_rank_must_match_rank(apply):
     for v in [CharElement(3, {(1, 0, 0): 1}), CharElement(1, {(1,): 1})]:
         with pytest.raises(ValueError, match="needs rank 2"):
             apply(g, v)
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
+)
+def test_packed_operators_match_tuple_reference(family, rank):
+    g = oracles.group(family, rank)
+    d = g.datum
+    rng = random.Random(f"packed-{family}{rank}")
+    for _ in range(6):
+        v = oracles.random_char(rng, rank)
+        for i in range(1, rank + 1):
+            assert demazure_step(d, i, v) == oracles.tuple_word(d, (i,), v)
+        word = [rng.randint(1, rank) for _ in range(rng.randint(0, 6))]
+        assert demazure_word(d, word, v) == oracles.tuple_word(d, word, v)
+    v = oracles.random_char(rng, rank, lo=-2, hi=2)
+    images = all_demazure_images(g, v)
+    for e in g.elements:
+        assert images[e.index] == oracles.tuple_word(d, e.word, v)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
+def test_image_weights_lie_within_the_radix_bound(family, rank):
+    g = oracles.group(family, rank)
+    d = g.datum
+    highest_coroot = max(sum(c) for c in d.positive_coroots)
+    rng = random.Random(f"hull-{family}{rank}")
+    for _ in range(3):
+        v = oracles.random_char(rng, rank, lo=-3, hi=3)
+        pairing = max(abs(sum(x * c for x, c in zip(mu, coroot))) for mu in v.terms for coroot in d.positive_coroots)
+        bound = highest_coroot * max(abs(x) for mu in v.terms for x in mu)
+        assert pairing <= bound < packing_for(d, v.terms).bias
+        for image in all_demazure_images(g, v):
+            assert all(abs(x) <= pairing for mu in image.terms for x in mu)
+
+
+BOUNDARY = [2**15 - 1, 2**15, 10**6, 10**12]
+
+
+@pytest.mark.parametrize("x", [2**15 - 1, 2**15, -(2**15 - 1), -(2**15)])
+def test_long_strings_at_the_radix_boundary(x):
+    d = build_datum("B", 2)
+    v = CharElement(2, {(x, 10**12): 3, (1, -(10**12)): -2})
+    assert demazure_step(d, 1, v) == oracles.tuple_word(d, (1,), v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_radix_widens_for_large_coordinates(data):
+    family, rank = data.draw(st.sampled_from([("A", 2), ("B", 2), ("G", 2), ("A", 3)]))
+    g = oracles.group(family, rank)
+    d = g.datum
+    # operators act only on small coordinates, so every string stays short
+    # while the others sit at or past the 16-bit boundary
+    stepped = sorted(data.draw(st.sets(st.integers(0, rank - 1), min_size=1, max_size=rank - 1)))
+    large = st.sampled_from(BOUNDARY).flatmap(lambda x: st.sampled_from([x, -x]))
+    mu = tuple(data.draw(st.integers(-3, 3) if p in stepped else large) for p in range(rank))
+    word = data.draw(st.lists(st.sampled_from([p + 1 for p in stepped]), min_size=1, max_size=4))
+    v = CharElement(rank, {mu: data.draw(st.integers(1, 5))})
+    assert demazure_step(d, word[0], v) == oracles.tuple_word(d, word[:1], v)
+    assert demazure_word(d, word, v) == oracles.tuple_word(d, word, v)
+    w = element_by_word(g, word)
+    assert euler_char(g, w, mu) == oracles.tuple_word(d, w.word, monomial(mu))

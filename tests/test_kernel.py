@@ -267,3 +267,17 @@ def test_fold_past_its_bound_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(kernel, "simple_reflection", lambda d, i, x: x)
     with pytest.raises(RuntimeError, match="more than 3 reflections"):
         decompose(g, v)
+
+
+def test_invariance_check_names_the_first_reflection_that_moves_u(monkeypatch):
+    from demchar import kernel
+
+    g = oracles.group("B", 2)
+    # u = e^rho * v = e^(0,1) + e^(0,-1) is fixed by s_1 but not by s_2
+    v = CharElement(2, {(-1, 0): 1, (-1, -2): 1})
+    u = v.shift(g.datum.rho)
+    s1, s2 = (g.elements[g.left_mult[g.identity][i]] for i in (0, 1))
+    assert w_apply(s1, u) == u and w_apply(s2, u) != u
+    monkeypatch.setattr(kernel, "in_kernel", lambda g, v: True)
+    with pytest.raises(RuntimeError, match="simple reflection 2"):
+        decompose(g, v)

@@ -213,7 +213,7 @@ def test_both_identities_match_reference(family, rank):
 def test_single_tau_tables_cover_only_its_interval(monkeypatch):
     g = oracles.group("B", 3)
     tau = element_by_word(g, (1, 2))
-    real = theorem.all_demazure_images
+    real = theorem._image_table
     computed = []
 
     def spy(*args):
@@ -221,7 +221,7 @@ def test_single_tau_tables_cover_only_its_interval(monkeypatch):
         computed.append(sum(1 for v in images if v is not None))
         return images
 
-    monkeypatch.setattr(theorem, "all_demazure_images", spy)
+    monkeypatch.setattr(theorem, "_image_table", spy)
     assert verify_theorem(g, tau, (1, 2, 1)).passed
     assert verify_lemma31(g, tau, (1, 2, 1)).passed
     assert computed == [len(lower_interval(g, tau))] * 4
