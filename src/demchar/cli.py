@@ -1,6 +1,12 @@
 """Command-line surface: type queries, character computations, and batch
 verification sweeps.
 
+Each command reads the parsed argparse namespace.  Weights are parsed into
+integer tuples by argparse, and their length is checked by the library
+(``rootsys.check_weight_rank``).  ``--parallel`` is an option of
+``verify-theorem`` and ``verify-lemma31`` only, the sweeps that distribute
+their weights over a process pool; ``verify-kernel`` runs serially.
+
 Exit codes: 0 all checks verified, 1 mathematical mismatch, 2 usage error,
 3 internal error (a consistency check inside the library failed).
 Output is deterministic and byte-identical between serial and parallel runs.
@@ -13,7 +19,6 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .charring import CharElement
@@ -39,39 +44,12 @@ EXIT_INTERNAL = 3
 KERNEL_SWEEP_SEED = 0x5EED
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation."""
-
-    command: str
-    family: str
-    rank: int
-    tau: str | None = None
-    w: str | None = None
-    lam: tuple[int, ...] | None = None
-    mu: tuple[int, ...] | None = None
-    grid: int = 2
-    fmt: str = "plain"
-    parallel: bool = False
-    max_group_order: int = DEFAULT_MAX_GROUP_ORDER
-    dot: bool = False
-    charfile: str | None = None
-
-
 def _parse_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers: a weight given on the command line, or a word."""
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse {text!r}; expected comma-separated integers") from None
-
-
-def _parse_weight(text: str | None, rank: int) -> tuple[int, ...] | None:
-    if text is None:
-        return None
-    lam = _parse_ints(text)
-    if len(lam) != rank:
-        raise ValueError(f"weight {text} has {len(lam)} coordinates, but --rank {rank} needs {rank}")
-    return lam
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}; expected comma-separated integers") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--type", required=True, dest="family", help="family letter A-G")
     common.add_argument("--rank", required=True, type=int)
     common.add_argument("--format", default="plain", choices=("plain", "json"), dest="fmt")
-    common.add_argument("--parallel", action="store_true", help="parallelize sweeps over weights")
     common.add_argument("--max-group-order", type=int, default=DEFAULT_MAX_GROUP_ORDER)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,21 +78,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weyl", parents=[common], help="dump elements and Bruhat table")
     p.add_argument("--dot", action="store_true", help="emit the Bruhat Hasse diagram as DOT")
 
+    # the character commands share the dests element and weight, so one cmd_char serves
+    # all three; each metavar keeps the flag's own name in the help text
     p = sub.add_parser("demchar", parents=[common], help="section character for dominant mu")
-    p.add_argument("--tau", default="w0", help='element: "e", "w0", or a word like "1,2,1"')
-    p.add_argument("--mu", required=True, help="dominant weight, comma-separated")
+    p.add_argument(
+        "--tau", default="w0", dest="element", metavar="TAU", help='element: "e", "w0", or a word like "1,2,1"'
+    )
+    p.add_argument(
+        "--mu", required=True, type=_parse_ints, dest="weight", metavar="MU", help="dominant weight, comma-separated"
+    )
 
     p = sub.add_parser("topchar", parents=[common], help="top cohomology character of -lambda")
-    p.add_argument("--w", default="w0", help='element: "e", "w0", or a word')
-    p.add_argument("--lambda", required=True, dest="lam", help="regular dominant weight")
+    p.add_argument("--w", default="w0", dest="element", metavar="W", help='element: "e", "w0", or a word')
+    p.add_argument(
+        "--lambda", required=True, type=_parse_ints, dest="weight", metavar="LAM", help="regular dominant weight"
+    )
 
     p = sub.add_parser("euler", parents=[common], help="Euler characteristic for any mu")
-    p.add_argument("--w", default="w0")
-    p.add_argument("--mu", required=True)
+    p.add_argument("--w", default="w0", dest="element", metavar="W")
+    p.add_argument("--mu", required=True, type=_parse_ints, dest="weight", metavar="MU")
 
     for name in ("verify-theorem", "verify-lemma31", "verify-kernel"):
         p = sub.add_parser(name, parents=[common], help=f"batch verification sweep ({name})")
         p.add_argument("--grid", type=int, default=2, help="sweep weights with coordinates in [1, grid]")
+        if name != "verify-kernel":
+            p.add_argument("--parallel", action="store_true", help="parallelize sweeps over weights")
 
     p = sub.add_parser("decompose", parents=[common], help="decompose a kernel element (JSON in)")
     p.add_argument("charfile", nargs="?", default=None, help="CharElement JSON file (default stdin)")
@@ -127,27 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        family=args.family,
-        rank=args.rank,
-        tau=getattr(args, "tau", None),
-        w=getattr(args, "w", None),
-        lam=_parse_weight(getattr(args, "lam", None), args.rank),
-        mu=_parse_weight(getattr(args, "mu", None), args.rank),
-        grid=getattr(args, "grid", 2),
-        fmt=args.fmt,
-        parallel=args.parallel,
-        max_group_order=args.max_group_order,
-        dot=getattr(args, "dot", False),
-        charfile=getattr(args, "charfile", None),
-    )
-
-
-def load_group(cfg: RunConfig) -> WeylGroup:
-    """The Weyl group of the configured type; sweep workers receive this same group."""
-    return generate(build_datum(cfg.family, cfg.rank), cfg.max_group_order)
+def load_group(args: argparse.Namespace) -> WeylGroup:
+    """The Weyl group of the requested type; sweep workers receive this same group."""
+    return generate(build_datum(args.family, args.rank), args.max_group_order)
 
 
 def _resolve_element(g: WeylGroup, selector: str):
@@ -176,10 +145,10 @@ def _lambda_grid(rank: int, bound: int) -> list[Weight]:
     return [tuple(c) for c in itertools.product(range(1, bound + 1), repeat=rank)]
 
 
-def cmd_info(cfg: RunConfig) -> int:
-    g = load_group(cfg)
+def cmd_info(args: argparse.Namespace) -> int:
+    g = load_group(args)
     d = g.datum
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _dump_json(
             {
                 "family": d.family,
@@ -203,9 +172,9 @@ def cmd_info(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_weyl(cfg: RunConfig) -> int:
-    g = load_group(cfg)
-    if cfg.dot:
+def cmd_weyl(args: argparse.Namespace) -> int:
+    g = load_group(args)
+    if args.dot:
         print("digraph bruhat {")
         print("  rankdir=BT;")
         for e in g.elements:
@@ -217,7 +186,7 @@ def cmd_weyl(cfg: RunConfig) -> int:
                     print(f"  n{w.index} -> n{tau.index};")
         print("}")
         return EXIT_OK
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _dump_json(
             {
                 "elements": [
@@ -236,33 +205,19 @@ def cmd_weyl(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_demchar(cfg: RunConfig) -> int:
-    g = load_group(cfg)
-    tau = _resolve_element(g, cfg.tau or "w0")
-    _print_char(demazure_char(g, tau, cfg.mu), cfg.fmt)
+def cmd_char(args: argparse.Namespace) -> int:
+    g = load_group(args)
+    char = {"demchar": demazure_char, "topchar": top_cohomology_char, "euler": euler_char}[args.command]
+    _print_char(char(g, _resolve_element(g, args.element), args.weight), args.fmt)
     return EXIT_OK
 
 
-def cmd_topchar(cfg: RunConfig) -> int:
-    g = load_group(cfg)
-    w = _resolve_element(g, cfg.w or "w0")
-    _print_char(top_cohomology_char(g, w, cfg.lam), cfg.fmt)
-    return EXIT_OK
-
-
-def cmd_euler(cfg: RunConfig) -> int:
-    g = load_group(cfg)
-    w = _resolve_element(g, cfg.w or "w0")
-    _print_char(euler_char(g, w, cfg.mu), cfg.fmt)
-    return EXIT_OK
-
-
-def cmd_bruhat(cfg: RunConfig) -> int:
-    g = load_group(cfg)
-    w = _resolve_element(g, cfg.w)
-    tau = _resolve_element(g, cfg.tau)
+def cmd_bruhat(args: argparse.Namespace) -> int:
+    g = load_group(args)
+    w = _resolve_element(g, args.w)
+    tau = _resolve_element(g, args.tau)
     result = bruhat_leq(g, w, tau)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _dump_json({"w": list(w.word), "tau": list(tau.word), "leq": result})
     else:
         print("true" if result else "false")
@@ -288,28 +243,28 @@ def _init_worker(g: WeylGroup) -> None:
     _worker_group = g
 
 
-def _sweep_task(args: tuple) -> dict:
-    command, lam = args
+def _sweep_task(task: tuple) -> dict:
+    command, lam = task
     return _sweep_lambda(_worker_group, command, lam)
 
 
-def _emit_sweep(cfg: RunConfig, g: WeylGroup, results: list[dict]) -> int:
+def _emit_sweep(args: argparse.Namespace, g: WeylGroup, results: list[dict]) -> int:
     checks = sum(len(block["reports"]) for block in results)
     failures = [r for block in results for r in block["reports"] if not r["passed"]]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _dump_json(
             {
-                "command": cfg.command,
+                "command": args.command,
                 "family": g.datum.family,
                 "rank": g.datum.rank,
-                "grid": cfg.grid,
+                "grid": args.grid,
                 "checks": checks,
                 "all_passed": not failures,
                 "sweeps": results,
             }
         )
     else:
-        print(f"{cfg.command} type={g.datum.family}{g.datum.rank} grid={cfg.grid} elements={g.order}")
+        print(f"{args.command} type={g.datum.family}{g.datum.rank} grid={args.grid} elements={g.order}")
         for block in results:
             ok = all(r["passed"] for r in block["reports"])
             print(f"lambda={block['lambda']} checks={len(block['reports'])} {'ok' if ok else 'MISMATCH'}")
@@ -321,19 +276,19 @@ def _emit_sweep(cfg: RunConfig, g: WeylGroup, results: list[dict]) -> int:
     return EXIT_OK if not failures else EXIT_MISMATCH
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    g = load_group(cfg)
-    lams = _lambda_grid(g.datum.rank, cfg.grid)
-    if cfg.parallel and len(lams) > 1:
+def cmd_verify(args: argparse.Namespace) -> int:
+    g = load_group(args)
+    lams = _lambda_grid(g.datum.rank, args.grid)
+    if args.parallel and len(lams) > 1:
         import multiprocessing
 
         g.bruhat_rows  # built once here, so every worker receives the table
 
         with multiprocessing.Pool(initializer=_init_worker, initargs=(g,)) as pool:
-            results = pool.map(_sweep_task, [(cfg.command, lam) for lam in lams], chunksize=1)
+            results = pool.map(_sweep_task, [(args.command, lam) for lam in lams], chunksize=1)
     else:
-        results = [_sweep_lambda(g, cfg.command, lam) for lam in lams]
-    return _emit_sweep(cfg, g, results)
+        results = [_sweep_lambda(g, args.command, lam) for lam in lams]
+    return _emit_sweep(args, g, results)
 
 
 def _random_char(rng: random.Random, rank: int) -> CharElement:
@@ -352,12 +307,12 @@ def _decomposes_to(g: WeylGroup, v: CharElement, expected: dict) -> bool:
         return False
 
 
-def cmd_kernel(cfg: RunConfig) -> int:
-    g = load_group(cfg)
+def cmd_kernel(args: argparse.Namespace) -> int:
+    g = load_group(args)
     d = g.datum
     rho = d.rho
     w0 = g.longest_element
-    lams = _lambda_grid(d.rank, cfg.grid)
+    lams = _lambda_grid(d.rank, args.grid)
     dual = lambda mu: weight_neg(w0.apply(mu))
 
     per_lambda = []
@@ -394,13 +349,13 @@ def cmd_kernel(cfg: RunConfig) -> int:
         and combo_ok == n_combos
         and random_ok == n_combos
     )
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _dump_json(
             {
                 "command": "verify-kernel",
                 "family": d.family,
                 "rank": d.rank,
-                "grid": cfg.grid,
+                "grid": args.grid,
                 "per_lambda": per_lambda,
                 "combos_ok": combo_ok,
                 "combos_total": n_combos,
@@ -409,7 +364,7 @@ def cmd_kernel(cfg: RunConfig) -> int:
             }
         )
     else:
-        print(f"verify-kernel type={d.family}{d.rank} grid={cfg.grid}")
+        print(f"verify-kernel type={d.family}{d.rank} grid={args.grid}")
         for x in per_lambda:
             print(
                 f"lambda={x['lambda']} member={x['member']} "
@@ -421,9 +376,9 @@ def cmd_kernel(cfg: RunConfig) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
-    g = load_group(cfg)
-    text = sys.stdin.read() if cfg.charfile in (None, "-") else Path(cfg.charfile).read_text()
+def cmd_decompose(args: argparse.Namespace) -> int:
+    g = load_group(args)
+    text = sys.stdin.read() if args.charfile in (None, "-") else Path(args.charfile).read_text()
     try:
         data = json.loads(text)
     except RecursionError:
@@ -434,7 +389,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
         raise ValueError(f"element rank {v.rank} does not match --rank {g.datum.rank}")
     coefficients = decompose(g, v)
     payload = decomposition_to_json(g, coefficients)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _dump_json(payload)
     else:
         for item in payload["coefficients"]:
@@ -447,9 +402,9 @@ def cmd_decompose(cfg: RunConfig) -> int:
 _COMMANDS = {
     "info": cmd_info,
     "weyl": cmd_weyl,
-    "demchar": cmd_demchar,
-    "topchar": cmd_topchar,
-    "euler": cmd_euler,
+    "demchar": cmd_char,
+    "topchar": cmd_char,
+    "euler": cmd_char,
     "verify-theorem": cmd_verify,
     "verify-lemma31": cmd_verify,
     "verify-kernel": cmd_kernel,
@@ -459,12 +414,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        return _COMMANDS[args.command](args)
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .charring import CharElement
-from .rootsys import RootDatum, Weight, check_weight_rank, is_dominant, is_regular_dominant
+from .rootsys import RootDatum, Weight, check_regular_dominant, check_weight_rank, is_dominant
 from .weyl import WeylElement, WeylGroup
 
 
@@ -149,9 +149,7 @@ def top_cohomology_char(g: WeylGroup, w: WeylElement, lam: Weight) -> CharElemen
     Requires lam regular dominant, which concentrates cohomology in degree
     l(w); the character is then the Euler characteristic up to sign.
     """
-    check_weight_rank(g.datum, lam)
-    if not is_regular_dominant(g.datum, lam):
-        raise ValueError(f"weight {list(lam)} is not regular dominant")
+    check_regular_dominant(g.datum, lam)
     v = euler_char(g, w, tuple(-c for c in lam))
     return -v if w.length % 2 else v
 
@@ -183,16 +181,9 @@ def _image_table(
     return images
 
 
-def all_demazure_images(
-    g: WeylGroup, v: CharElement, within: Iterable[WeylElement] | None = None, /
-) -> list[CharElement | None]:
-    """D_w(v) for every group element at once, indexed like ``g.elements``.
-
-    ``within``, if given, is a set of elements closed under peeling the first
-    letter of the canonical word, such as a union of lower intervals; only its
-    entries are computed and the others are None.
-    """
+def all_demazure_images(g: WeylGroup, v: CharElement) -> list[CharElement]:
+    """D_w(v) for every group element at once, indexed like ``g.elements``."""
     check_char_rank(g.datum, v)
     packing = packing_for(g.datum, v.terms)
-    images = _image_table(g, packing, packing.pack_terms(v.terms), within)
-    return [None if p is None else CharElement.adopt(v.rank, packing.unpack_terms(p)) for p in images]
+    images = _image_table(g, packing, packing.pack_terms(v.terms), None)
+    return [CharElement.adopt(v.rank, packing.unpack_terms(p)) for p in images]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .charring import CharElement
 from .demazure import all_demazure_images, check_char_rank, packing_for
-from .rootsys import Weight, check_weight_rank, is_regular_dominant, simple_reflection, weight_add, weight_sub
+from .rootsys import Weight, check_regular_dominant, simple_reflection, weight_add, weight_sub
 from .weyl import WeylGroup
 
 DECOMPOSITION_SCHEMA = {
@@ -55,9 +55,7 @@ def is_demazure_invariant(g: WeylGroup, v: CharElement) -> bool:
 
 def kernel_basis_element(g: WeylGroup, lam: Weight) -> CharElement:
     """Sum over the whole group of the top-cohomology characters of -lam."""
-    check_weight_rank(g.datum, lam)
-    if not is_regular_dominant(g.datum, lam):
-        raise ValueError(f"weight {list(lam)} is not regular dominant")
+    check_regular_dominant(g.datum, lam)
     images = all_demazure_images(g, CharElement.monomial(tuple(-c for c in lam)))
     total: dict[Weight, int] = {}
     get = total.get

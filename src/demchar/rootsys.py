@@ -226,6 +226,13 @@ def check_weight_rank(d: RootDatum, lam: Weight) -> None:
         raise ValueError(f"weight {list(lam)} has {len(lam)} coordinates; {d.family}{d.rank} needs {d.rank}")
 
 
+def check_regular_dominant(d: RootDatum, lam: Weight) -> None:
+    """Raise ValueError unless lam has d's rank and is regular dominant."""
+    check_weight_rank(d, lam)
+    if not is_regular_dominant(d, lam):
+        raise ValueError(f"weight {list(lam)} is not regular dominant")
+
+
 def is_dominant(d: RootDatum, lam: Weight) -> bool:
     return all(c >= 0 for c in lam)
 

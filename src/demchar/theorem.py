@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .charring import CharElement
 from .demazure import Packing, _image_table, packing_for, top_cohomology_char
-from .rootsys import Weight, check_weight_rank, is_regular_dominant, weight_add, weight_neg, weight_sub
+from .rootsys import Weight, check_regular_dominant, weight_add, weight_neg, weight_sub
 from .weyl import WeylElement, WeylGroup, bit_indices
 
 VERIFICATION_REPORT_SCHEMA = {
@@ -105,12 +105,6 @@ class VerificationReport:
         }
 
 
-def _require_regular_dominant(g: WeylGroup, lam: Weight) -> None:
-    check_weight_rank(g.datum, lam)
-    if not is_regular_dominant(g.datum, lam):
-        raise ValueError(f"weight {list(lam)} is not regular dominant")
-
-
 def _starred_table(
     g: WeylGroup, lam: Weight, within: Iterable[WeylElement] | None, packing: Packing, delta: Weight
 ) -> list[dict[int, int] | None]:
@@ -127,17 +121,12 @@ def _starred_table(
     ]
 
 
-def starred_top_characters(
-    g: WeylGroup, lam: Weight, within: Iterable[WeylElement] | None = None, /
-) -> list[CharElement | None]:
-    """Duals of the top-cohomology characters for every w, indexed like g.elements.
-
-    ``within`` restricts the table as in ``all_demazure_images``.
-    """
-    _require_regular_dominant(g, lam)
+def starred_top_characters(g: WeylGroup, lam: Weight) -> list[CharElement]:
+    """Duals of the top-cohomology characters for every w, indexed like g.elements."""
+    check_regular_dominant(g.datum, lam)
     packing = packing_for(g.datum, [lam])
-    starred = _starred_table(g, lam, within, packing, (0,) * g.datum.rank)
-    return [None if p is None else CharElement.adopt(g.datum.rank, packing.unpack_terms(p)) for p in starred]
+    starred = _starred_table(g, lam, None, packing, (0,) * g.datum.rank)
+    return [CharElement.adopt(g.datum.rank, packing.unpack_terms(p)) for p in starred]
 
 
 def _interval_reports(
@@ -159,7 +148,7 @@ def _interval_reports(
     compared with the unshifted section entry as packed dicts; each side is
     moved to the frame e^(twist + rho) only when a report is read.
     """
-    _require_regular_dominant(g, lam)
+    check_regular_dominant(g.datum, lam)
     rho = g.datum.rho
     rows = g.bruhat_rows
     needed = 0
@@ -212,7 +201,7 @@ def sweep_verify_theorem(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
 
 def epsilon_char(g: WeylGroup, w: WeylElement, lam: Weight) -> CharElement:
     """Character of the boundary-restriction kernel on w, via the e^rho twist."""
-    _require_regular_dominant(g, lam)
+    check_regular_dominant(g.datum, lam)
     return top_cohomology_char(g, w, lam).star().shift(weight_neg(g.datum.rho))
 
 

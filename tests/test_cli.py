@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from demchar.charring import CHAR_ELEMENT_SCHEMA, CharElement
-from demchar.cli import build_parser, config_from_args, main
+from demchar.cli import build_parser, main
 from demchar.kernel import DECOMPOSITION_SCHEMA, kernel_basis_element
 
 import oracles
@@ -178,6 +178,23 @@ def assert_usage_error(r):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["info"],
+        ["demchar", "--mu", "1,1"],
+        ["verify-kernel", "--grid", "1"],
+        ["decompose"],
+    ],
+)
+def test_parallel_is_refused_outside_the_two_sweeps(args):
+    # only verify-theorem and verify-lemma31 distribute their weights over a pool
+    r = run_cli(*args, "--type", "A", "--rank", "2", "--parallel", stdin="")
+    assert_usage_error(r)
+    assert "--parallel" in r.stderr
+    assert r.stdout == ""
+
+
 def test_cache_dir_is_gone():
     r = run_cli("info", "--type", "A", "--rank", "2", "--cache-dir", "unused")
     assert_usage_error(r)
@@ -211,9 +228,8 @@ def test_argument_errors_are_one_line():
     assert_usage_error(run_cli("demchar", "--type", "A", "--rank", "2"))
 
 
-def test_run_config_round_trip():
-    parser = build_parser()
-    args = parser.parse_args(
+def test_parsed_namespace_round_trip():
+    args = build_parser().parse_args(
         [
             "verify-theorem",
             "--type",
@@ -229,14 +245,14 @@ def test_run_config_round_trip():
             "5000",
         ]
     )
-    cfg = config_from_args(args)
-    assert (cfg.command, cfg.family, cfg.rank, cfg.grid) == ("verify-theorem", "B", 3, 2)
-    assert (cfg.fmt, cfg.parallel, cfg.max_group_order) == ("json", True, 5000)
-    assert cfg.lam is None and cfg.mu is None
-    cfg2 = config_from_args(
-        build_parser().parse_args(["demchar", "--type", "A", "--rank", "2", "--mu", "1,2"])
-    )
-    assert cfg2.mu == (1, 2)
+    assert (args.command, args.family, args.rank, args.grid) == ("verify-theorem", "B", 3, 2)
+    assert (args.fmt, args.parallel, args.max_group_order) == ("json", True, 5000)
+    assert not hasattr(args, "weight")
+    args2 = build_parser().parse_args(["demchar", "--type", "A", "--rank", "2", "--mu", "1,2"])
+    assert (args2.element, args2.weight) == ("w0", (1, 2))
+    # the three character commands share the dests element and weight
+    args3 = build_parser().parse_args(["topchar", "--type", "A", "--rank", "2", "--w", "1", "--lambda", "3,4"])
+    assert (args3.element, args3.weight) == ("1", (3, 4))
 
 
 def test_max_group_order_flag():
@@ -248,10 +264,10 @@ def test_max_group_order_flag():
 def test_emit_sweep_reports_mismatch_with_exit_one(capsys):
     # a mathematical mismatch cannot be produced by the real identities, so
     # exercise the reporting path with a fabricated failing report
-    from demchar.cli import EXIT_MISMATCH, RunConfig, _emit_sweep
+    from demchar.cli import EXIT_MISMATCH, _emit_sweep
 
     g = oracles.group("A", 1)
-    cfg = RunConfig(command="verify-theorem", family="A", rank=1, fmt="plain")
+    args = build_parser().parse_args(["verify-theorem", "--type", "A", "--rank", "1"])
     failing = {
         "lambda": [1],
         "reports": [
@@ -266,7 +282,7 @@ def test_emit_sweep_reports_mismatch_with_exit_one(capsys):
             }
         ],
     }
-    code = _emit_sweep(cfg, g, [failing])
+    code = _emit_sweep(args, g, [failing])
     out = capsys.readouterr().out
     assert code == EXIT_MISMATCH
     assert "first counterexample:" in out

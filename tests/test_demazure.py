@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from demchar.charring import CharElement, extreme_weight, monomial, w_apply, zero
 from demchar.demazure import (
+    _image_table,
     all_demazure_images,
     demazure_char,
     demazure_step,
@@ -207,14 +208,17 @@ def test_all_demazure_images_match_wordwise_evaluation():
 def test_image_table_restricted_to_lower_intervals():
     g = oracles.group("B", 3)
     v = oracles.random_char(random.Random(47), 3)
-    full = all_demazure_images(g, v)
+    packing = packing_for(g.datum, v.terms)
+    terms = packing.pack_terms(v.terms)
+    full = _image_table(g, packing, terms, None)
+    assert [CharElement.adopt(3, packing.unpack_terms(p)) for p in full] == all_demazure_images(g, v)
     taus = [element_by_word(g, (1, 2)), element_by_word(g, (3, 2, 3))]
     within = {w.index: w for tau in taus for w in lower_interval(g, tau)}
-    images = all_demazure_images(g, v, within.values())
+    images = _image_table(g, packing, terms, within.values())
     for e in g.elements:
         assert images[e.index] == (full[e.index] if e.index in within else None)
     with pytest.raises(ValueError):
-        all_demazure_images(g, v, [g.identity_element, element_by_word(g, (1, 2))])
+        _image_table(g, packing, terms, [g.identity_element, element_by_word(g, (1, 2))])
 
 
 @pytest.mark.parametrize("weight", [(1,), (1, 1, 5)])

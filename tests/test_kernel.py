@@ -152,7 +152,8 @@ def test_decomposition_json_schema():
 
 @pytest.mark.parametrize("fn", [in_kernel, is_demazure_invariant, verify_characterization, decompose])
 def test_character_rank_must_match_rank(fn):
-    # _step_terms reads weights through zip, so an unchecked rank-3 character would be cut to rank 2
+    # the operators pack each weight (demazure.Packing), so an unchecked rank-3 character would be
+    # packed with three coordinates
     g = oracles.group("A", 2)
     for v in [CharElement(3, {(1, 0, 0): 1}), CharElement(1, {(1,): 1})]:
         with pytest.raises(ValueError, match="needs rank 2"):
