@@ -131,14 +131,6 @@ def _dump_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _print_char(v: CharElement, fmt: str) -> None:
-    if fmt == "json":
-        _dump_json(v.to_json_dict())
-    else:
-        print(v)
-        print(f"dimension: {v.dimension()}")
-
-
 def _lambda_grid(rank: int, bound: int) -> list[Weight]:
     if bound < 1:
         raise ValueError("grid bound must be at least 1")
@@ -208,7 +200,12 @@ def cmd_weyl(args: argparse.Namespace) -> int:
 def cmd_char(args: argparse.Namespace) -> int:
     g = load_group(args)
     char = {"demchar": demazure_char, "topchar": top_cohomology_char, "euler": euler_char}[args.command]
-    _print_char(char(g, _resolve_element(g, args.element), args.weight), args.fmt)
+    v = char(g, _resolve_element(g, args.element), args.weight)
+    if args.fmt == "json":
+        _dump_json(v.to_json_dict())
+    else:
+        print(v)
+        print(f"dimension: {v.dimension()}")
     return EXIT_OK
 
 
@@ -384,10 +381,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     except RecursionError:
         # a RecursionError is a RuntimeError, which would be reported as internal
         raise ValueError("JSON input is nested too deeply") from None
-    v = CharElement.from_json_dict(data)
-    if v.rank != g.datum.rank:
-        raise ValueError(f"element rank {v.rank} does not match --rank {g.datum.rank}")
-    coefficients = decompose(g, v)
+    coefficients = decompose(g, CharElement.from_json_dict(data))
     payload = decomposition_to_json(g, coefficients)
     if args.fmt == "json":
         _dump_json(payload)

@@ -68,15 +68,15 @@ def kernel_basis_element(g: WeylGroup, lam: Weight) -> CharElement:
 
 def verify_characterization(g: WeylGroup, v: CharElement) -> bool:
     """Check the biconditional: v is in N iff e^rho * v is Demazure-invariant."""
-    check_char_rank(g.datum, v)
-    twisted = v.shift(g.datum.rho)
-    return in_kernel(g, v) == is_demazure_invariant(g, twisted)
+    return in_kernel(g, v) == is_demazure_invariant(g, v.shift(g.datum.rho))
 
 
 def decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
     """Write e^rho * v as an integer combination of full-group section characters.
 
-    Requires v in N, so that u = e^rho * v is W-invariant.  By Weyl's
+    Requires v in N, that is u = e^rho * v W-invariant.  That is checked
+    first by looking up u[s_i(nu)] for every simple reflection s_i, which
+    costs no weight string, and then by ``in_kernel`` as a guard.  By Weyl's
     character formula A_rho * chi(mu) = A_{mu+rho} (Humphreys, GTM 9, section
     24), the coefficient of chi(mu) is sum_w sign(w) u[w(mu+rho) - rho].  So
     each x = nu + rho, nu in the support of u, is reflected in simple roots on
@@ -87,17 +87,17 @@ def decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
     N recovered at mu is the one attached to the weight mu + rho.
     """
     check_char_rank(g.datum, v)
-    if not in_kernel(g, v):
-        raise ValueError("element is not in the joint Demazure kernel")
     d = g.datum
     u = v.shift(d.rho)
     # s_i permutes the weights, so u[s_i(nu)] == u[nu] for all nu is w_apply(s_i, u) == u
     for i in range(1, d.rank + 1):
         if any(u.terms.get(simple_reflection(d, i, nu)) != c for nu, c in u.terms.items()):
-            raise RuntimeError(
-                f"e^rho * v is not invariant under simple reflection {i}; "
-                "kernel membership and invariance disagree"
-            )
+            raise ValueError(f"element is not in the joint Demazure kernel: simple reflection {i} moves e^rho * v")
+    if not in_kernel(g, v):
+        raise RuntimeError(
+            "e^rho * v is W-invariant but v is not in the joint Demazure kernel; "
+            "kernel membership and invariance disagree"
+        )
     # each reflection turns exactly one positive coroot from negative to positive on x
     bound = len(d.positive_roots)
     totals: dict[Weight, int] = {}

@@ -5,8 +5,10 @@ the dimension formula works from the positive coroots alone, the
 Bruhat oracle enumerates subwords of a single fixed reduced word, the
 reference generator multiplies integer matrices, the theorem references
 evaluate one operator string per interval element, the decomposition
-reference subtracts one full section character per peeled weight, and the
-operator reference steps weights as tuples instead of packed ints.
+reference subtracts one full section character per peeled weight, the
+operator reference steps weights as tuples instead of packed ints, and the
+full section character is rebuilt by Freudenthal's multiplicity formula with
+no Demazure operator at all.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from demchar import build_datum, generate
 from demchar.charring import CharElement, w_apply
 from demchar.demazure import check_char_rank, demazure_char, top_cohomology_char
 from demchar.kernel import in_kernel
-from demchar.rootsys import RootDatum, Weight, height, weight_sub
+from demchar.rootsys import RootDatum, Weight, height, weight_add, weight_sub
 from demchar.weyl import WeylGroup, lower_interval
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
@@ -156,6 +158,89 @@ def weyl_dimension(d: RootDatum, lam: Weight) -> int:
         result *= Fraction(num, den)
     assert result.denominator == 1
     return result.numerator
+
+
+def _symmetrizer(d: RootDatum) -> list[int]:
+    """Positive integers s_i, proportional to (alpha_i, alpha_i), with s_i * a_ij == s_j * a_ji."""
+    ratio = [Fraction(0)] * d.rank
+    ratio[0] = Fraction(1)
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(d.rank):
+            if d.cartan[i][j] and not ratio[j]:
+                ratio[j] = ratio[i] * d.cartan[i][j] / d.cartan[j][i]
+                todo.append(j)
+    scale = math.lcm(*(r.denominator for r in ratio))
+    return [int(r * scale) for r in ratio]
+
+
+def freudenthal_char(g: WeylGroup, mu: Weight) -> CharElement:
+    """The character of V(mu), mu dominant, by Freudenthal's formula (Humphreys, GTM 9, 22.3).
+
+    (|mu+rho|^2 - |nu+rho|^2) m(nu) = 2 sum_{beta > 0} sum_{k >= 1} m(nu + k beta) (nu + k beta, beta)
+    over the dominant weights nu <= mu, highest first; m of any other weight
+    is m of its dominant conjugate.  The form (x, y) = sum_j c_j s_j y_j,
+    with c = C^-1 x the simple-root coordinates of x, is scaled by det(C)
+    and the symmetrizer s, so every term is an integer and the division is
+    checked exact.  Each dominant weight is then spread over its W-orbit by
+    simple reflections.  No Demazure operator is used.
+    """
+    d = g.datum
+    adj, det = integer_adjugate(d)
+    sym = _symmetrizer(d)
+
+    def form(x: Weight, y: Weight) -> int:
+        return sum(sum(a * v for a, v in zip(row, x)) * s * w for row, s, w in zip(adj, sym, y))
+
+    def reflect(x: Weight, i: int) -> Weight:
+        return tuple(a - x[i] * b for a, b in zip(x, d.simple_roots[i]))
+
+    def dominant(x: Weight) -> Weight:
+        while min(x) < 0:
+            x = reflect(x, next(i for i, a in enumerate(x) if a < 0))
+        return x
+
+    # every dominant weight below mu is reached from mu through dominant weights, one positive root
+    # at a time (Stembridge, "The partial order of dominant weights", Adv. Math. 136, 1998)
+    below, todo = {mu}, [mu]
+    while todo:
+        nu = todo.pop()
+        for beta in d.positive_roots:
+            x = weight_sub(nu, beta)
+            if min(x) >= 0 and x not in below:
+                below.add(x)
+                todo.append(x)
+    top = tuple(c + 1 for c in mu)
+    mult: dict[Weight, int] = {}
+    for nu in sorted(below, key=lambda x: -height(d, x)):
+        if nu == mu:
+            mult[nu] = 1
+            continue
+        total = 0
+        for beta in d.positive_roots:
+            x = weight_add(nu, beta)
+            # the beta-string through nu is unbroken, so it ends at the first non-weight
+            while (y := dominant(x)) in below:
+                total += mult[y] * form(x, beta)
+                x = weight_add(x, beta)
+        shifted = tuple(c + 1 for c in nu)
+        num, den = 2 * total, form(top, top) - form(shifted, shifted)
+        assert den > 0 and num % den == 0, (mu, nu, num, den)
+        mult[nu] = num // den
+    terms: dict[Weight, int] = {}
+    for nu, m in mult.items():
+        orbit, todo = {nu}, [nu]
+        while todo:
+            x = todo.pop()
+            for i in range(d.rank):
+                y = reflect(x, i)
+                if y not in orbit:
+                    orbit.add(y)
+                    todo.append(y)
+        for x in orbit:
+            terms[x] = m
+    return CharElement(d.rank, terms)
 
 
 def subword_lower_set(g: WeylGroup, tau) -> set[int]:

@@ -23,8 +23,8 @@ from demchar.rootsys import simple_reflection, weight_neg, weight_sub
 from demchar.theorem import (
     chi_prime_identity,
     chi_prime_longest,
+    epsilon_char,
     psi_character,
-    starred_top_characters,
     sweep_verify_lemma31,
     sweep_verify_theorem,
 )
@@ -68,14 +68,13 @@ def test_criterion_2_kernel_character_sums(announce):
     for family, rank in SWEEP_TYPES:
         g = oracles.group(family, rank)
         d = g.datum
-        minus_rho = monomial(weight_neg(d.rho))
         for lam in sweep_lambdas(rank, family):
             reports = sweep_verify_lemma31(g, lam)
             assert all(r.passed for r in reports), (family, rank, lam)
             checks += len(reports)
             shifted = weight_sub(lam, d.rho)
-            for w, starred in zip(g.elements, starred_top_characters(g, lam)):
-                eps = minus_rho * starred
+            for w in g.elements:
+                eps = epsilon_char(g, w, lam)
                 assert all(c > 0 for c in eps.terms.values()), (family, rank, lam, w.word)
                 if eps.is_zero():
                     continue

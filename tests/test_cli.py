@@ -525,6 +525,31 @@ def test_decompose_fold_past_its_bound_exits_three(monkeypatch):
     assert err.startswith("internal error:") and "reflections" in err
 
 
+def test_decompose_invariant_element_outside_the_kernel_exits_three(monkeypatch):
+    from demchar import kernel
+
+    v = kernel_basis_element(oracles.group("A", 2), (2, 1))
+    monkeypatch.setattr(kernel, "in_kernel", lambda g, v: False)
+    code, err = run_in_process(["decompose", "--type", "A", "--rank", "2"], json.dumps(v.to_json_dict()))
+    assert code == 3
+    assert err.startswith("internal error:") and "disagree" in err
+
+
+def test_decompose_refuses_a_twelve_digit_non_member_at_once():
+    # the W-invariance lookup refuses it before any weight string of about 10^12 terms is expanded
+    bad = {"rank": 2, "terms": [{"weight": [10**12, 0], "coeff": "1"}]}
+    r = run_cli("decompose", "--type", "A", "--rank", "2", stdin=json.dumps(bad), timeout=10)
+    assert_usage_error(r)
+    assert "not in the joint Demazure kernel: simple reflection 1 moves" in r.stderr
+
+
+def test_decompose_rank_mismatch_reads_the_library_message():
+    bad = {"rank": 3, "terms": [{"weight": [1, 0, 0], "coeff": "1"}]}
+    r = run_cli("decompose", "--type", "A", "--rank", "2", stdin=json.dumps(bad))
+    assert_usage_error(r)
+    assert r.stderr == "error: character of rank 3 given; A2 needs rank 2\n"
+
+
 @pytest.mark.parametrize("mu", [(3, -(10**12)), (-3, 10**12)])
 def test_euler_with_twelve_digit_coordinates_prints_the_reference(mu):
     # s_1 strings stay short (t = 3 and t = -3), so only the radix is large

@@ -150,6 +150,21 @@ def test_full_demazure_char_matches_weyl_dimension(family, rank):
         )
 
 
+@pytest.mark.parametrize(
+    "family,rank,mu",
+    [
+        (family, rank, mu)
+        for family, rank in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
+        for mu in [(1,) * rank, (2,) + (0,) * (rank - 1), (0,) * (rank - 1) + (3,)]
+    ]
+    + [("D", 4, (1, 1, 1, 1)), ("F", 4, (1, 0, 0, 1))],
+)
+def test_full_demazure_char_matches_freudenthal(family, rank, mu):
+    # the w0 row against multiplicities that no Demazure step computes
+    g = oracles.group(family, rank)
+    assert demazure_char(g, g.longest_element, mu) == oracles.freudenthal_char(g, mu)
+
+
 def test_fundamental_dimensions_pin_cartan_convention():
     gb = oracles.group("B", 2)
     dims_b = {demazure_char(gb, gb.longest_element, lam).dimension() for lam in [(1, 0), (0, 1)]}

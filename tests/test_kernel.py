@@ -270,15 +270,23 @@ def test_fold_past_its_bound_is_an_internal_error(monkeypatch):
         decompose(g, v)
 
 
-def test_invariance_check_names_the_first_reflection_that_moves_u(monkeypatch):
-    from demchar import kernel
-
+def test_invariance_check_names_the_first_reflection_that_moves_u():
     g = oracles.group("B", 2)
     # u = e^rho * v = e^(0,1) + e^(0,-1) is fixed by s_1 but not by s_2
     v = CharElement(2, {(-1, 0): 1, (-1, -2): 1})
     u = v.shift(g.datum.rho)
     s1, s2 = (g.elements[g.left_mult[g.identity][i]] for i in (0, 1))
     assert w_apply(s1, u) == u and w_apply(s2, u) != u
-    monkeypatch.setattr(kernel, "in_kernel", lambda g, v: True)
-    with pytest.raises(RuntimeError, match="simple reflection 2"):
+    with pytest.raises(ValueError, match="not in the joint Demazure kernel: simple reflection 2 moves"):
+        decompose(g, v)
+
+
+def test_invariant_element_outside_the_kernel_is_an_internal_error(monkeypatch):
+    # in_kernel runs after the invariance lookup, as a guard that the two agree
+    from demchar import kernel
+
+    g = oracles.group("A", 2)
+    v = kernel_basis_element(g, (2, 1))
+    monkeypatch.setattr(kernel, "in_kernel", lambda g, v: False)
+    with pytest.raises(RuntimeError, match="kernel membership and invariance disagree"):
         decompose(g, v)
