@@ -1,8 +1,7 @@
 """Exact Demazure-operator computations on weight-lattice character rings."""
 
-from .charring import CharElement, extreme_weight, monomial, star, w_apply, zero
+from .charring import CharElement
 from .demazure import (
-    all_demazure_images,
     demazure_char,
     demazure_step,
     demazure_word,
@@ -17,33 +16,23 @@ from .kernel import (
     verify_characterization,
 )
 from .rootsys import (
-    Dominance,
     RootDatum,
     Weight,
     build_datum,
-    dominance_compare,
-    dominance_leq,
     is_dominant,
-    is_regular_dominant,
     pairing,
     simple_reflection,
 )
 from .theorem import (
     VerificationReport,
-    chi_prime_identity,
-    chi_prime_longest,
     epsilon_char,
-    psi_character,
     verify_lemma31,
     verify_theorem,
 )
 from .weyl import (
     WeylElement,
     WeylGroup,
-    alternative_reduced_words,
-    apply,
     bruhat_leq,
-    dot_apply,
     element_by_word,
     generate,
     lower_interval,

@@ -8,10 +8,11 @@ parallel additive reductions are safe.
 
 from __future__ import annotations
 
+import re
 from operator import add
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Mapping
 
-from .rootsys import RootDatum, Weight, dominance_leq, height, weight_add, weight_neg
+from .rootsys import Weight, weight_add, weight_neg
 
 CHAR_ELEMENT_SCHEMA = {
     "type": "object",
@@ -35,11 +36,17 @@ CHAR_ELEMENT_SCHEMA = {
 }
 
 
+# the coeff pattern of the schema; int() alone also reads "1_000", " 5", "+5" and non-ASCII digits
+_DECIMAL = re.compile("-?[0-9]+")
+
+
 def _json_int(x, what: str) -> int:
-    if not isinstance(x, bool) and isinstance(x, (int, str)):
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and _DECIMAL.fullmatch(x):
         try:
             return int(x)
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             pass
     raise ValueError(f"{what} must be an integer or a decimal string, got {x!r}")
 
@@ -177,46 +184,3 @@ class CharElement:
 
     def __repr__(self) -> str:
         return f"CharElement(rank={self.rank}, terms={dict(sorted(self.terms.items()))})"
-
-
-def zero(rank: int) -> CharElement:
-    return CharElement.zero(rank)
-
-
-def monomial(lam: Weight) -> CharElement:
-    return CharElement.monomial(lam)
-
-
-def star(v: CharElement) -> CharElement:
-    return v.star()
-
-
-def w_apply(w, v: CharElement) -> CharElement:
-    """Push a character through a Weyl-group element: e^mu -> e^{w(mu)}."""
-    out: dict[Weight, int] = {}
-    for mu, c in v.terms.items():
-        key = w.apply(mu)
-        out[key] = out.get(key, 0) + c
-    return CharElement(v.rank, out)
-
-
-def extreme_weight(
-    d: RootDatum, v: CharElement, direction: Literal["lowest", "highest"]
-) -> Weight | None:
-    """The dominance-least (or -greatest) weight of the support, if one exists.
-
-    Returns None when the support has no such element (incomparable support);
-    raises ValueError on the zero element.
-    """
-    if v.is_zero():
-        raise ValueError("the zero element has no extreme weight")
-    if direction not in ("lowest", "highest"):
-        raise ValueError(f"direction must be 'lowest' or 'highest', got {direction!r}")
-    sign = 1 if direction == "lowest" else -1
-    heights = {mu: sign * height(d, mu) for mu in v.terms}
-    best = min(heights, key=heights.get)
-    # the extreme weight, if any, is the only one of least signed height
-    if sum(1 for h in heights.values() if h == heights[best]) > 1:
-        return None
-    pairs = ((best, mu) if sign > 0 else (mu, best) for mu in v.terms)
-    return best if all(dominance_leq(d, lo, hi) for lo, hi in pairs) else None

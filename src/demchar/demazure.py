@@ -18,7 +18,7 @@ is ((k >> b*pos) & (2^b - 1)) - B, and a weight string is an integer range
 whose step is the offset a of alpha: range(k, k - (t+1)*a, -a) for t >= 0
 and range(k + a, k - t*a, a) for t <= -2.  Negating a weight and adding
 delta is one subtraction, (2*pack(0) + offset(delta)) - k.  Tuples stay at
-every public boundary: CharElement, JSON and dominance.
+every public boundary: CharElement and JSON.
 
 The radix is widened, never wrapped.  One step keeps D_i(e^nu) on the
 segment from nu to s_i(nu), so every weight of D_w(e^nu) lies in the convex
@@ -179,11 +179,3 @@ def _image_table(
             raise ValueError(f"element {list(e.word)} is in the set but not its left-descent parent")
         images[e.index] = step(i - 1, base)
     return images
-
-
-def all_demazure_images(g: WeylGroup, v: CharElement) -> list[CharElement]:
-    """D_w(v) for every group element at once, indexed like ``g.elements``."""
-    check_char_rank(g.datum, v)
-    packing = packing_for(g.datum, v.terms)
-    images = _image_table(g, packing, packing.pack_terms(v.terms), None)
-    return [CharElement.adopt(v.rank, packing.unpack_terms(p)) for p in images]

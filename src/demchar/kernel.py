@@ -7,8 +7,8 @@ folding each weight into the dominant chamber (Weyl's character formula).
 from __future__ import annotations
 
 from .charring import CharElement
-from .demazure import all_demazure_images, check_char_rank, packing_for
-from .rootsys import Weight, check_regular_dominant, simple_reflection, weight_add, weight_sub
+from .demazure import _image_table, check_char_rank, packing_for
+from .rootsys import Weight, check_regular_dominant, simple_reflection, weight_add, weight_neg, weight_sub
 from .weyl import WeylGroup
 
 DECOMPOSITION_SCHEMA = {
@@ -54,16 +54,21 @@ def is_demazure_invariant(g: WeylGroup, v: CharElement) -> bool:
 
 
 def kernel_basis_element(g: WeylGroup, lam: Weight) -> CharElement:
-    """Sum over the whole group of the top-cohomology characters of -lam."""
+    """Sum over the whole group of the top-cohomology characters of -lam.
+
+    The character on w is (-1)^l(w) * D_w(e^-lam), so the packed image table
+    of e^-lam is summed with those signs and unpacked once.
+    """
     check_regular_dominant(g.datum, lam)
-    images = all_demazure_images(g, CharElement.monomial(tuple(-c for c in lam)))
-    total: dict[Weight, int] = {}
+    packing = packing_for(g.datum, [lam])
+    images = _image_table(g, packing, {packing.pack(weight_neg(lam)): 1}, None)
+    total: dict[int, int] = {}
     get = total.get
-    for e, v in zip(g.elements, images):
+    for e, p in zip(g.elements, images):
         sign = -1 if e.length % 2 else 1
-        for mu, c in v.terms.items():
-            total[mu] = get(mu, 0) + sign * c
-    return CharElement.adopt(g.datum.rank, total)
+        for k, c in p.items():
+            total[k] = get(k, 0) + sign * c
+    return CharElement.adopt(g.datum.rank, packing.unpack_terms(total))
 
 
 def verify_characterization(g: WeylGroup, v: CharElement) -> bool:
@@ -89,7 +94,7 @@ def decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
     check_char_rank(g.datum, v)
     d = g.datum
     u = v.shift(d.rho)
-    # s_i permutes the weights, so u[s_i(nu)] == u[nu] for all nu is w_apply(s_i, u) == u
+    # s_i permutes the weights, so u[s_i(nu)] == u[nu] for all nu is s_i(u) == u
     for i in range(1, d.rank + 1):
         if any(u.terms.get(simple_reflection(d, i, nu)) != c for nu, c in u.terms.items()):
             raise ValueError(f"element is not in the joint Demazure kernel: simple reflection {i} moves e^rho * v")

@@ -4,13 +4,12 @@ Weights are integer coordinate vectors in the fundamental-weight basis, so
 pairing a weight with the i-th simple coroot is a coordinate lookup.  The
 simple roots are the columns of the Cartan matrix under the convention
 ``cartan[i][j] = <alpha_j, alpha_i^vee>``.  Everything is exact and
-integral: the one linear solve, for simple-root coordinates, is scaled by
-det(C) so that it never leaves the integers.
+integral: the positive roots come from closing the simple roots under
+simple reflections, so no linear system is solved.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 Weight = tuple[int, ...]
@@ -22,30 +21,13 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 MAX_RANK = 8
 
 
-class Dominance(enum.Enum):
-    """Classification of the second weight of a comparison against the first.
-
-    ``dominance_compare(d, lam, mu) == Dominance.LESS_OR_EQUAL`` means
-    mu <= lam, i.e. lam - mu is a nonnegative integer combination of simple
-    roots.
-    """
-
-    LESS_OR_EQUAL = "less-or-equal"
-    GREATER_OR_EQUAL = "greater-or-equal"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-    NON_INTEGRAL = "non-integral"
-
-
 @dataclass(frozen=True)
 class RootDatum:
     """Immutable root-system data for one finite family and rank.
 
     ``positive_coroots[k]`` holds the coroot of ``positive_roots[k]`` in the
     simple-coroot basis, so ``<lam, beta^vee>`` is an integer dot product.
-    ``cartan_adjugate`` is det(C) * C^-1, an integer matrix, and
-    ``cartan_det`` is det(C) > 0.  Instances are safe for unrestricted
-    concurrent reads.
+    Instances are safe for unrestricted concurrent reads.
     """
 
     family: str
@@ -55,8 +37,6 @@ class RootDatum:
     positive_roots: tuple[Weight, ...]
     positive_coroots: tuple[tuple[int, ...], ...]
     rho: Weight
-    cartan_det: int
-    cartan_adjugate: tuple[tuple[int, ...], ...]
 
 
 def weight_add(a: Weight, b: Weight) -> Weight:
@@ -129,25 +109,6 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _bareiss_adjugate(matrix: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """det and adjugate of an integer matrix by fraction-free Gauss-Jordan (Bareiss).
-
-    Reduces [matrix | I] to [det * I | adj]; every division is exact.  No
-    pivoting: the leading principal minors of a Cartan matrix are positive.
-    """
-    n = len(matrix)
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    prev = 1
-    for k in range(n):
-        pivot = work[k][k]
-        for r in range(n):
-            if r != k:
-                f = work[r][k]
-                work[r] = [(pivot * x - f * y) // prev for x, y in zip(work[r], work[k])]
-        prev = pivot
-    return prev, tuple(tuple(row[n:]) for row in work)
-
-
 def _positive_root_closure(cartan: list[list[int]]) -> tuple[list[Weight], list[tuple[int, ...]]]:
     """Close the simple roots under simple reflections, keeping positives.
 
@@ -192,7 +153,6 @@ def build_datum(family: str, rank: int) -> RootDatum:
     family = _validate_family_rank(family, rank)
     cartan = _cartan_matrix(family, rank)
     roots, coroots = _positive_root_closure(cartan)
-    det, adjugate = _bareiss_adjugate(cartan)
     return RootDatum(
         family=family,
         rank=rank,
@@ -201,8 +161,6 @@ def build_datum(family: str, rank: int) -> RootDatum:
         positive_roots=tuple(roots),
         positive_coroots=tuple(coroots),
         rho=(1,) * rank,
-        cartan_det=det,
-        cartan_adjugate=adjugate,
     )
 
 
@@ -229,54 +187,9 @@ def check_weight_rank(d: RootDatum, lam: Weight) -> None:
 def check_regular_dominant(d: RootDatum, lam: Weight) -> None:
     """Raise ValueError unless lam has d's rank and is regular dominant."""
     check_weight_rank(d, lam)
-    if not is_regular_dominant(d, lam):
+    if not all(c >= 1 for c in lam):
         raise ValueError(f"weight {list(lam)} is not regular dominant")
 
 
 def is_dominant(d: RootDatum, lam: Weight) -> bool:
     return all(c >= 0 for c in lam)
-
-
-def is_regular_dominant(d: RootDatum, lam: Weight) -> bool:
-    return all(c >= 1 for c in lam)
-
-
-def root_coordinates(d: RootDatum, lam: Weight) -> tuple[int, ...]:
-    """det(C) times the coordinates of lam in the simple-root basis.
-
-    The scaled coordinates are integers; lam is in the root lattice exactly
-    when each is divisible by ``d.cartan_det``.
-    """
-    return tuple(sum(a * x for a, x in zip(row, lam)) for row in d.cartan_adjugate)
-
-
-def height(d: RootDatum, mu: Weight) -> int:
-    """det(C) times the sum of mu's simple-root coordinates.
-
-    Strictly larger on mu than on any weight strictly below mu in dominance,
-    since their difference is a nonzero sum of simple roots.
-    """
-    return sum(root_coordinates(d, mu))
-
-
-def dominance_compare(d: RootDatum, lam: Weight, mu: Weight) -> Dominance:
-    """Classify mu against lam in the dominance order on the weight lattice.
-
-    Solves lam - mu = sum_i c_i alpha_i in integers scaled by det(C) and
-    reads off the signs and integrality of the c_i.
-    """
-    coeffs = root_coordinates(d, weight_sub(lam, mu))
-    if not any(coeffs):
-        return Dominance.EQUAL
-    if any(c % d.cartan_det for c in coeffs):
-        return Dominance.NON_INTEGRAL
-    if all(c >= 0 for c in coeffs):
-        return Dominance.LESS_OR_EQUAL
-    if all(c <= 0 for c in coeffs):
-        return Dominance.GREATER_OR_EQUAL
-    return Dominance.INCOMPARABLE
-
-
-def dominance_leq(d: RootDatum, mu: Weight, lam: Weight) -> bool:
-    """True iff mu <= lam in dominance order."""
-    return dominance_compare(d, lam, mu) in (Dominance.LESS_OR_EQUAL, Dominance.EQUAL)

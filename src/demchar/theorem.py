@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .charring import CharElement
 from .demazure import Packing, _image_table, packing_for, top_cohomology_char
-from .rootsys import Weight, check_regular_dominant, weight_add, weight_neg, weight_sub
+from .rootsys import Weight, check_regular_dominant, weight_neg, weight_sub
 from .weyl import WeylElement, WeylGroup, bit_indices
 
 VERIFICATION_REPORT_SCHEMA = {
@@ -202,19 +202,3 @@ def verify_lemma31(g: WeylGroup, tau: WeylElement, lam: Weight) -> VerificationR
 def sweep_verify_lemma31(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
     """Reports of ``verify_lemma31`` for every tau at one lam, indexed like g.elements."""
     return _interval_reports(g, lam, g.elements, (0,) * g.datum.rank)
-
-
-def psi_character(w: WeylElement, chi_prime: Weight) -> Weight:
-    """Serre-duality twist weight: rho + w(rho) - w(chi')."""
-    rho = (1,) * len(chi_prime)
-    return weight_sub(weight_add(rho, w.apply(rho)), w.apply(chi_prime))
-
-
-def chi_prime_identity(rank: int) -> Weight:
-    """Canonical-twist weight forced for the identity element: 2*rho."""
-    return (2,) * rank
-
-
-def chi_prime_longest(rank: int) -> Weight:
-    """Canonical-twist weight forced for the longest element: 0."""
-    return (0,) * rank

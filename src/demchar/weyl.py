@@ -1,4 +1,4 @@
-"""Weyl-group generation, reduced words, the Bruhat order, and the dot action.
+"""Weyl-group generation, canonical reduced words and the Bruhat order.
 
 The group is enumerated as the orbit of the regular weight rho: element w is
 keyed by w^-1(rho), so w*s_i has the key s_i(w^-1(rho)), and each step of
@@ -168,17 +168,6 @@ def _bruhat_table(elements: tuple[WeylElement, ...], left_mult) -> tuple[int, ..
     return tuple(rows)
 
 
-def apply(w: WeylElement, lam: Weight) -> Weight:
-    """Linear action of w on a weight in omega-coordinates."""
-    return w.apply(lam)
-
-
-def dot_apply(w: WeylElement, lam: Weight) -> Weight:
-    """Affine dot action w(lam + rho) - rho (rho is all-ones)."""
-    shifted = tuple(c + 1 for c in lam)
-    return tuple(c - 1 for c in w.apply(shifted))
-
-
 def bruhat_leq(g: WeylGroup, w: WeylElement, tau: WeylElement) -> bool:
     """True iff w <= tau in the Bruhat order, without the Bruhat table.
 
@@ -215,28 +204,6 @@ def lower_interval(g: WeylGroup, tau: WeylElement) -> list[WeylElement]:
     return [g.elements[k] for k in range(g.order) if (row >> k) & 1]
 
 
-def alternative_reduced_words(g: WeylGroup, w: WeylElement, limit: int | None = None) -> list[tuple[int, ...]]:
-    """Distinct reduced words for w (up to ``limit``), by DFS over descents."""
-    rank = g.datum.rank
-    out: list[tuple[int, ...]] = []
-
-    def rec(idx: int, tail: list[int]) -> None:
-        if limit is not None and len(out) >= limit:
-            return
-        if g.elements[idx].length == 0:
-            out.append(tuple(reversed(tail)))
-            return
-        for i in range(1, rank + 1):
-            j = g.right_mult[idx][i - 1]
-            if g.elements[j].length < g.elements[idx].length:
-                tail.append(i)
-                rec(j, tail)
-                tail.pop()
-
-    rec(w.index, [])
-    return out
-
-
 def element_by_word(g: WeylGroup, letters) -> WeylElement:
     """Product of simple reflections for a (not necessarily reduced) word."""
     idx = g.identity
@@ -245,14 +212,3 @@ def element_by_word(g: WeylGroup, letters) -> WeylElement:
             raise ValueError(f"word letter {i} out of range 1..{g.datum.rank}")
         idx = g.right_mult[idx][i - 1]
     return g.elements[idx]
-
-
-def inversions(g: WeylGroup, w: WeylElement) -> int:
-    """Number of positive roots sent to negative roots by w."""
-    positives = set(g.datum.positive_roots)
-    count = 0
-    for beta in g.datum.positive_roots:
-        image = w.apply(beta)
-        if tuple(-c for c in image) in positives:
-            count += 1
-    return count

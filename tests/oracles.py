@@ -9,21 +9,28 @@ reference subtracts one full section character per peeled weight, the
 operator reference steps weights as tuples instead of packed ints, and the
 full section character is rebuilt by Freudenthal's multiplicity formula with
 no Demazure operator at all.
+
+The helpers that the library does not need live here too: the dominance
+order and height on the integer adjugate det(C) * C^-1, extreme weights in
+that order, a Weyl-group element acting on a character, inversion counts,
+every reduced word of an element by descent search, and the Serre-twist
+weight rho + w(rho) - w(chi').
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
 from typing import NamedTuple
 
 from demchar import build_datum, generate
-from demchar.charring import CharElement, w_apply
+from demchar.charring import CharElement
 from demchar.demazure import check_char_rank, demazure_char, top_cohomology_char
 from demchar.kernel import in_kernel
-from demchar.rootsys import RootDatum, Weight, height, weight_add, weight_sub
-from demchar.weyl import WeylGroup, lower_interval
+from demchar.rootsys import RootDatum, Weight, weight_add, weight_sub
+from demchar.weyl import WeylElement, WeylGroup, lower_interval
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
@@ -256,6 +263,48 @@ def subword_lower_set(g: WeylGroup, tau) -> set[int]:
     return reachable
 
 
+def w_apply(w: WeylElement, v: CharElement) -> CharElement:
+    """Push a character through a Weyl-group element: e^mu -> e^{w(mu)}."""
+    out: dict[Weight, int] = {}
+    for mu, c in v.terms.items():
+        key = w.apply(mu)
+        out[key] = out.get(key, 0) + c
+    return CharElement(v.rank, out)
+
+
+def inversions(g: WeylGroup, w: WeylElement) -> int:
+    """Number of positive roots sent to negative roots by w."""
+    positives = set(g.datum.positive_roots)
+    return sum(1 for beta in positives if tuple(-c for c in w.apply(beta)) in positives)
+
+
+def alternative_reduced_words(g: WeylGroup, w: WeylElement, limit: int | None = None) -> list[tuple[int, ...]]:
+    """Distinct reduced words for w (up to ``limit``), by DFS over right descents."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(idx: int, tail: list[int]) -> None:
+        if limit is not None and len(out) >= limit:
+            return
+        if g.elements[idx].length == 0:
+            out.append(tuple(reversed(tail)))
+            return
+        for i in range(1, g.datum.rank + 1):
+            j = g.right_mult[idx][i - 1]
+            if g.elements[j].length < g.elements[idx].length:
+                tail.append(i)
+                rec(j, tail)
+                tail.pop()
+
+    rec(w.index, [])
+    return out
+
+
+def psi_character(w: WeylElement, chi_prime: Weight) -> Weight:
+    """Serre-duality twist weight: rho + w(rho) - w(chi'), with rho all ones."""
+    rho = (1,) * len(chi_prime)
+    return weight_sub(weight_add(rho, w.apply(rho)), w.apply(chi_prime))
+
+
 def theorem_sides(g: WeylGroup, tau, lam: Weight) -> tuple[CharElement, CharElement]:
     """Both sides of the main identity, evaluated term by term.
 
@@ -307,25 +356,55 @@ def simple_root_solve(d: RootDatum, lam: Weight) -> list[Fraction]:
     return [sum(a * x for a, x in zip(row, lam)) for row in inv]
 
 
-def integer_adjugate(d: RootDatum) -> tuple[list[list[int]], int]:
+@functools.cache
+def integer_adjugate(d: RootDatum) -> tuple[tuple[tuple[int, ...], ...], int]:
     """det(C) * C^-1 as an integer matrix, plus det(C) (> 0 for Cartan matrices)."""
     inv, det = rational_inverse(d)
     scaled = [[x * det for x in row] for row in inv]
     assert det.denominator == 1 and all(x.denominator == 1 for row in scaled for x in row)
-    return [[int(x) for x in row] for row in scaled], int(det)
+    return tuple(tuple(int(x) for x in row) for row in scaled), int(det)
+
+
+def height(d: RootDatum, mu: Weight) -> int:
+    """det(C) times the sum of mu's simple-root coordinates.
+
+    Strictly larger on mu than on any weight strictly below mu in dominance,
+    since their difference is a nonzero sum of simple roots.
+    """
+    adj, _ = integer_adjugate(d)
+    return sum(a * x for row in adj for a, x in zip(row, mu))
+
+
+def dominance_leq(d: RootDatum, mu: Weight, lam: Weight) -> bool:
+    """True iff mu <= lam, that is lam - mu is a sum of simple roots with nonnegative integer coefficients."""
+    adj, det = integer_adjugate(d)
+    delta = weight_sub(lam, mu)
+    return all((c := sum(a * x for a, x in zip(row, delta))) >= 0 and c % det == 0 for row in adj)
 
 
 def is_dominance_minimum(d: RootDatum, v: CharElement, nu: Weight) -> bool:
-    """Fast integer check that nu is <= every support weight of v."""
-    adj, det = integer_adjugate(d)
-    n = d.rank
-    for mu in v.terms:
-        delta = [mu[j] - nu[j] for j in range(n)]
-        for row in adj:
-            s = sum(a * x for a, x in zip(row, delta))
-            if s < 0 or s % det:
-                return False
-    return True
+    """True iff nu is <= every support weight of v, checked pair by pair."""
+    return all(dominance_leq(d, nu, mu) for mu in v.terms)
+
+
+def extreme_weight(d: RootDatum, v: CharElement, direction: str) -> Weight | None:
+    """The dominance-least (or -greatest) weight of the support, if one exists.
+
+    Only the weight of least signed height can be extreme, so it alone is
+    compared with the rest of the support.  Returns None when the support has
+    no such element; raises ValueError on the zero element.
+    """
+    if v.is_zero():
+        raise ValueError("the zero element has no extreme weight")
+    if direction not in ("lowest", "highest"):
+        raise ValueError(f"direction must be 'lowest' or 'highest', got {direction!r}")
+    sign = 1 if direction == "lowest" else -1
+    heights = {mu: sign * height(d, mu) for mu in v.terms}
+    best = min(heights, key=heights.get)
+    if sum(1 for h in heights.values() if h == heights[best]) > 1:
+        return None
+    pairs = ((best, mu) if sign > 0 else (mu, best) for mu in v.terms)
+    return best if all(dominance_leq(d, lo, hi) for lo, hi in pairs) else None
 
 
 def random_weight(rng: random.Random, rank: int, lo: int = -4, hi: int = 4) -> Weight:

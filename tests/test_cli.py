@@ -217,7 +217,12 @@ def test_weight_length_must_match_rank(args):
     assert r.stdout == ""
 
 
-@pytest.mark.parametrize("body", ["{}", "[]", '{"rank": 2}', "not json", '{"rank": 2, "terms": [7]}'])
+@pytest.mark.parametrize(
+    "body",
+    ["{}", "[]", '{"rank": 2}', "not json", '{"rank": 2, "terms": [7]}']
+    # int() reads these coefficients and CHAR_ELEMENT_SCHEMA rejects them; e^-rho is in N
+    + [json.dumps({"rank": 2, "terms": [{"weight": [-1, -1], "coeff": c}]}) for c in ["1_000", "\u0663", " 5", "+5"]],
+)
 def test_decompose_malformed_input_is_usage_error(body):
     r = run_cli("decompose", "--type", "A", "--rank", "2", stdin=body)
     assert_usage_error(r)

