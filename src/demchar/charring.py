@@ -4,11 +4,15 @@ A CharElement is a finitely supported map from weights to nonzero integers
 (Python ints, so coefficients never overflow).  Values are immutable data:
 every operation returns a fresh element, so sharing across threads and
 parallel additive reductions are safe.
+
+``json_text`` writes every JSON document the command line prints, with the
+bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
 
 import re
+from json.encoder import encode_basestring_ascii
 from operator import add
 from typing import Iterable, Mapping
 
@@ -184,3 +188,61 @@ class CharElement:
 
     def __repr__(self) -> str:
         return f"CharElement(rank={self.rank}, terms={dict(sorted(self.terms.items()))})"
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for the values the CLI prints.
+
+    Those are str-keyed dicts, lists, str, int, bool, None and CharElement,
+    which is written as its ``to_json_dict()`` would be without building that
+    tree.  Anything else (a float, a tuple, a non-str key) is a TypeError.
+    """
+    return _json_text(obj, "\n")
+
+
+def _json_text(obj, nl: str) -> str:
+    # nl is a newline followed by the indent of the line obj starts on
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = nl + "  "
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            body = ("," + inner).join(map(int.__repr__, obj))
+        else:
+            body = ("," + inner).join([_json_text(x, inner) for x in obj])
+        return "[" + inner + body + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = ("," + inner).join(
+            [encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj)]
+        )
+        return "{" + inner + body + nl + "}"
+    if isinstance(obj, CharElement):
+        return _char_json_text(obj, nl)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _char_json_text(v: CharElement, nl: str) -> str:
+    """The text of ``v.to_json_dict()``: one %-template per term, built once from the rank."""
+    i1 = nl + "  "  # "rank" and "terms"
+    i2 = i1 + "  "  # each term
+    i3 = i2 + "  "  # "coeff" and "weight"
+    i4 = i3 + "  "  # each coordinate
+    head = "{" + i1 + '"rank": ' + int.__repr__(v.rank) + "," + i1 + '"terms": '
+    if not v.terms:
+        return head + "[]" + nl + "}"
+    weight = "[" + i4 + ("," + i4).join(["%d"] * v.rank) + i3 + "]" if v.rank else "[]"
+    term = "{" + i3 + '"coeff": "%d",' + i3 + '"weight": ' + weight + i2 + "}"
+    body = ("," + i2).join([term % (c, *mu) for mu, c in sorted(v.terms.items())])
+    return head + "[" + i2 + body + i1 + "]" + nl + "}"

@@ -10,6 +10,9 @@ their weights over a process pool; ``verify-kernel`` runs serially.
 Exit codes: 0 all checks verified, 1 mathematical mismatch, 2 usage error,
 3 internal error (a consistency check inside the library failed).
 Output is deterministic and byte-identical between serial and parallel runs.
+Every JSON document is printed by ``_dump_json`` through the emitter
+``charring.json_text`` (the bytes of ``json.dumps(obj, indent=2,
+sort_keys=True)``); a character is handed to it as a CharElement.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import random
 import sys
 from pathlib import Path
 
-from .charring import CharElement
+from .charring import CharElement, json_text
 from .demazure import demazure_char, euler_char, top_cohomology_char
 from .kernel import (
     decompose,
@@ -128,7 +131,7 @@ def _resolve_element(g: WeylGroup, selector: str):
 
 
 def _dump_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(json_text(obj))
 
 
 def _lambda_grid(rank: int, bound: int) -> list[Weight]:
@@ -202,7 +205,7 @@ def cmd_char(args: argparse.Namespace) -> int:
     char = {"demchar": demazure_char, "topchar": top_cohomology_char, "euler": euler_char}[args.command]
     v = char(g, _resolve_element(g, args.element), args.weight)
     if args.fmt == "json":
-        _dump_json(v.to_json_dict())
+        _dump_json(v)
     else:
         print(v)
         print(f"dimension: {v.dimension()}")
@@ -268,7 +271,7 @@ def _emit_sweep(args: argparse.Namespace, g: WeylGroup, results: list[dict]) -> 
         print(f"total checks={checks} passed={checks - len(failures)}")
         if failures:
             print("first counterexample:")
-            print(json.dumps(failures[0], indent=2, sort_keys=True))
+            _dump_json(failures[0])
         print("PASS" if not failures else "FAIL")
     return EXIT_OK if not failures else EXIT_MISMATCH
 

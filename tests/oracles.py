@@ -15,11 +15,15 @@ order and height on the integer adjugate det(C) * C^-1, extreme weights in
 that order, a Weyl-group element acting on a character, inversion counts,
 every reduced word of an element by descent search, and the Serre-twist
 weight rho + w(rho) - w(chi').
+
+``json_reference`` is the standard library's encoder, the reference for the
+command line's JSON emitter.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -405,6 +409,11 @@ def extreme_weight(d: RootDatum, v: CharElement, direction: str) -> Weight | Non
         return None
     pairs = ((best, mu) if sign > 0 else (mu, best) for mu in v.terms)
     return best if all(dominance_leq(d, lo, hi) for lo, hi in pairs) else None
+
+
+def json_reference(obj) -> str:
+    """The text ``charring.json_text`` must reproduce byte for byte."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def random_weight(rng: random.Random, rank: int, lo: int = -4, hi: int = 4) -> Weight:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demchar.charring import CHAR_ELEMENT_SCHEMA, CharElement
+from demchar.charring import CHAR_ELEMENT_SCHEMA, CharElement, json_text
 from demchar.rootsys import build_datum
 from demchar.weyl import element_by_word
 
@@ -250,3 +250,60 @@ def test_extreme_weight_agrees_with_pairwise_oracle(family_rank, direction, data
     expected = [mu for mu in probe.terms if oracles.is_dominance_minimum(d, probe, mu)]
     result = extreme_weight(d, v, direction)
     assert result == (tuple(sign * c for c in expected[0]) if expected else None)
+
+
+# the integers the documents hold, at and past every fixed width
+BIG_INTS = st.one_of(
+    st.sampled_from([0, 1, -1, 10**12, -(10**12), 10**30, -(10**30)]),
+    st.integers(-(10**40), 10**40),
+)
+# quotes, backslashes, control characters, non-ASCII text and surrogate pairs
+JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2203\U0001d11e'), st.characters()),
+    max_size=8,
+)
+JSON_DOCS = st.recursive(
+    st.one_of(st.none(), st.booleans(), BIG_INTS, JSON_TEXT),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(BIG_INTS, max_size=4),
+        st.dictionaries(JSON_TEXT, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCS)
+def test_json_text_matches_the_stdlib_encoder(doc):
+    assert json_text(doc) == oracles.json_reference(doc)
+
+
+@st.composite
+def wide_chars(draw):
+    rank = draw(st.integers(0, 8))
+    coordinate = st.one_of(st.integers(-3, 3), st.sampled_from([10**12, -(10**12)]))
+    coefficient = st.one_of(st.integers(-9, 9), st.sampled_from([10**30, -(10**30)]))
+    terms = draw(st.dictionaries(st.tuples(*[coordinate] * rank), coefficient, max_size=6))
+    return CharElement(rank, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_chars(), JSON_DOCS)
+def test_json_text_writes_a_char_element_as_its_json_dict(v, doc):
+    assert json_text(v) == oracles.json_reference(v.to_json_dict())
+    # nested, the element's lines take the indent of where it sits
+    nested = {"doc": doc, "v": [v]}
+    assert json_text(nested) == oracles.json_reference({"doc": doc, "v": [v.to_json_dict()]})
+
+
+def test_json_text_of_the_zero_element_and_of_bools():
+    assert json_text(zero(3)) == '{\n  "rank": 3,\n  "terms": []\n}'
+    assert json_text([True, False, 1, 0]) == "[\n  true,\n  false,\n  1,\n  0\n]"
+    assert json_text({"a": [], "b": {}}) == oracles.json_reference({"a": [], "b": {}})
+
+
+@pytest.mark.parametrize("obj", [1.5, (1, 2), [0.0], {1: "x"}, {"a": {None: 1}}, {"a": [(1,)]}, {1, 2}, b"x"])
+def test_json_text_refuses_values_outside_the_documents(obj):
+    with pytest.raises(TypeError):
+        json_text(obj)

@@ -169,6 +169,7 @@ def test_serial_and_parallel_outputs_identical():
         parallel = run_cli(*base, "--parallel")
         assert serial.returncode == parallel.returncode == 0
         assert serial.stdout == parallel.stdout
+        assert serial.stdout == oracles.json_reference(json.loads(serial.stdout)) + "\n"
         assert json.loads(serial.stdout)["command"] == command
 
 
@@ -562,3 +563,93 @@ def test_euler_with_twelve_digit_coordinates_prints_the_reference(mu):
     assert r.returncode == 0, r.stderr
     expected = oracles.tuple_word(oracles.group("A", 2).datum, (1,), CharElement.monomial(mu))
     assert r.stdout == f"{expected}\ndimension: {expected.dimension()}\n"
+
+
+def stdout_in_process(argv: list[str], capsys, stdin: str = "") -> tuple[int, str]:
+    """Exit code and stdout of one ``main`` call, with ``stdin`` as its standard input."""
+    saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        code = main(argv)
+    finally:
+        sys.stdin = saved_stdin
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, out
+
+
+def assert_stdlib_bytes(out: str) -> None:
+    assert out == oracles.json_reference(json.loads(out)) + "\n"
+
+
+ZERO_CHAR = json.dumps({"rank": 1, "terms": []})
+A2_BASIS = json.dumps(kernel_basis_element(oracles.group("A", 2), (2, 1)).to_json_dict())
+
+
+@pytest.mark.parametrize(
+    "argv,stdin",
+    [
+        (["info", "--type", "G", "--rank", "2"], ""),
+        (["weyl", "--type", "A", "--rank", "2"], ""),
+        (["demchar", "--type", "B", "--rank", "3", "--mu", "1,0,1"], ""),
+        (["demchar", "--type", "A", "--rank", "2", "--tau", "e", "--mu", "1000000000000,0"], ""),
+        (["topchar", "--type", "G", "--rank", "2", "--lambda", "1,2"], ""),
+        (["euler", "--type", "A", "--rank", "2", "--w", "1,2", "--mu=-3,1"], ""),
+        (["euler", "--type", "A", "--rank", "1", "--w", "1", "--mu=-1"], ""),  # the zero element
+        (["bruhat", "--type", "B", "--rank", "3", "--w", "1,2", "--tau", "w0"], ""),
+        (["verify-theorem", "--type", "A", "--rank", "2", "--grid", "2"], ""),
+        (["verify-lemma31", "--type", "G", "--rank", "2", "--grid", "1"], ""),
+        (["verify-kernel", "--type", "A", "--rank", "2", "--grid", "2"], ""),
+        (["decompose", "--type", "A", "--rank", "2"], A2_BASIS),
+        (["decompose", "--type", "A", "--rank", "1"], ZERO_CHAR),
+    ],
+    ids=[
+        "info", "weyl", "demchar", "demchar-12-digit", "topchar", "euler", "euler-zero", "bruhat",
+        "verify-theorem", "verify-lemma31", "verify-kernel", "decompose", "decompose-zero",
+    ],
+)
+def test_json_output_has_the_stdlib_bytes(argv, stdin, capsys):
+    code, out = stdout_in_process([*argv, "--format", "json"], capsys, stdin)
+    assert code == 0
+    assert_stdlib_bytes(out)
+
+
+@pytest.fixture
+def doubled_sections(monkeypatch):
+    """Doubles D_e in each section table, so every check at tau = e fails."""
+    from demchar import theorem
+
+    real = theorem._image_table
+    calls = []
+
+    def patched(g, packing, terms, within):
+        images = real(g, packing, terms, within)
+        calls.append(None)
+        if len(calls) % 2 == 0:  # each check builds its epsilon table first, its section table second
+            images[g.identity] = {k: 2 * c for k, c in images[g.identity].items()}
+        return images
+
+    monkeypatch.setattr(theorem, "_image_table", patched)
+
+
+@pytest.mark.usefixtures("doubled_sections")
+@pytest.mark.parametrize("command", ["verify-theorem", "verify-lemma31"])
+def test_failing_json_sweep_has_the_stdlib_bytes(command, capsys):
+    code, out = stdout_in_process([command, "--type", "A", "--rank", "2", "--format", "json"], capsys)
+    assert code == 1
+    assert_stdlib_bytes(out)
+    data = json.loads(out)
+    failed = [r for block in data["sweeps"] for r in block["reports"] if not r["passed"]]
+    assert data["all_passed"] is False and len(failed) == 4
+    assert all(r["tau"] == [] and r["difference_terms"] for r in failed)
+
+
+@pytest.mark.usefixtures("doubled_sections")
+def test_plain_counterexample_has_the_stdlib_bytes(capsys):
+    code, out = stdout_in_process(["verify-theorem", "--type", "B", "--rank", "2", "--grid", "1"], capsys)
+    assert code == 1
+    head, block = out.split("first counterexample:\n")
+    assert head.endswith("total checks=8 passed=7\n")
+    assert block.endswith("}\nFAIL\n")
+    text = block[: -len("FAIL\n")]
+    assert_stdlib_bytes(text)
+    assert json.loads(text)["difference_terms"]
