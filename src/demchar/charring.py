@@ -92,9 +92,6 @@ class CharElement:
         """Sum of coefficients: additive under +, multiplicative under *."""
         return sum(self.terms.values())
 
-    def support(self) -> list[Weight]:
-        return sorted(self.terms)
-
     def coeff(self, mu: Weight) -> int:
         return self.terms.get(tuple(mu), 0)
 

@@ -154,28 +154,18 @@ def top_cohomology_char(g: WeylGroup, w: WeylElement, lam: Weight) -> CharElemen
     return -v if w.length % 2 else v
 
 
-def _image_table(
-    g: WeylGroup, packing: Packing, terms: dict[int, int], within: Iterable[WeylElement] | None
-) -> list[dict[int, int] | None]:
+def _image_table(g: WeylGroup, packing: Packing, terms: dict[int, int]) -> list[dict[int, int]]:
     """Packed D_w(terms) for every group element, indexed like ``g.elements``.
 
     Peels the smallest left descent of each element, which is exactly the
-    first letter of its canonical word, so each value is one operator step
-    away from an already-computed one.  ``within``, if given, is a set of
-    elements closed under that peeling, such as a union of lower intervals;
-    only its entries are computed and the others are None.  ``packing`` must
-    be wide enough for the images of ``terms`` (``packing_for``).
+    first letter of its canonical word, so in index order each value is one
+    operator step away from an already-computed one.  ``packing`` must be
+    wide enough for the images of ``terms`` (``packing_for``).
     """
-    images: list[dict[int, int] | None] = [None] * g.order
-    images[g.identity] = terms
+    images = [terms] * g.order
     step = packing.step
-    elements = g.elements if within is None else sorted(within, key=lambda e: e.index)
-    for e in elements:
-        if e.length == 0:
-            continue
-        i = e.word[0]
-        base = images[g.left_mult[e.index][i - 1]]
-        if base is None:
-            raise ValueError(f"element {list(e.word)} is in the set but not its left-descent parent")
-        images[e.index] = step(i - 1, base)
+    for e in g.elements:
+        if e.length:
+            i = e.word[0]
+            images[e.index] = step(i - 1, images[g.left_mult[e.index][i - 1]])
     return images

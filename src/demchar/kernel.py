@@ -61,7 +61,7 @@ def kernel_basis_element(g: WeylGroup, lam: Weight) -> CharElement:
     """
     check_regular_dominant(g.datum, lam)
     packing = packing_for(g.datum, [lam])
-    images = _image_table(g, packing, {packing.pack(weight_neg(lam)): 1}, None)
+    images = _image_table(g, packing, {packing.pack(weight_neg(lam)): 1})
     total: dict[int, int] = {}
     get = total.get
     for e, p in zip(g.elements, images):

@@ -11,10 +11,10 @@ term-by-term equality of both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .charring import CharElement
-from .demazure import Packing, _image_table, packing_for, top_cohomology_char
+from .charring import CHAR_ELEMENT_SCHEMA, CharElement
+from .demazure import Packing, packing_for, top_cohomology_char
 from .rootsys import Weight, check_regular_dominant, weight_neg, weight_sub
 from .weyl import WeylElement, WeylGroup, bit_indices
 
@@ -27,18 +27,7 @@ VERIFICATION_REPORT_SCHEMA = {
         "passed": {"type": "boolean"},
         "dim_lhs": {"type": "string", "pattern": "^-?[0-9]+$"},
         "dim_rhs": {"type": "string", "pattern": "^-?[0-9]+$"},
-        "difference_terms": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["weight", "coeff"],
-                "properties": {
-                    "weight": {"type": "array", "items": {"type": "integer"}},
-                    "coeff": {"type": "string", "pattern": "^-?[0-9]+$"},
-                },
-                "additionalProperties": False,
-            },
-        },
+        "difference_terms": CHAR_ELEMENT_SCHEMA["properties"]["terms"],
         "interval_size": {"type": "integer"},
     },
     "additionalProperties": False,
@@ -93,26 +82,9 @@ class VerificationReport:
             "passed": self.passed,
             "dim_lhs": str(self.dim_lhs),
             "dim_rhs": str(self.dim_rhs),
-            "difference_terms": self.difference.to_json_dict()["terms"],
+            "difference_terms": [] if self.passed else self.difference.to_json_dict()["terms"],
             "interval_size": self.interval_size,
         }
-
-
-def _epsilon_table(
-    g: WeylGroup, lam: Weight, within: Iterable[WeylElement], packing: Packing
-) -> list[dict[int, int] | None]:
-    """Packed eps_w = e^-rho * ch(H^l(w)(X(w), L_-lam))^* for every w in ``within``.
-
-    These are the summands of lemma 3.1.  The top-cohomology character is
-    (-1)^l(w) * D_w(e^-lam), so its star and the factor e^-rho are one
-    subtraction per key.
-    """
-    images = _image_table(g, packing, {packing.pack(weight_neg(lam)): 1}, within)
-    m = packing.star_key(weight_neg(g.datum.rho))
-    return [
-        None if p is None else {m - k: -c if e.length % 2 else c for k, c in p.items()}
-        for e, p in zip(g.elements, images)
-    ]
 
 
 def _interval_reports(
@@ -120,18 +92,24 @@ def _interval_reports(
 ) -> list[VerificationReport]:
     """Check sum_{w <= tau} eps_w = D_tau(e^(lam - rho)) per tau, both sides read in e^frame.
 
-    The eps_w are lemma 3.1's summands (``_epsilon_table``).  The left side
-    L(tau) is summed over the lower interval, the right side is one entry of
-    a table of operator strings.  Both tables cover only the union of the
-    taus' lower intervals, which is closed under peeling the first letter s
-    of a canonical word, so a single tau costs in proportion to its
-    interval.  By the lifting property, sigma = s*tau < tau has
-    [e, tau] = [e, sigma] u s[e, sigma], so L(tau) is L(sigma) plus eps_w
-    over the bits of rows[tau] & ~rows[sigma] alone.
+    One pass over the union of the taus' lower intervals, in index order,
+    so by length.  That union is closed under peeling the first letter s of
+    a canonical word, and sigma = s*tau is one letter shorter than tau.  By
+    the lifting property [e, tau] = [e, sigma] u s[e, sigma], so at each
+    tau one operator step from sigma's entries gives D_tau(e^-lam) and the
+    section D_tau(e^(lam - rho)), one star and sign per key turn the first
+    into lemma 3.1's eps_tau = e^-rho * ch(H^l(tau)(X(tau), L_-lam))^*, and
+    L(tau) is L(sigma) plus eps_w over the bits of rows[tau] & ~rows[sigma]
+    alone.  A tau that was asked for is compared at once, so a single tau
+    costs in proportion to its interval.
 
-    Both tables are packed with one packing and compared as packed dicts.
-    A report multiplies its sides by e^frame only when they are read: the
-    main identity is lemma 3.1 times e^rho.
+    Sigma's image, section and L(sigma) are kept only while the pass is at
+    sigma's length or the next; every eps_w stays, since a later tau may add
+    any w.  Both sides are packed with one packing and compared as packed
+    dicts.  A passing report keeps the section once for both sides, a
+    failing one keeps L(tau) and the section.  A report multiplies its
+    sides by e^frame only when they are read: the main identity is lemma
+    3.1 times e^rho.
     """
     check_regular_dominant(g.datum, lam)
     rho = g.datum.rho
@@ -139,40 +117,47 @@ def _interval_reports(
     needed = 0
     for tau in taus:
         needed |= rows[tau.index]
-    within = [g.elements[k] for k in bit_indices(needed)]
+    asked = {tau.index for tau in taus}
     packing = packing_for(g.datum, [lam], rho)
-    epsilon = _epsilon_table(g, lam, within, packing)
-    sections = _image_table(g, packing, {packing.pack(weight_sub(lam, rho)): 1}, within)
-    sums: list[dict[int, int] | None] = [None] * g.order
-    for e in within:
-        k = e.index
+    step, m = packing.step, packing.star_key(weight_neg(rho))
+    epsilon: list[dict[int, int] | None] = [None] * g.order
+    reports: dict[int, VerificationReport] = {}
+    # (D_w(e^-lam), D_w(e^(lam - rho)), L(w)) for w one letter shorter and for w at the current length
+    shorter: dict[int, tuple[dict[int, int], ...]] = {}
+    current: dict[int, tuple[dict[int, int], ...]] = {}
+    length = 0
+    for k in bit_indices(needed):
+        e = g.elements[k]
         if e.length == 0:
+            image, section = {packing.pack(weight_neg(lam)): 1}, {packing.pack(weight_sub(lam, rho)): 1}
             acc, new = {}, rows[k]
         else:
-            sigma = g.left_mult[k][e.word[0] - 1]
-            acc, new = dict(sums[sigma]), rows[k] & ~rows[sigma]
+            if e.length > length:
+                shorter, current, length = current, {}, e.length
+            i = e.word[0] - 1
+            sigma = g.left_mult[k][i]
+            image, section, acc = shorter[sigma]
+            image, section, acc = step(i, image), step(i, section), dict(acc)
+            new = rows[k] & ~rows[sigma]
+        current[k] = image, section, acc
+        epsilon[k] = {m - key: -c if e.length % 2 else c for key, c in image.items()}
         get = acc.get
         for w in bit_indices(new):
             for mu, c in epsilon[w].items():
                 acc[mu] = get(mu, 0) + c
-        sums[k] = acc
-    reports = []
-    for t in taus:
-        lhs, rhs = sums[t.index], sections[t.index]
-        if 0 in lhs.values():
-            lhs = {mu: c for mu, c in lhs.items() if c}
-        reports.append(
-            VerificationReport(
-                passed=lhs == rhs,
+        if k in asked:
+            lhs = {mu: c for mu, c in acc.items() if c} if 0 in acc.values() else acc
+            passed = lhs == section
+            reports[k] = VerificationReport(
+                passed=passed,
                 dim_lhs=sum(lhs.values()),
-                dim_rhs=sum(rhs.values()),
-                interval_size=rows[t.index].bit_count(),
+                dim_rhs=sum(section.values()),
+                interval_size=rows[k].bit_count(),
                 _packing=packing,
-                _packed=(lhs, rhs),
+                _packed=(section, section) if passed else (lhs, section),
                 _frame=frame,
             )
-        )
-    return reports
+    return [reports[tau.index] for tau in taus]
 
 
 def verify_theorem(g: WeylGroup, tau: WeylElement, lam: Weight) -> VerificationReport:

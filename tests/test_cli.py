@@ -614,42 +614,41 @@ def test_json_output_has_the_stdlib_bytes(argv, stdin, capsys):
 
 
 @pytest.fixture
-def doubled_sections(monkeypatch):
-    """Doubles D_e in each section table, so every check at tau = e fails."""
+def sections_of_lam(monkeypatch):
+    """Seeds each section with e^lam instead of e^(lam - rho), so every check fails.
+
+    The seed is the only weight_sub in theorem; D_w(e^lam) fits the packing
+    chosen for lam and the shift rho, so no coordinate wraps.
+    """
     from demchar import theorem
 
-    real = theorem._image_table
-    calls = []
-
-    def patched(g, packing, terms, within):
-        images = real(g, packing, terms, within)
-        calls.append(None)
-        if len(calls) % 2 == 0:  # each check builds its epsilon table first, its section table second
-            images[g.identity] = {k: 2 * c for k, c in images[g.identity].items()}
-        return images
-
-    monkeypatch.setattr(theorem, "_image_table", patched)
+    monkeypatch.setattr(theorem, "weight_sub", lambda lam, rho: lam)
 
 
-@pytest.mark.usefixtures("doubled_sections")
+@pytest.mark.usefixtures("sections_of_lam")
 @pytest.mark.parametrize("command", ["verify-theorem", "verify-lemma31"])
 def test_failing_json_sweep_has_the_stdlib_bytes(command, capsys):
     code, out = stdout_in_process([command, "--type", "A", "--rank", "2", "--format", "json"], capsys)
     assert code == 1
     assert_stdlib_bytes(out)
     data = json.loads(out)
-    failed = [r for block in data["sweeps"] for r in block["reports"] if not r["passed"]]
-    assert data["all_passed"] is False and len(failed) == 4
-    assert all(r["tau"] == [] and r["difference_terms"] for r in failed)
+    reports = [r for block in data["sweeps"] for r in block["reports"]]
+    assert data["all_passed"] is False and len(reports) == 24
+    assert all(not r["passed"] and r["difference_terms"] for r in reports)
 
 
-@pytest.mark.usefixtures("doubled_sections")
+@pytest.mark.usefixtures("sections_of_lam")
 def test_plain_counterexample_has_the_stdlib_bytes(capsys):
+    from demchar.theorem import sweep_verify_theorem
+
     code, out = stdout_in_process(["verify-theorem", "--type", "B", "--rank", "2", "--grid", "1"], capsys)
     assert code == 1
     head, block = out.split("first counterexample:\n")
-    assert head.endswith("total checks=8 passed=7\n")
+    assert head.endswith("total checks=8 passed=0\n")
     assert block.endswith("}\nFAIL\n")
     text = block[: -len("FAIL\n")]
     assert_stdlib_bytes(text)
     assert json.loads(text)["difference_terms"]
+    g = oracles.group("B", 2)
+    for tau, r in zip(g.elements, sweep_verify_theorem(g, (2, 1))):
+        assert not r.passed and r.lhs == oracles.interval_sum(g, tau, (2, 1))

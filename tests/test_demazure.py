@@ -15,7 +15,7 @@ from demchar.demazure import (
     top_cohomology_char,
 )
 from demchar.rootsys import build_datum, simple_reflection, weight_neg, weight_sub
-from demchar.weyl import element_by_word, lower_interval
+from demchar.weyl import element_by_word
 
 import oracles
 from oracles import alternative_reduced_words, extreme_weight, w_apply
@@ -26,7 +26,7 @@ monomial = CharElement.monomial
 def unpacked_images(g, v):
     """The full image table of v, each entry D_w(v) unpacked, indexed like g.elements."""
     packing = packing_for(g.datum, v.terms)
-    images = _image_table(g, packing, packing.pack_terms(v.terms), None)
+    images = _image_table(g, packing, packing.pack_terms(v.terms))
     return [CharElement.adopt(v.rank, packing.unpack_terms(p)) for p in images]
 
 
@@ -227,21 +227,6 @@ def test_image_table_matches_wordwise_evaluation():
         images = unpacked_images(g, v)
         for e in g.elements:
             assert images[e.index] == demazure_word(g.datum, e.word, v)
-
-
-def test_image_table_restricted_to_lower_intervals():
-    g = oracles.group("B", 3)
-    v = oracles.random_char(random.Random(47), 3)
-    packing = packing_for(g.datum, v.terms)
-    terms = packing.pack_terms(v.terms)
-    full = _image_table(g, packing, terms, None)
-    taus = [element_by_word(g, (1, 2)), element_by_word(g, (3, 2, 3))]
-    within = {w.index: w for tau in taus for w in lower_interval(g, tau)}
-    images = _image_table(g, packing, terms, within.values())
-    for e in g.elements:
-        assert images[e.index] == (full[e.index] if e.index in within else None)
-    with pytest.raises(ValueError):
-        _image_table(g, packing, terms, [g.identity_element, element_by_word(g, (1, 2))])
 
 
 @pytest.mark.parametrize("weight", [(1,), (1, 1, 5)])

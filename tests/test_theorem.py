@@ -5,8 +5,7 @@ import jsonschema
 import pytest
 
 from demchar.charring import CharElement
-from demchar.demazure import demazure_char, top_cohomology_char
-from demchar import theorem
+from demchar.demazure import Packing, demazure_char, top_cohomology_char
 from demchar.rootsys import weight_neg, weight_sub
 from demchar.theorem import (
     VERIFICATION_REPORT_SCHEMA,
@@ -102,6 +101,20 @@ def test_report_json_schema_and_per_w():
     for w in lower_interval(g, tau):
         total = total + top_cohomology_char(g, w, (2, 1)).star()
     assert total == r.lhs
+
+
+def test_passing_report_json_builds_no_character(monkeypatch):
+    g = oracles.group("B", 2)
+    reports = sweep_verify_theorem(g, (1, 2))
+
+    def refuse(self):
+        raise AssertionError("a passing report built a character to write its difference")
+
+    monkeypatch.setattr(CharElement, "to_json_dict", refuse)
+    for tau, r in zip(g.elements, reports):
+        data = r.to_json_dict(tau, (1, 2))
+        assert data["passed"] is True and data["difference_terms"] == []
+        jsonschema.validate(data, VERIFICATION_REPORT_SCHEMA)
 
 
 def test_epsilon_frozen_examples():
@@ -214,18 +227,23 @@ def test_both_identities_match_reference(family, rank):
 def test_single_tau_tables_cover_only_its_interval(monkeypatch):
     g = oracles.group("B", 3)
     tau = element_by_word(g, (1, 2))
-    real = theorem._image_table
-    computed = []
+    real = Packing.step
+    steps = []
 
-    def spy(*args):
-        images = real(*args)
-        computed.append(sum(1 for v in images if v is not None))
-        return images
+    def counting(self, pos, terms):
+        steps.append(pos)
+        return real(self, pos, terms)
 
-    monkeypatch.setattr(theorem, "_image_table", spy)
+    monkeypatch.setattr(Packing, "step", counting)
+    per_table = len(lower_interval(g, tau)) - 1
     assert verify_theorem(g, tau, (1, 2, 1)).passed
+    assert len(steps) == 2 * per_table
     assert verify_lemma31(g, tau, (1, 2, 1)).passed
-    assert computed == [len(lower_interval(g, tau))] * 4
+    assert len(steps) == 4 * per_table
+    del steps[:]
+    for lam in [(1, 1, 1), (2, 1, 3)]:
+        assert all(r.passed for r in sweep_verify_theorem(g, lam))
+    assert len(steps) == 2 * 2 * (g.order - 1)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3)])
@@ -241,3 +259,24 @@ def test_incremental_sums_match_interval_reference(family, rank):
             assert t.lhs == reference, (family, tau.word, lam)
             assert l.lhs == minus_rho * reference, (family, tau.word, lam)
             assert t.interval_size == l.interval_size == len(lower_interval(g, tau))
+
+
+@pytest.mark.parametrize(
+    "family,lams",
+    [
+        ("D", list(itertools.product((1, 2), repeat=4))),
+        ("F", [(1, 1, 1, 1)] + [tuple(2 if j == i else 1 for j in range(4)) for i in range(4)]),
+    ],
+    ids=["D4", "F4"],
+)
+def test_rank_four_sweeps_pass_and_sum_the_interval(family, lams):
+    g = oracles.group(family, 4)
+    for lam in lams:
+        sweep = sweep_verify_theorem(g, lam)
+        assert all(r.passed for r in sweep), (family, lam)
+        assert all(r._packed[0] is r._packed[1] for r in sweep)  # one dict per passing report
+        assert all(r.passed for r in sweep_verify_lemma31(g, lam)), (family, lam)
+    # sweep and lam are the last weight's
+    taus = [g.longest_element, *random.Random(53).sample(g.elements, 4)]
+    for tau in taus:
+        assert sweep[tau.index].lhs == oracles.interval_sum(g, tau, lam), (family, tau.word)
