@@ -105,9 +105,6 @@ def check_char_rank(d: RootDatum, v: CharElement) -> None:
 
 def demazure_step(d: RootDatum, i: int, v: CharElement) -> CharElement:
     """Apply the Demazure operator of the i-th simple root (1-based)."""
-    check_char_rank(d, v)
-    if not 1 <= i <= d.rank:
-        raise ValueError(f"simple-root index {i} out of range 1..{d.rank}")
     return demazure_word(d, (i,), v)
 
 

@@ -10,11 +10,11 @@ term-by-term equality of both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .charring import CHAR_ELEMENT_SCHEMA, CharElement
-from .demazure import Packing, packing_for, top_cohomology_char
+from .demazure import packing_for, top_cohomology_char
 from .rootsys import Weight, check_regular_dominant, weight_neg, weight_sub
 from .weyl import WeylElement, WeylGroup, bit_indices
 
@@ -34,55 +34,29 @@ VERIFICATION_REPORT_SCHEMA = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one identity check: its verdict, sizes, and both sides on demand.
+    """Outcome of one identity check: its verdict, sizes, and the two sides of a failure.
 
-    Both sides are held as packed terms and read back, unpacked and
-    multiplied by e^frame, only when asked for, so a passing check never
-    leaves the packed form.  Two reports are equal when their verdicts,
-    sizes and sides as read back agree.
+    sides is None when the check passed, since both sides are then equal;
+    a failing check keeps (lhs, rhs), read in its frame.
     """
 
     passed: bool
     dim_lhs: int
     dim_rhs: int
     interval_size: int
-    _packing: Packing = field(repr=False, compare=False)
-    _packed: tuple[dict[int, int], dict[int, int]] = field(repr=False, compare=False)
-    _frame: Weight = field(repr=False, compare=False)
-
-    def _read(self, side: int) -> CharElement:
-        p = self._packing
-        return CharElement.adopt(p.rank, p.unpack_terms(self._packed[side])).shift(self._frame)
-
-    @property
-    def lhs(self) -> CharElement:
-        return self._read(0)
-
-    @property
-    def rhs(self) -> CharElement:
-        return self._read(1)
-
-    def __eq__(self, other: object) -> bool:
-        key = lambda r: (r.passed, r.dim_lhs, r.dim_rhs, r.interval_size, r.lhs, r.rhs)
-        return isinstance(other, VerificationReport) and key(self) == key(other)
-
-    @property
-    def difference(self) -> CharElement:
-        """lhs - rhs; passed is exact term-by-term equality, so a passing check reads zero."""
-        if self.passed:
-            return CharElement.zero(self._packing.rank)
-        return self.lhs - self.rhs
+    sides: tuple[CharElement, CharElement] | None
 
     def to_json_dict(self, tau: WeylElement, lam: Weight) -> dict:
+        difference = [] if self.sides is None else (self.sides[0] - self.sides[1]).to_json_dict()["terms"]
         return {
             "tau": list(tau.word),
             "lambda": list(lam),
             "passed": self.passed,
             "dim_lhs": str(self.dim_lhs),
             "dim_rhs": str(self.dim_rhs),
-            "difference_terms": [] if self.passed else self.difference.to_json_dict()["terms"],
+            "difference_terms": difference,
             "interval_size": self.interval_size,
         }
 
@@ -106,10 +80,9 @@ def _interval_reports(
     Sigma's image, section and L(sigma) are kept only while the pass is at
     sigma's length or the next; every eps_w stays, since a later tau may add
     any w.  Both sides are packed with one packing and compared as packed
-    dicts.  A passing report keeps the section once for both sides, a
-    failing one keeps L(tau) and the section.  A report multiplies its
-    sides by e^frame only when they are read: the main identity is lemma
-    3.1 times e^rho.
+    dicts.  A passing report keeps no character; a failing one unpacks
+    L(tau) and the section once and keeps them times e^frame: the main
+    identity is lemma 3.1 times e^rho.
     """
     check_regular_dominant(g.datum, lam)
     rho = g.datum.rho
@@ -120,6 +93,7 @@ def _interval_reports(
     asked = {tau.index for tau in taus}
     packing = packing_for(g.datum, [lam], rho)
     step, m = packing.step, packing.star_key(weight_neg(rho))
+    read = lambda terms: CharElement.adopt(g.datum.rank, packing.unpack_terms(terms)).shift(frame)
     epsilon: list[dict[int, int] | None] = [None] * g.order
     reports: dict[int, VerificationReport] = {}
     # (D_w(e^-lam), D_w(e^(lam - rho)), L(w)) for w one letter shorter and for w at the current length
@@ -153,9 +127,7 @@ def _interval_reports(
                 dim_lhs=sum(lhs.values()),
                 dim_rhs=sum(section.values()),
                 interval_size=rows[k].bit_count(),
-                _packing=packing,
-                _packed=(section, section) if passed else (lhs, section),
-                _frame=frame,
+                sides=None if passed else (read(lhs), read(section)),
             )
     return [reports[tau.index] for tau in taus]
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -613,18 +614,6 @@ def test_json_output_has_the_stdlib_bytes(argv, stdin, capsys):
     assert_stdlib_bytes(out)
 
 
-@pytest.fixture
-def sections_of_lam(monkeypatch):
-    """Seeds each section with e^lam instead of e^(lam - rho), so every check fails.
-
-    The seed is the only weight_sub in theorem; D_w(e^lam) fits the packing
-    chosen for lam and the shift rho, so no coordinate wraps.
-    """
-    from demchar import theorem
-
-    monkeypatch.setattr(theorem, "weight_sub", lambda lam, rho: lam)
-
-
 @pytest.mark.usefixtures("sections_of_lam")
 @pytest.mark.parametrize("command", ["verify-theorem", "verify-lemma31"])
 def test_failing_json_sweep_has_the_stdlib_bytes(command, capsys):
@@ -651,4 +640,30 @@ def test_plain_counterexample_has_the_stdlib_bytes(capsys):
     assert json.loads(text)["difference_terms"]
     g = oracles.group("B", 2)
     for tau, r in zip(g.elements, sweep_verify_theorem(g, (2, 1))):
-        assert not r.passed and r.lhs == oracles.interval_sum(g, tau, (2, 1))
+        assert not r.passed and r.sides[0] == oracles.interval_sum(g, tau, (2, 1))
+
+
+@pytest.mark.usefixtures("sections_of_lam")
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["verify-theorem", "--type", "A", "--rank", "2", "--format", "json"],
+            "838a8edc5ce8ff0020a13e871fb60f381a8ce351577190d93eaf1ff158fc78d1",
+        ),
+        (
+            ["verify-lemma31", "--type", "B", "--rank", "2", "--format", "json"],
+            "34412ad0acd74fcdaedfa5626f6722ecd7a40f9b7e072813df68d9057a4eefad",
+        ),
+        (
+            ["verify-theorem", "--type", "B", "--rank", "2", "--grid", "1"],
+            "4f76415ea8a6feee07d2f9d07ce51cb616db7184f3b4c8e1222650ccd99b549f",
+        ),
+    ],
+    ids=["theorem-A2-json", "lemma31-B2-json", "theorem-B2-plain"],
+)
+def test_failing_output_bytes_are_pinned(argv, digest, capsys):
+    """The whole stdout of three runs where every check fails, pinned by digest."""
+    code, out = stdout_in_process(argv, capsys)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
