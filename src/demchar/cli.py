@@ -8,7 +8,8 @@ integer tuples by argparse, and their length is checked by the library
 their weights over a process pool; ``verify-kernel`` runs serially.
 
 Exit codes: 0 all checks verified, 1 mathematical mismatch, 2 usage error,
-3 internal error (a consistency check inside the library failed).
+3 internal error (a consistency check inside the library failed), 141 stdout
+closed early (the code a shell shows for SIGPIPE), with nothing on stderr.
 Output is deterministic and byte-identical between serial and parallel runs.
 Every JSON document is printed by ``_dump_json`` through the emitter
 ``charring.json_text`` (the bytes of ``json.dumps(obj, indent=2,
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 
 # fixed seed: randomized kernel combinations must print identically across runs
 KERNEL_SWEEP_SEED = 0x5EED
@@ -413,7 +416,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # here, so that a reader gone at shutdown is caught too
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit; give it a sink that takes the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,8 +25,8 @@ segment from nu to s_i(nu), so every weight of D_w(e^nu) lies in the convex
 hull of the orbit W*nu, and each of its coordinates is at most
 max |<nu, beta^vee>| <= ht(theta^vee) * max_j |nu_j| in absolute value,
 theta^vee the highest coroot.  ``packing_for`` chooses b from that bound,
-plus any shift to be folded in, once per word or table before the first
-step; no step tests a coordinate.
+plus any shift to be folded in, once per word or per walk over the group
+(``weyl.peel``) before the first step; no step tests a coordinate.
 """
 
 from __future__ import annotations
@@ -149,20 +149,3 @@ def top_cohomology_char(g: WeylGroup, w: WeylElement, lam: Weight) -> CharElemen
     check_regular_dominant(g.datum, lam)
     v = euler_char(g, w, tuple(-c for c in lam))
     return -v if w.length % 2 else v
-
-
-def _image_table(g: WeylGroup, packing: Packing, terms: dict[int, int]) -> list[dict[int, int]]:
-    """Packed D_w(terms) for every group element, indexed like ``g.elements``.
-
-    Peels the smallest left descent of each element, which is exactly the
-    first letter of its canonical word, so in index order each value is one
-    operator step away from an already-computed one.  ``packing`` must be
-    wide enough for the images of ``terms`` (``packing_for``).
-    """
-    images = [terms] * g.order
-    step = packing.step
-    for e in g.elements:
-        if e.length:
-            i = e.word[0]
-            images[e.index] = step(i - 1, images[g.left_mult[e.index][i - 1]])
-    return images

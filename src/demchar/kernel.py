@@ -1,5 +1,5 @@
 """The joint kernel N of all Demazure operators: membership, the e^rho-twist
-characterization, basis elements from summed top-cohomology characters, and
+characterization, basis elements summed over one peeling walk of W, and
 the decomposition into the full-group section-character basis, read off by
 folding each weight into the dominant chamber (Weyl's character formula).
 """
@@ -7,9 +7,9 @@ folding each weight into the dominant chamber (Weyl's character formula).
 from __future__ import annotations
 
 from .charring import CharElement
-from .demazure import _image_table, check_char_rank, packing_for
+from .demazure import check_char_rank, packing_for
 from .rootsys import Weight, check_regular_dominant, simple_reflection, weight_add, weight_neg, weight_sub
-from .weyl import WeylGroup
+from .weyl import WeylGroup, peel
 
 DECOMPOSITION_SCHEMA = {
     "type": "object",
@@ -56,16 +56,16 @@ def is_demazure_invariant(g: WeylGroup, v: CharElement) -> bool:
 def kernel_basis_element(g: WeylGroup, lam: Weight) -> CharElement:
     """Sum over the whole group of the top-cohomology characters of -lam.
 
-    The character on w is (-1)^l(w) * D_w(e^-lam), so the packed image table
-    of e^-lam is summed with those signs and unpacked once.
+    The character on w is (-1)^l(w) * D_w(e^-lam).  The packed images stream
+    from ``weyl.peel``, which keeps two lengths of them, and are added with
+    those signs as they come; the sum is unpacked once.
     """
     check_regular_dominant(g.datum, lam)
     packing = packing_for(g.datum, [lam])
-    images = _image_table(g, packing, {packing.pack(weight_neg(lam)): 1})
     total: dict[int, int] = {}
     get = total.get
-    for e, p in zip(g.elements, images):
-        sign = -1 if e.length % 2 else 1
+    for w, p in peel(g, {packing.pack(weight_neg(lam)): 1}, lambda w, i, sigma, p: packing.step(i, p)):
+        sign = -1 if g.elements[w].length % 2 else 1
         for k, c in p.items():
             total[k] = get(k, 0) + sign * c
     return CharElement.adopt(g.datum.rank, packing.unpack_terms(total))

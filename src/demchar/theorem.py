@@ -2,10 +2,10 @@
 duals, section characters, and boundary-restriction kernels.
 
 One engine checks lemma 3.1: the left side sums the kernel characters eps_w
-over a Bruhat lower interval, the right side is a single operator string.
-The main identity is the same check read in the frame e^rho, so the two are
-not independent evidence.  A report never fudges: passed is exact
-term-by-term equality of both sides.
+over a Bruhat lower interval along the peeling walk ``weyl.peel``, the right
+side is a single operator string.  The main identity is the same check read
+in the frame e^rho, so the two are not independent evidence.  A report
+never fudges: passed is exact term-by-term equality of both sides.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence
 from .charring import CHAR_ELEMENT_SCHEMA, CharElement
 from .demazure import packing_for, top_cohomology_char
 from .rootsys import Weight, check_regular_dominant, weight_neg, weight_sub
-from .weyl import WeylElement, WeylGroup, bit_indices
+from .weyl import WeylElement, WeylGroup, bit_indices, peel
 
 VERIFICATION_REPORT_SCHEMA = {
     "type": "object",
@@ -66,23 +66,18 @@ def _interval_reports(
 ) -> list[VerificationReport]:
     """Check sum_{w <= tau} eps_w = D_tau(e^(lam - rho)) per tau, both sides read in e^frame.
 
-    One pass over the union of the taus' lower intervals, in index order,
-    so by length.  That union is closed under peeling the first letter s of
-    a canonical word, and sigma = s*tau is one letter shorter than tau.  By
-    the lifting property [e, tau] = [e, sigma] u s[e, sigma], so at each
-    tau one operator step from sigma's entries gives D_tau(e^-lam) and the
-    section D_tau(e^(lam - rho)), one star and sign per key turn the first
-    into lemma 3.1's eps_tau = e^-rho * ch(H^l(tau)(X(tau), L_-lam))^*, and
-    L(tau) is L(sigma) plus eps_w over the bits of rows[tau] & ~rows[sigma]
+    One ``weyl.peel`` walk over the union of the taus' lower intervals.  At
+    each tau one operator step from sigma's entries gives D_tau(e^-lam) and
+    the section D_tau(e^(lam - rho)), one star and sign per key turn the
+    first into lemma 3.1's eps_tau = e^-rho * ch(H^l(tau)(X(tau), L_-lam))^*,
+    and L(tau) is L(sigma) plus eps_w over the bits of rows[tau] & ~rows[sigma]
     alone.  A tau that was asked for is compared at once, so a single tau
     costs in proportion to its interval.
 
-    Sigma's image, section and L(sigma) are kept only while the pass is at
-    sigma's length or the next; every eps_w stays, since a later tau may add
-    any w.  Both sides are packed with one packing and compared as packed
-    dicts.  A passing report keeps no character; a failing one unpacks
-    L(tau) and the section once and keeps them times e^frame: the main
-    identity is lemma 3.1 times e^rho.
+    The walk keeps two lengths of images and L(sigma); every eps_w stays, since
+    a later tau may add any w.  Both sides share one packing and are compared
+    packed.  A passing report keeps no character; a failing one unpacks L(tau)
+    and the section once, times e^frame (the theorem is lemma 3.1 times e^rho).
     """
     check_regular_dominant(g.datum, lam)
     rho = g.datum.rho
@@ -96,36 +91,27 @@ def _interval_reports(
     read = lambda terms: CharElement.adopt(g.datum.rank, packing.unpack_terms(terms)).shift(frame)
     epsilon: list[dict[int, int] | None] = [None] * g.order
     reports: dict[int, VerificationReport] = {}
-    # (D_w(e^-lam), D_w(e^(lam - rho)), L(w)) for w one letter shorter and for w at the current length
-    shorter: dict[int, tuple[dict[int, int], ...]] = {}
-    current: dict[int, tuple[dict[int, int], ...]] = {}
-    length = 0
-    for k in bit_indices(needed):
-        e = g.elements[k]
-        if e.length == 0:
-            image, section = {packing.pack(weight_neg(lam)): 1}, {packing.pack(weight_sub(lam, rho)): 1}
-            acc, new = {}, rows[k]
-        else:
-            if e.length > length:
-                shorter, current, length = current, {}, e.length
-            i = e.word[0] - 1
-            sigma = g.left_mult[k][i]
-            image, section, acc = shorter[sigma]
-            image, section, acc = step(i, image), step(i, section), dict(acc)
-            new = rows[k] & ~rows[sigma]
-        current[k] = image, section, acc
-        epsilon[k] = {m - key: -c if e.length % 2 else c for key, c in image.items()}
+
+    def entries(k, image, section, acc, new):  # (D_k(e^-lam), D_k(e^(lam - rho)), L(k)), storing eps_k
+        epsilon[k] = {m - key: -c if g.elements[k].length % 2 else c for key, c in image.items()}
+        acc = dict(acc)
         get = acc.get
         for w in bit_indices(new):
             for mu, c in epsilon[w].items():
                 acc[mu] = get(mu, 0) + c
+        return image, section, acc
+
+    seed = entries(g.identity, {packing.pack(weight_neg(lam)): 1}, {packing.pack(weight_sub(lam, rho)): 1}, {}, 1)
+    advance = lambda k, i, sigma, v: entries(k, step(i, v[0]), step(i, v[1]), v[2], rows[k] & ~rows[sigma])
+    for k, (_, section, acc) in peel(g, seed, advance, needed):
         if k in asked:
             lhs = {mu: c for mu, c in acc.items() if c} if 0 in acc.values() else acc
             passed = lhs == section
+            dim = sum(section.values())
             reports[k] = VerificationReport(
                 passed=passed,
-                dim_lhs=sum(lhs.values()),
-                dim_rhs=sum(section.values()),
+                dim_lhs=dim if passed else sum(lhs.values()),
+                dim_rhs=dim,
                 interval_size=rows[k].bit_count(),
                 sides=None if passed else (read(lhs), read(section)),
             )

@@ -95,7 +95,7 @@ class WeylGroup:
         the lock of ``cached_property``); both compute the same tuple from
         immutable tables, so the group stays safe to share across threads.
         """
-        return _bruhat_table(self.elements, self.left_mult)
+        return _bruhat_table(self)
 
 
 def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGroup:
@@ -153,19 +153,41 @@ def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGrou
     )
 
 
-def _bruhat_table(elements: tuple[WeylElement, ...], left_mult) -> tuple[int, ...]:
-    # Filled by index, so by length: with s the first letter of tau's
-    # canonical word, sigma = s*tau < tau and [e, tau] = [e, sigma] | s[e, sigma]
-    # (lifting property).
-    rows = [1]
-    for t in range(1, len(elements)):
-        s = elements[t].word[0] - 1
-        base = rows[left_mult[t][s]]
+def peel(g: WeylGroup, seed, advance, within: int | None = None):
+    """Yield (tau, value) in index order for each index in the bitmask ``within`` (all of W if None).
+
+    With i the 0-based first letter of tau's canonical word and sigma = s_i*tau,
+    one letter shorter, [e, tau] = [e, sigma] u s_i[e, sigma] (lifting property,
+    Bjorner-Brenti, GTM 231, Prop. 2.2.7).  The value at e is ``seed`` and any
+    other is ``advance(tau, i, sigma, value_of_sigma)``, so ``within`` must be
+    closed under this peeling, as a union of lower intervals is.  Index order
+    is length order; a value is kept only while the walk is at its length or the next.
+    """
+    elements, left_mult = g.elements, g.left_mult
+    shorter, current, length = {}, {}, 0
+    for tau in range(g.order) if within is None else bit_indices(within):
+        e = elements[tau]
+        if e.length > length:
+            shorter, current, length = current, {}, e.length
+        if e.length:
+            i = e.word[0] - 1
+            sigma = left_mult[tau][i]
+            current[tau] = advance(tau, i, sigma, shorter[sigma])
+        else:
+            current[tau], seed = seed, None  # the window alone holds it
+        yield tau, current[tau]
+
+
+def _bruhat_table(g: WeylGroup) -> tuple[int, ...]:
+    left_mult = g.left_mult
+
+    def advance(tau, s, sigma, base):  # the row of tau is base | s*base, one OR per Bruhat pair
         mask = base
         for w in bit_indices(base):
             mask |= 1 << left_mult[w][s]
-        rows.append(mask)
-    return tuple(rows)
+        return mask
+
+    return tuple(row for _, row in peel(g, 1, advance))
 
 
 def bruhat_leq(g: WeylGroup, w: WeylElement, tau: WeylElement) -> bool:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -309,6 +310,28 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert captured.err == "internal error: decomposition failed to terminate; internal inconsistency\n"
 
 
+@pytest.mark.parametrize(
+    "argv,lines_read",
+    [
+        (["weyl", "--type", "B", "--rank", "4"], 1),  # about 150 kB: the reader leaves mid-output
+        (["info", "--type", "A", "--rank", "2"], 0),  # all of it buffered: the final flush fails
+    ],
+    ids=["mid-output", "at-shutdown"],
+)
+def test_closed_stdout_exits_141_silently(argv, lines_read):
+    # block-buffered stdout, as on a plain pipe, so that the at-shutdown case writes nothing before the end
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "demchar", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+    )
+    for _ in range(lines_read):
+        assert child.stdout.readline()
+    child.stdout.close()
+    assert child.wait(timeout=60) == 141
+    assert child.stderr.read() == ""
+    child.stderr.close()
+
+
 def test_deeply_nested_json_is_usage_error():
     # the JSON parser raises RecursionError, a RuntimeError, on deep nesting
     r = run_cli("decompose", "--type", "A", "--rank", "1", stdin="[" * 200_000)
@@ -448,12 +471,12 @@ def test_only_bruhat_commands_build_the_table(monkeypatch, tmp_path):
     real = weyl._bruhat_table
     calls = []
 
-    def refuse(elements, left_mult):
+    def refuse(g):
         raise AssertionError("the Bruhat table was built")
 
-    def counted(elements, left_mult):
-        calls.append(len(elements))
-        return real(elements, left_mult)
+    def counted(g):
+        calls.append(g.order)
+        return real(g)
 
     basis = tmp_path / "basis.json"
     basis.write_text(json.dumps(kernel_basis_element(oracles.group("A", 3), (1, 2, 1)).to_json_dict()))

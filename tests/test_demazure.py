@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from demchar.charring import CharElement
 from demchar.demazure import (
-    _image_table,
     demazure_char,
     demazure_step,
     demazure_word,
@@ -15,7 +14,7 @@ from demchar.demazure import (
     top_cohomology_char,
 )
 from demchar.rootsys import build_datum, simple_reflection, weight_neg, weight_sub
-from demchar.weyl import element_by_word
+from demchar.weyl import element_by_word, peel
 
 import oracles
 from oracles import alternative_reduced_words, extreme_weight, w_apply
@@ -24,10 +23,10 @@ monomial = CharElement.monomial
 
 
 def unpacked_images(g, v):
-    """The full image table of v, each entry D_w(v) unpacked, indexed like g.elements."""
+    """D_w(v) for every group element, from the peeling walk, unpacked and indexed like g.elements."""
     packing = packing_for(g.datum, v.terms)
-    images = _image_table(g, packing, packing.pack_terms(v.terms))
-    return [CharElement.adopt(v.rank, packing.unpack_terms(p)) for p in images]
+    walk = peel(g, packing.pack_terms(v.terms), lambda w, i, sigma, p: packing.step(i, p))
+    return [CharElement.adopt(v.rank, packing.unpack_terms(p)) for _, p in walk]
 
 
 def numerator_identity_holds(d, i, lam):

@@ -1,5 +1,7 @@
 import pickle
 import random
+import weakref
+from collections import Counter
 
 import pytest
 
@@ -11,6 +13,7 @@ from demchar.weyl import (
     element_by_word,
     generate,
     lower_interval,
+    peel,
 )
 
 import oracles
@@ -153,6 +156,55 @@ def test_lower_interval_ordering_and_monotonicity():
         assert [x.index for x in interval] == bit_indices(g.bruhat_rows[tau.index])
         for w in interval:
             assert set(lower_interval(g, w)) <= set(interval)
+
+
+class _Tracked:
+    """A walk value that a weakref can follow; it names its element."""
+
+    def __init__(self, tau):
+        self.tau = tau
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4)])
+def test_peel_holds_at_most_two_lengths_of_values(family, rank):
+    g = oracles.group(family, rank)
+    alive = weakref.WeakSet()
+    sizes = Counter(e.length for e in g.elements)
+
+    def made(tau):
+        value = _Tracked(tau)
+        alive.add(value)
+        return value
+
+    def advance(tau, i, sigma, below):
+        assert below.tau == sigma == g.left_mult[tau][i]
+        assert g.elements[tau].word == (i + 1,) + g.elements[sigma].word
+        return made(tau)
+
+    seen = []
+    for tau, value in peel(g, made(g.identity), advance):
+        seen.append(tau)
+        assert value.tau == tau
+        length = g.elements[tau].length
+        assert {g.elements[v.tau].length for v in alive} <= {length - 1, length}
+        assert len(alive) <= sizes[length] + sizes[length - 1]
+    assert seen == list(range(g.order))
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4)])
+def test_peel_within_a_union_of_lower_intervals(family, rank):
+    g = oracles.group(family, rank)
+    # the intervals by the table-free bruhat_leq, so the check does not read the walk's own output
+    intervals = [frozenset(w.index for w in g.elements if bruhat_leq(g, w, tau)) for tau in g.elements]
+    lift = lambda tau, i, sigma, below: below | {g.left_mult[w][i] for w in below}
+    rng = random.Random(15)
+    for _ in range(6):
+        taus = rng.sample(range(g.order), rng.randint(1, 3))
+        union = frozenset().union(*(intervals[t] for t in taus))
+        walk = list(peel(g, frozenset([g.identity]), lift, sum(1 << k for k in union)))
+        assert [tau for tau, _ in walk] == sorted(union)
+        for tau, below in walk:
+            assert below == intervals[tau]
 
 
 def test_alternative_reduced_words_examples():
