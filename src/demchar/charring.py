@@ -6,7 +6,9 @@ every operation returns a fresh element, so sharing across threads and
 parallel additive reductions are safe.
 
 ``json_text`` writes every JSON document the command line prints, with the
-bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
+bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.  A part of a
+document can be rendered ahead, in another process, and handed in as a
+``Fragment``.
 """
 
 from __future__ import annotations
@@ -187,12 +189,27 @@ class CharElement:
         return f"CharElement(rank={self.rank}, terms={dict(sorted(self.terms.items()))})"
 
 
+class Fragment:
+    """A value already rendered by ``json_text``, which writes it verbatim where it sits.
+
+    The text is rendered at indent 0; placed deeper, each of its newlines
+    gains the indent of the line it starts on.  JSON text has no raw newline
+    inside a string, so that re-indents it exactly.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 def json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for the values the CLI prints.
 
     Those are str-keyed dicts, lists, str, int, bool, None and CharElement,
     which is written as its ``to_json_dict()`` would be without building that
-    tree.  Anything else (a float, a tuple, a non-str key) is a TypeError.
+    tree, and Fragment, which stands for the value it was rendered from.
+    Anything else (a float, a tuple, a non-str key) is a TypeError.
     """
     return _json_text(obj, "\n")
 
@@ -227,6 +244,8 @@ def _json_text(obj, nl: str) -> str:
         return "{" + inner + body + nl + "}"
     if isinstance(obj, CharElement):
         return _char_json_text(obj, nl)
+    if isinstance(obj, Fragment):
+        return obj.text.replace("\n", nl)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

@@ -7,13 +7,22 @@ integer tuples by argparse, and their length is checked by the library
 ``verify-theorem`` and ``verify-lemma31`` only, the sweeps that distribute
 their weights over a process pool; ``verify-kernel`` runs serially.
 
-Exit codes: 0 all checks verified, 1 mathematical mismatch, 2 usage error,
-3 internal error (a consistency check inside the library failed), 141 stdout
-closed early (the code a shell shows for SIGPIPE), with nothing on stderr.
-Output is deterministic and byte-identical between serial and parallel runs.
-Every JSON document is printed by ``_dump_json`` through the emitter
-``charring.json_text`` (the bytes of ``json.dumps(obj, indent=2,
-sort_keys=True)``); a character is handed to it as a CharElement.
+A sweep hands out its weights in descending order of predicted work, dim
+V(lam - rho) by Weyl's dimension formula, ties in grid order, and puts the
+blocks back in grid order.  Serial and parallel runs share one path: each
+weight's block is summarized where it is computed (``_sweep_lambda``), so
+only its failing reports and, for JSON, its rendered text outlive it.
+
+Exit codes: 0 all checks verified, 1 mathematical mismatch, 2 usage error
+(also when memory runs out, in this process or in a pool worker), 3
+internal error (a consistency check inside the library failed, or any other
+exception escaped a command), 141 stdout closed early (the code a shell
+shows for SIGPIPE), with nothing on stderr.  Every error is one line on
+stderr.  Output is deterministic and byte-identical between serial and
+parallel runs.  Every JSON document is printed by ``_dump_json`` through
+the emitter ``charring.json_text`` (the bytes of ``json.dumps(obj,
+indent=2, sort_keys=True)``); a character is handed to it as a CharElement,
+and a block rendered ahead as a ``charring.Fragment``.
 """
 
 from __future__ import annotations
@@ -25,8 +34,9 @@ import os
 import random
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
-from .charring import CharElement, json_text
+from .charring import CharElement, Fragment, json_text
 from .demazure import demazure_char, euler_char, top_cohomology_char
 from .kernel import (
     decompose,
@@ -36,9 +46,9 @@ from .kernel import (
     kernel_basis_element,
     verify_characterization,
 )
-from .rootsys import Weight, build_datum, weight_neg, weight_sub
+from .rootsys import Weight, build_datum, weight_neg, weight_sub, weyl_dimension
 from .theorem import sweep_verify_lemma31, sweep_verify_theorem
-from .weyl import DEFAULT_MAX_GROUP_ORDER, WeylGroup, bruhat_leq, element_by_word, generate, lower_interval
+from .weyl import DEFAULT_MAX_GROUP_ORDER, WeylGroup, bruhat_leq, element_by_word, generate, lower_covers
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -178,10 +188,9 @@ def cmd_weyl(args: argparse.Namespace) -> int:
         for e in g.elements:
             label = "e" if not e.word else ",".join(map(str, e.word))
             print(f'  n{e.index} [label="{label}"];')
-        for tau in g.elements:
-            for w in lower_interval(g, tau):
-                if w.length == tau.length - 1:
-                    print(f"  n{w.index} -> n{tau.index};")
+        for tau, covers in enumerate(lower_covers(g)):
+            for w in covers:
+                print(f"  n{w} -> n{tau};")
         print("}")
         return EXIT_OK
     if args.fmt == "json":
@@ -227,14 +236,29 @@ def cmd_bruhat(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_lambda(g: WeylGroup, command: str, lam: Weight) -> dict:
+class _Block(NamedTuple):
+    """What the emitter needs of one lambda's sweep: small enough to pickle back from a worker.
+
+    ``failures`` holds the report dicts of the failing checks; ``text`` is
+    the whole block, rendered, for ``--format json`` only.
+    """
+
+    lam: list[int]
+    checks: int
+    failures: list[dict]
+    text: Fragment | None
+
+
+def _sweep_lambda(g: WeylGroup, command: str, fmt: str, lam: Weight) -> _Block:
     # built per call, so a replaced module attribute takes effect
     sweep = {"verify-theorem": sweep_verify_theorem, "verify-lemma31": sweep_verify_lemma31}[command]
     reports = sweep(g, lam)
-    return {
-        "lambda": list(lam),
-        "reports": [r.to_json_dict(g.elements[k], lam) for k, r in enumerate(reports)],
-    }
+    if fmt != "json":
+        failures = [r.to_json_dict(g.elements[k], lam) for k, r in enumerate(reports) if not r.passed]
+        return _Block(list(lam), len(reports), failures, None)
+    dicts = [r.to_json_dict(g.elements[k], lam) for k, r in enumerate(reports)]
+    text = Fragment(json_text({"lambda": list(lam), "reports": dicts}))
+    return _Block(list(lam), len(reports), [r for r in dicts if not r["passed"]], text)
 
 
 # set in each pool worker by _init_worker, never in the main process
@@ -246,14 +270,13 @@ def _init_worker(g: WeylGroup) -> None:
     _worker_group = g
 
 
-def _sweep_task(task: tuple) -> dict:
-    command, lam = task
-    return _sweep_lambda(_worker_group, command, lam)
+def _sweep_task(task: tuple) -> _Block:
+    return _sweep_lambda(_worker_group, *task)
 
 
-def _emit_sweep(args: argparse.Namespace, g: WeylGroup, results: list[dict]) -> int:
-    checks = sum(len(block["reports"]) for block in results)
-    failures = [r for block in results for r in block["reports"] if not r["passed"]]
+def _emit_sweep(args: argparse.Namespace, g: WeylGroup, blocks: list[_Block]) -> int:
+    checks = sum(block.checks for block in blocks)
+    failures = [r for block in blocks for r in block.failures]
     if args.fmt == "json":
         _dump_json(
             {
@@ -263,14 +286,13 @@ def _emit_sweep(args: argparse.Namespace, g: WeylGroup, results: list[dict]) -> 
                 "grid": args.grid,
                 "checks": checks,
                 "all_passed": not failures,
-                "sweeps": results,
+                "sweeps": [block.text for block in blocks],
             }
         )
     else:
         print(f"{args.command} type={g.datum.family}{g.datum.rank} grid={args.grid} elements={g.order}")
-        for block in results:
-            ok = all(r["passed"] for r in block["reports"])
-            print(f"lambda={block['lambda']} checks={len(block['reports'])} {'ok' if ok else 'MISMATCH'}")
+        for block in blocks:
+            print(f"lambda={block.lam} checks={block.checks} {'MISMATCH' if block.failures else 'ok'}")
         print(f"total checks={checks} passed={checks - len(failures)}")
         if failures:
             print("first counterexample:")
@@ -281,17 +303,25 @@ def _emit_sweep(args: argparse.Namespace, g: WeylGroup, results: list[dict]) -> 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = load_group(args)
-    lams = _lambda_grid(g.datum.rank, args.grid)
+    d = g.datum
+    lams = _lambda_grid(d.rank, args.grid)
+    # the largest predicted work, dim V(lam - rho), first, so that no long lambda starts last;
+    # sorted() is stable, so ties keep grid order
+    order = sorted(range(len(lams)), key=lambda k: -weyl_dimension(d, weight_sub(lams[k], d.rho)))
+    tasks = [(args.command, args.fmt, lams[k]) for k in order]
     if args.parallel and len(lams) > 1:
         import multiprocessing
 
-        g.bruhat_rows  # built once here, so every worker receives the table
+        g.largest_covers  # built once here, with the Bruhat table it reads, so every worker receives both
 
         with multiprocessing.Pool(initializer=_init_worker, initargs=(g,)) as pool:
-            results = pool.map(_sweep_task, [(args.command, lam) for lam in lams], chunksize=1)
+            done = pool.map(_sweep_task, tasks, chunksize=1)
     else:
-        results = [_sweep_lambda(g, args.command, lam) for lam in lams]
-    return _emit_sweep(args, g, results)
+        done = [_sweep_lambda(g, *task) for task in tasks]
+    blocks = [None] * len(lams)
+    for k, block in zip(order, done):
+        blocks[k] = block
+    return _emit_sweep(args, g, blocks)
 
 
 def _random_char(rng: random.Random, rank: int) -> CharElement:
@@ -428,6 +458,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError:
+        # raised here or re-raised from a pool worker; either way the input asked for too much
+        print("error: out of memory; ask for a smaller type, weight or grid", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        # a bug in demchar: exit 1 would read as a mismatch, and a traceback is not one line
+        print(f"internal error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

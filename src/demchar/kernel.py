@@ -64,7 +64,8 @@ def kernel_basis_element(g: WeylGroup, lam: Weight) -> CharElement:
     packing = packing_for(g.datum, [lam])
     total: dict[int, int] = {}
     get = total.get
-    for w, p in peel(g, {packing.pack(weight_neg(lam)): 1}, lambda w, i, sigma, p: packing.step(i, p)):
+    advance = lambda w, i, sigma, below: packing.step(i, below[sigma])
+    for w, p in peel(g, {packing.pack(weight_neg(lam)): 1}, advance):
         sign = -1 if g.elements[w].length % 2 else 1
         for k, c in p.items():
             total[k] = get(k, 0) + sign * c

@@ -193,3 +193,17 @@ def check_regular_dominant(d: RootDatum, lam: Weight) -> None:
 
 def is_dominant(d: RootDatum, lam: Weight) -> bool:
     return all(c >= 0 for c in lam)
+
+
+def weyl_dimension(d: RootDatum, lam: Weight) -> int:
+    """dim V(lam) by Weyl's dimension formula, prod <lam + rho, beta^vee> / prod <rho, beta^vee>.
+
+    Both products run over the positive coroots and are integers; the
+    quotient is exact, so the division is too.  For a non-dominant lam it is
+    the same signed product.
+    """
+    num = den = 1
+    for coroot in d.positive_coroots:
+        num *= sum((c + 1) * a for c, a in zip(lam, coroot))
+        den *= sum(coroot)
+    return num // den

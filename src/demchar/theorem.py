@@ -16,7 +16,7 @@ from typing import Sequence
 from .charring import CHAR_ELEMENT_SCHEMA, CharElement
 from .demazure import packing_for, top_cohomology_char
 from .rootsys import Weight, check_regular_dominant, weight_neg, weight_sub
-from .weyl import WeylElement, WeylGroup, bit_indices, peel
+from .weyl import WeylElement, WeylGroup, peel
 
 VERIFICATION_REPORT_SCHEMA = {
     "type": "object",
@@ -67,21 +67,27 @@ def _interval_reports(
     """Check sum_{w <= tau} eps_w = D_tau(e^(lam - rho)) per tau, both sides read in e^frame.
 
     One ``weyl.peel`` walk over the union of the taus' lower intervals.  At
-    each tau one operator step from sigma's entries gives D_tau(e^-lam) and
-    the section D_tau(e^(lam - rho)), one star and sign per key turn the
-    first into lemma 3.1's eps_tau = e^-rho * ch(H^l(tau)(X(tau), L_-lam))^*,
-    and L(tau) is L(sigma) plus eps_w over the bits of rows[tau] & ~rows[sigma]
-    alone.  A tau that was asked for is compared at once, so a single tau
-    costs in proportion to its interval.
+    each tau one operator step from sigma = s*tau's entries gives D_tau(e^-lam)
+    and the section D_tau(e^(lam - rho)), and one star and sign per key turn
+    the first into lemma 3.1's eps_tau = e^-rho * ch(H^l(tau)(X(tau), L_-lam))^*.
+    L(tau) is not grown from sigma but from c, the lower cover of tau with the
+    largest interval (``WeylGroup.largest_covers``): [e, c] lies in [e, tau]
+    (Bjorner-Brenti, GTM 231, section 2.2), so L(tau) is a copy of L(c) plus
+    eps_w over the increment, the bits of rows[tau] & ~rows[c].  Both c and the
+    increment depend on tau alone, so they are read from the group, not
+    derived per lam; c is one letter shorter than tau, so L(c) is in the
+    walk's window.  A tau that was asked for is compared at once, so a single
+    tau costs in proportion to its interval.
 
-    The walk keeps two lengths of images and L(sigma); every eps_w stays, since
-    a later tau may add any w.  Both sides share one packing and are compared
+    The walk keeps two lengths of images and L; every eps_w stays, since a
+    later tau may add any w.  Both sides share one packing and are compared
     packed.  A passing report keeps no character; a failing one unpacks L(tau)
     and the section once, times e^frame (the theorem is lemma 3.1 times e^rho).
     """
     check_regular_dominant(g.datum, lam)
     rho = g.datum.rho
     rows = g.bruhat_rows
+    covers = g.largest_covers
     needed = 0
     for tau in taus:
         needed |= rows[tau.index]
@@ -96,13 +102,18 @@ def _interval_reports(
         epsilon[k] = {m - key: -c if g.elements[k].length % 2 else c for key, c in image.items()}
         acc = dict(acc)
         get = acc.get
-        for w in bit_indices(new):
+        for w in new:
             for mu, c in epsilon[w].items():
                 acc[mu] = get(mu, 0) + c
         return image, section, acc
 
-    seed = entries(g.identity, {packing.pack(weight_neg(lam)): 1}, {packing.pack(weight_sub(lam, rho)): 1}, {}, 1)
-    advance = lambda k, i, sigma, v: entries(k, step(i, v[0]), step(i, v[1]), v[2], rows[k] & ~rows[sigma])
+    def advance(k, i, sigma, below):
+        image, section, _ = below[sigma]
+        c, new = covers[k]
+        return entries(k, step(i, image), step(i, section), below[c][2], new)
+
+    e = g.identity
+    seed = entries(e, {packing.pack(weight_neg(lam)): 1}, {packing.pack(weight_sub(lam, rho)): 1}, {}, covers[e][1])
     for k, (_, section, acc) in peel(g, seed, advance, needed):
         if k in asked:
             lhs = {mu: c for mu, c in acc.items() if c} if 0 in acc.values() else acc

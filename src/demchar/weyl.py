@@ -63,7 +63,8 @@ class WeylGroup:
     """A fully generated Weyl group with its multiplication tables.
 
     ``elements`` is sorted by (length, canonical word).  Immutable after
-    generation apart from the cached Bruhat table.
+    generation apart from the cached Bruhat table and its table of largest
+    lower covers.
     """
 
     datum: RootDatum
@@ -96,6 +97,17 @@ class WeylGroup:
         immutable tables, so the group stays safe to share across threads.
         """
         return _bruhat_table(self)
+
+    @cached_property
+    def largest_covers(self) -> tuple[tuple[int | None, tuple[int, ...]], ...]:
+        """``largest_covers[t]`` is (c, increment): the lower cover c of elements[t] with the
+        largest interval, and the indices of ``bruhat_rows[t] & ~bruhat_rows[c]``, ascending.
+
+        Ties go to the smallest index.  The identity has no cover: its entry is
+        (None, (identity,)).  Built on first read from the Bruhat table and
+        cached like it.
+        """
+        return _largest_covers(self)
 
 
 def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGroup:
@@ -159,9 +171,11 @@ def peel(g: WeylGroup, seed, advance, within: int | None = None):
     With i the 0-based first letter of tau's canonical word and sigma = s_i*tau,
     one letter shorter, [e, tau] = [e, sigma] u s_i[e, sigma] (lifting property,
     Bjorner-Brenti, GTM 231, Prop. 2.2.7).  The value at e is ``seed`` and any
-    other is ``advance(tau, i, sigma, value_of_sigma)``, so ``within`` must be
-    closed under this peeling, as a union of lower intervals is.  Index order
-    is length order; a value is kept only while the walk is at its length or the next.
+    other is ``advance(tau, i, sigma, below)``, where ``below`` maps every
+    index of length l(tau) - 1 in ``within`` to its value, so sigma's value is
+    ``below[sigma]``.  ``within`` must be closed under this peeling, as a
+    union of lower intervals is.  Index order is length order; a value is
+    kept only while the walk is at its length or the next.
     """
     elements, left_mult = g.elements, g.left_mult
     shorter, current, length = {}, {}, 0
@@ -171,8 +185,7 @@ def peel(g: WeylGroup, seed, advance, within: int | None = None):
             shorter, current, length = current, {}, e.length
         if e.length:
             i = e.word[0] - 1
-            sigma = left_mult[tau][i]
-            current[tau] = advance(tau, i, sigma, shorter[sigma])
+            current[tau] = advance(tau, i, left_mult[tau][i], shorter)
         else:
             current[tau], seed = seed, None  # the window alone holds it
         yield tau, current[tau]
@@ -181,13 +194,47 @@ def peel(g: WeylGroup, seed, advance, within: int | None = None):
 def _bruhat_table(g: WeylGroup) -> tuple[int, ...]:
     left_mult = g.left_mult
 
-    def advance(tau, s, sigma, base):  # the row of tau is base | s*base, one OR per Bruhat pair
-        mask = base
+    def advance(tau, s, sigma, below):  # the row of tau is base | s*base, one OR per Bruhat pair
+        mask = base = below[sigma]
         for w in bit_indices(base):
             mask |= 1 << left_mult[w][s]
         return mask
 
     return tuple(row for _, row in peel(g, 1, advance))
+
+
+def lower_covers(g: WeylGroup) -> list[list[int]]:
+    """``lower_covers(g)[t]``: the indices c < elements[t] with l(c) = l(t) - 1, ascending.
+
+    Elements are sorted by length, so the elements of one length fill a
+    contiguous index range, and the covers of t are the bits of its Bruhat
+    row in the range one length down: one shift and mask per element.
+    """
+    rows = g.bruhat_rows
+    start = [0] * (g.longest_element.length + 2)  # start[l] is the first index of length l
+    for e in g.elements:
+        start[e.length + 1] = e.index + 1
+    covers = []
+    for e in g.elements:
+        if not e.length:
+            covers.append([])
+            continue
+        lo, hi = start[e.length - 1], start[e.length]
+        covers.append([lo + k for k in bit_indices((rows[e.index] >> lo) & ((1 << (hi - lo)) - 1))])
+    return covers
+
+
+def _largest_covers(g: WeylGroup) -> tuple[tuple[int | None, tuple[int, ...]], ...]:
+    rows = g.bruhat_rows
+    size = [row.bit_count() for row in rows]
+    table = []
+    for tau, covers in enumerate(lower_covers(g)):
+        if not covers:
+            table.append((None, (tau,)))
+            continue
+        c = max(covers, key=size.__getitem__)  # the first maximum: the smallest index on ties
+        table.append((c, tuple(bit_indices(rows[tau] & ~rows[c]))))
+    return tuple(table)
 
 
 def bruhat_leq(g: WeylGroup, w: WeylElement, tau: WeylElement) -> bool:

@@ -1,11 +1,12 @@
 import json
+import pickle
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demchar.charring import CHAR_ELEMENT_SCHEMA, CharElement, json_text
+from demchar.charring import CHAR_ELEMENT_SCHEMA, CharElement, Fragment, json_text
 from demchar.rootsys import build_datum
 from demchar.weyl import element_by_word
 
@@ -295,6 +296,24 @@ def test_json_text_writes_a_char_element_as_its_json_dict(v, doc):
     # nested, the element's lines take the indent of where it sits
     nested = {"doc": doc, "v": [v]}
     assert json_text(nested) == oracles.json_reference({"doc": doc, "v": [v.to_json_dict()]})
+
+
+def with_fragments(doc, choose):
+    """doc with the values that ``choose()`` picks rendered ahead as Fragments, inner ones first."""
+    if isinstance(doc, list):
+        doc = [with_fragments(x, choose) for x in doc]
+    elif isinstance(doc, dict):
+        doc = {key: with_fragments(x, choose) for key, x in doc.items()}
+    return Fragment(json_text(doc)) if choose() else doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCS, st.data())
+def test_json_text_writes_a_fragment_as_the_value_it_was_rendered_from(doc, data):
+    mixed = with_fragments(doc, lambda: data.draw(st.booleans()))
+    assert json_text(mixed) == oracles.json_reference(doc)
+    # a fragment that crossed a process boundary
+    assert json_text(pickle.loads(pickle.dumps({"a": [mixed]}))) == oracles.json_reference({"a": [doc]})
 
 
 def test_json_text_of_the_zero_element_and_of_bools():

@@ -164,15 +164,34 @@ def test_decompose_rejects_non_member():
     assert r.returncode == 2
 
 
-def test_serial_and_parallel_outputs_identical():
-    for command in ("verify-theorem", "verify-lemma31"):
-        base = [command, "--type", "A", "--rank", "3", "--grid", "2", "--format", "json"]
+def test_serial_and_parallel_outputs_identical(request, monkeypatch, capsys):
+    import multiprocessing
+
+    runs = [
+        [command, "--type", "A", "--rank", "3", "--grid", "2", "--format", fmt]
+        for command in ("verify-theorem", "verify-lemma31")
+        for fmt in ("json", "plain")
+    ]
+    for base in runs:
         serial = run_cli(*base)
         parallel = run_cli(*base, "--parallel")
         assert serial.returncode == parallel.returncode == 0
         assert serial.stdout == parallel.stdout
-        assert serial.stdout == oracles.json_reference(json.loads(serial.stdout)) + "\n"
-        assert json.loads(serial.stdout)["command"] == command
+        assert serial.stdout.endswith("PASS\n") or json.loads(serial.stdout)["command"] == base[0]
+    # every check fails, so the failing reports travel back from the workers in their summaries;
+    # forked workers inherit the patched module
+    request.getfixturevalue("sections_of_lam")
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+    for base in runs:
+        serial = stdout_in_process(base, capsys)
+        assert serial == stdout_in_process([*base, "--parallel"], capsys)
+        assert serial[0] == 1
+        if "json" in base:
+            assert_stdlib_bytes(serial[1])
+            data = json.loads(serial[1])
+            assert data["checks"] == 24 * 8 and not any(r["passed"] for b in data["sweeps"] for r in b["reports"])
+        else:
+            assert "total checks=192 passed=0\nfirst counterexample:\n" in serial[1]
 
 
 def assert_usage_error(r):
@@ -272,27 +291,23 @@ def test_max_group_order_flag():
 def test_emit_sweep_reports_mismatch_with_exit_one(capsys):
     # a mathematical mismatch cannot be produced by the real identities, so
     # exercise the reporting path with a fabricated failing report
-    from demchar.cli import EXIT_MISMATCH, _emit_sweep
+    from demchar.cli import EXIT_MISMATCH, _Block, _emit_sweep
 
     g = oracles.group("A", 1)
     args = build_parser().parse_args(["verify-theorem", "--type", "A", "--rank", "1"])
     failing = {
+        "tau": [1],
         "lambda": [1],
-        "reports": [
-            {
-                "tau": [1],
-                "lambda": [1],
-                "passed": False,
-                "dim_lhs": "2",
-                "dim_rhs": "1",
-                "difference_terms": [{"weight": [0], "coeff": "1"}],
-                "interval_size": 2,
-            }
-        ],
+        "passed": False,
+        "dim_lhs": "2",
+        "dim_rhs": "1",
+        "difference_terms": [{"weight": [0], "coeff": "1"}],
+        "interval_size": 2,
     }
-    code = _emit_sweep(args, g, [failing])
+    code = _emit_sweep(args, g, [_Block([1], 1, [failing], None)])
     out = capsys.readouterr().out
     assert code == EXIT_MISMATCH
+    assert "lambda=[1] checks=1 MISMATCH" in out
     assert "first counterexample:" in out
     assert out.strip().endswith("FAIL")
 
@@ -308,6 +323,74 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: decomposition failed to terminate; internal inconsistency\n"
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stands in for multiprocessing.Pool: runs each task in this process, in the order it is handed.
+
+    Returns the record of what the pool saw: per pool, whether the group it
+    was handed carries both tables, and the lambdas in dispatch order.
+    """
+    import multiprocessing
+
+    from demchar import cli
+
+    record = {"tables": [], "dispatched": []}
+
+    class InlinePool:
+        def __init__(self, initializer, initargs):
+            built = vars(initargs[0])
+            record["tables"].append("bruhat_rows" in built and "largest_covers" in built)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            blocks = [fn(item) for item in items]
+            record["dispatched"] += [tuple(block.lam) for block in blocks]
+            return blocks
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(cli, "_worker_group", None)
+    return record
+
+
+UNEXPECTED = [
+    (MemoryError(), 2, "error: out of memory; ask for a smaller type, weight or grid\n"),
+    (KeyError("x"), 3, "internal error: unexpected KeyError: 'x'\n"),
+    (ZeroDivisionError("division by zero"), 3, "internal error: unexpected ZeroDivisionError: division by zero\n"),
+]
+
+
+@pytest.mark.parametrize("exc,code,err", UNEXPECTED, ids=["memory", "key", "zero-division"])
+def test_unexpected_exceptions_exit_with_one_line(exc, code, err, monkeypatch, capsys):
+    from demchar import cli
+
+    def broken(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "info", broken)
+    assert cli.main(["info", "--type", "A", "--rank", "1"]) == code
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.usefixtures("inline_pool")
+@pytest.mark.parametrize("exc,code,err", UNEXPECTED, ids=["memory", "key", "zero-division"])
+def test_unexpected_exceptions_from_a_worker_exit_with_one_line(exc, code, err, monkeypatch, capsys):
+    # the pool re-raises in the main process what a worker raised
+    from demchar import cli
+
+    def broken(g, lam):
+        raise exc
+
+    monkeypatch.setattr(cli, "sweep_verify_theorem", broken)
+    assert cli.main(["verify-theorem", "--type", "A", "--rank", "2", "--parallel"]) == code
+    assert capsys.readouterr() == ("", err)
 
 
 @pytest.mark.parametrize(
@@ -518,31 +601,19 @@ def test_verify_kernel_reports_a_basis_element_outside_n_as_mismatch(monkeypatch
     assert err == ""
 
 
-def test_parallel_sweep_hands_workers_the_built_table(monkeypatch):
-    import multiprocessing
-
-    from demchar import cli
-
-    seen = []
-
-    class InlinePool:
-        def __init__(self, initializer, initargs):
-            seen.append("bruhat_rows" in vars(initargs[0]))
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
-    monkeypatch.setattr(cli, "_worker_group", None)
-    assert run_in_process(["verify-theorem", "--type", "A", "--rank", "2", "--parallel"]) == (0, "")
-    assert seen == [True]
+def test_parallel_sweep_hands_workers_the_built_table(inline_pool, capsys):
+    argv = ["verify-theorem", "--type", "A", "--rank", "2", "--grid", "3"]
+    parallel = stdout_in_process([*argv, "--parallel"], capsys)
+    assert inline_pool["tables"] == [True]
+    # the largest predicted work first, ties in grid order; the output stays in grid order
+    d = oracles.group("A", 2).datum
+    grid = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+    dims = {lam: oracles.weyl_dimension(d, (lam[0] - 1, lam[1] - 1)) for lam in grid}
+    assert inline_pool["dispatched"] == sorted(grid, key=lambda lam: -dims[lam])
+    assert inline_pool["dispatched"][:3] == [(3, 3), (2, 3), (3, 2)]
+    assert parallel == stdout_in_process(argv, capsys)
+    lines = parallel[1].splitlines()[1:10]
+    assert [line.split(" checks=")[0] for line in lines] == [f"lambda={list(lam)}" for lam in grid]
 
 
 def test_decompose_fold_past_its_bound_exits_three(monkeypatch):
@@ -664,6 +735,21 @@ def test_plain_counterexample_has_the_stdlib_bytes(capsys):
     g = oracles.group("B", 2)
     for tau, r in zip(g.elements, sweep_verify_theorem(g, (2, 1))):
         assert not r.passed and r.sides[0] == oracles.interval_sum(g, tau, (2, 1))
+
+
+@pytest.mark.parametrize(
+    "family,rank,digest",
+    [
+        ("D", 4, "947bd8d4065692ed59876a54c2869c53449e757003a43710603c589a62a81d7d"),
+        ("F", 4, "a9af9ec97048b24442c13f9fb2b169bdef8a4a2197c43a1d2510232e9de7ad25"),
+        ("B", 3, "a6ae5cf06b36f3495f5ca421e632afe5cfceb2a6baec2e75b2fd9756e690ef28"),
+    ],
+)
+def test_dot_output_bytes_are_pinned(family, rank, digest, capsys):
+    """The Hasse diagram, drawn from the lower covers, as the full lower intervals drew it."""
+    code, out = stdout_in_process(["weyl", "--type", family, "--rank", str(rank), "--dot"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.usefixtures("sections_of_lam")

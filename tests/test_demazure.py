@@ -25,7 +25,7 @@ monomial = CharElement.monomial
 def unpacked_images(g, v):
     """D_w(v) for every group element, from the peeling walk, unpacked and indexed like g.elements."""
     packing = packing_for(g.datum, v.terms)
-    walk = peel(g, packing.pack_terms(v.terms), lambda w, i, sigma, p: packing.step(i, p))
+    walk = peel(g, packing.pack_terms(v.terms), lambda w, i, sigma, below: packing.step(i, below[sigma]))
     return [CharElement.adopt(v.rank, packing.unpack_terms(p)) for _, p in walk]
 
 

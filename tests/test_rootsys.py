@@ -12,6 +12,7 @@ from demchar.rootsys import (
     simple_reflection,
     weight_add,
     weight_sub,
+    weyl_dimension,
 )
 
 import oracles
@@ -197,3 +198,14 @@ def test_dominance_compare_non_integral_on_other_cosets():
     for lo, hi in [((0, 0, 1, 0), (1, 0, 0, 0)), ((0, 0, 0, 0), (1, 0, 0, 0))]:
         assert not dominance_leq(d, lo, hi) and not dominance_leq(d, hi, lo)
     assert dominance_leq(d, (0, 0, 0, 0), (0, 1, 0, 0))
+
+
+@pytest.mark.parametrize("family,rank", oracles.ALL_TYPES)
+def test_integer_weyl_dimension_matches_the_fraction_reference(family, rank):
+    d = build_datum(family, rank)
+    seeded = oracles.random_weight(random.Random(rank * 31 + ord(family)), rank, -3, 5)
+    for lam in [(0,) * rank, d.rho, seeded]:
+        assert weyl_dimension(d, lam) == oracles.weyl_dimension(d, lam)
+    assert weyl_dimension(d, (0,) * rank) == 1
+    # dim V(rho) = 2^|Phi+|
+    assert weyl_dimension(d, d.rho) == 2 ** len(d.positive_roots)

@@ -12,6 +12,7 @@ from demchar.weyl import (
     classified_order,
     element_by_word,
     generate,
+    lower_covers,
     lower_interval,
     peel,
 )
@@ -68,6 +69,40 @@ def test_orbit_generation_matches_matrix_reference(family, rank):
     for e, m in zip(g.elements, ref.matrices):
         lam = oracles.random_weight(rng, rank, -6, 6)
         assert e.apply(lam) == tuple(sum(a * x for a, x in zip(row, lam)) for row in m)
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
+def test_largest_covers_grow_each_interval_by_its_increment(family, rank):
+    g = oracles.group(family, rank)
+    rows = g.bruhat_rows
+    by_length = {}
+    for w in g.elements:
+        by_length.setdefault(w.length, []).append(w)
+    assert g.largest_covers[g.identity] == (None, (g.identity,))
+    for tau, (c, increment) in zip(g.elements[1:], g.largest_covers[1:]):
+        # the lower covers by the table-free bruhat_leq and the lengths alone
+        covers = [w.index for w in by_length[tau.length - 1] if bruhat_leq(g, w, tau)]
+        assert c in covers
+        assert rows[c].bit_count() == max(rows[w].bit_count() for w in covers)
+        assert all(rows[w].bit_count() < rows[c].bit_count() for w in covers if w < c)
+        assert list(increment) == sorted(set(increment))
+        inc = sum(1 << w for w in increment)
+        assert inc & rows[c] == 0 and inc | rows[c] == rows[tau.index]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4), ("G", 2)])
+def test_lower_covers_are_the_interval_one_length_down(family, rank):
+    g = oracles.group(family, rank)
+    for tau, covers in zip(g.elements, lower_covers(g)):
+        assert covers == [w.index for w in lower_interval(g, tau) if w.length == tau.length - 1]
+
+
+def test_largest_covers_built_on_first_read_and_pickled():
+    g = generate(build_datum("B", 3))
+    assert "largest_covers" not in vars(g) and "bruhat_rows" not in vars(g)
+    covers = g.largest_covers
+    assert vars(g)["largest_covers"] is covers
+    assert vars(pickle.loads(pickle.dumps(g)))["largest_covers"] == covers
 
 
 def test_bruhat_rows_built_on_first_read_and_pickled():
@@ -177,7 +212,9 @@ def test_peel_holds_at_most_two_lengths_of_values(family, rank):
         return value
 
     def advance(tau, i, sigma, below):
-        assert below.tau == sigma == g.left_mult[tau][i]
+        assert below[sigma].tau == sigma == g.left_mult[tau][i]
+        # the window holds every element one letter shorter than tau
+        assert sorted(below) == [e.index for e in g.elements if e.length == g.elements[tau].length - 1]
         assert g.elements[tau].word == (i + 1,) + g.elements[sigma].word
         return made(tau)
 
@@ -196,7 +233,7 @@ def test_peel_within_a_union_of_lower_intervals(family, rank):
     g = oracles.group(family, rank)
     # the intervals by the table-free bruhat_leq, so the check does not read the walk's own output
     intervals = [frozenset(w.index for w in g.elements if bruhat_leq(g, w, tau)) for tau in g.elements]
-    lift = lambda tau, i, sigma, below: below | {g.left_mult[w][i] for w in below}
+    lift = lambda tau, i, sigma, below: below[sigma] | {g.left_mult[w][i] for w in below[sigma]}
     rng = random.Random(15)
     for _ in range(6):
         taus = rng.sample(range(g.order), rng.randint(1, 3))
