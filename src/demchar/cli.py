@@ -11,7 +11,10 @@ A sweep hands out its weights in descending order of predicted work, dim
 V(lam - rho) by Weyl's dimension formula, ties in grid order, and puts the
 blocks back in grid order.  Serial and parallel runs share one path: each
 weight's block is summarized where it is computed (``_sweep_lambda``), so
-only its failing reports and, for JSON, its rendered text outlive it.
+only its failing reports and, for JSON, its rendered text outlive it.  A
+passing report is written from one template, with each tau's word rendered
+once per command; a failing one goes through
+``VerificationReport.to_json_dict``.
 
 Exit codes: 0 all checks verified, 1 mathematical mismatch, 2 usage error
 (also when memory runs out, in this process or in a pool worker), 3
@@ -22,7 +25,11 @@ stderr.  Output is deterministic and byte-identical between serial and
 parallel runs.  Every JSON document is printed by ``_dump_json`` through
 the emitter ``charring.json_text`` (the bytes of ``json.dumps(obj,
 indent=2, sort_keys=True)``); a character is handed to it as a CharElement,
-and a block rendered ahead as a ``charring.Fragment``.
+and a block or a report rendered ahead as a ``charring.Fragment``.
+
+``weyl``, ``verify-theorem`` and ``verify-lemma31`` read the Bruhat table;
+a type whose table exceeds ``weyl.MAX_BRUHAT_TABLE_BYTES`` is refused
+before its group is generated.
 """
 
 from __future__ import annotations
@@ -48,7 +55,15 @@ from .kernel import (
 )
 from .rootsys import Weight, build_datum, weight_neg, weight_sub, weyl_dimension
 from .theorem import sweep_verify_lemma31, sweep_verify_theorem
-from .weyl import DEFAULT_MAX_GROUP_ORDER, WeylGroup, bruhat_leq, element_by_word, generate, lower_covers
+from .weyl import (
+    DEFAULT_MAX_GROUP_ORDER,
+    WeylGroup,
+    bruhat_leq,
+    check_bruhat_table,
+    element_by_word,
+    generate,
+    lower_covers,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -130,9 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_group(args: argparse.Namespace) -> WeylGroup:
-    """The Weyl group of the requested type; sweep workers receive this same group."""
-    return generate(build_datum(args.family, args.rank), args.max_group_order)
+def load_group(args: argparse.Namespace, table: bool = False) -> WeylGroup:
+    """The Weyl group of the requested type; sweep workers receive this same group.
+
+    A command that reads the Bruhat table passes ``table``, so that a type
+    whose table is too large is refused before the group is generated.
+    """
+    d = build_datum(args.family, args.rank)
+    if table:
+        check_bruhat_table(d)
+    return generate(d, args.max_group_order)
 
 
 def _resolve_element(g: WeylGroup, selector: str):
@@ -181,7 +203,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_weyl(args: argparse.Namespace) -> int:
-    g = load_group(args)
+    g = load_group(args, table=True)
     if args.dot:
         print("digraph bruhat {")
         print("  rankdir=BT;")
@@ -206,8 +228,7 @@ def cmd_weyl(args: argparse.Namespace) -> int:
         for e in g.elements:
             print(f"{e.index}: length={e.length} word={list(e.word)}")
         print("bruhat rows (element index ascending, leftmost bit = identity):")
-        for tau in g.elements:
-            row = g.bruhat_rows[tau.index]
+        for row in g.bruhat_rows:
             print("".join("1" if (row >> k) & 1 else "." for k in range(g.order)))
     return EXIT_OK
 
@@ -249,29 +270,65 @@ class _Block(NamedTuple):
     text: Fragment | None
 
 
-def _sweep_lambda(g: WeylGroup, command: str, fmt: str, lam: Weight) -> _Block:
+# json_text's layout, at indent 0, of a passing report (from dim_lhs, dim_rhs, interval_size, lambda
+# and tau) and of a block (from lambda and its reports, each at indent 0, joined and indented by 4)
+_PASSED_REPORT = (
+    '{\n  "difference_terms": [],\n  "dim_lhs": "%d",\n  "dim_rhs": "%d",\n  "interval_size": %d,\n'
+    '  "lambda": %s,\n  "passed": true,\n  "tau": %s\n}'
+)
+_BLOCK = '{\n  "lambda": %s,\n  "reports": [\n    %s\n  ]\n}'
+
+
+class _Sweep:
+    """One sweep command's group, with every element and the text of its word as a report's "tau".
+
+    One is made per command, or per pool worker, before any walk: so a
+    tau's word is rebuilt at most once per command, and these long-lived
+    objects do not land among a walk's freed memory, where they would keep
+    it from being returned (the B4 grid 2 JSON sweep peaks at 32.1 MB of RSS
+    when they are built after its first walk, 29.9 MB before).
+    """
+
+    def __init__(self, g: WeylGroup):
+        self.group = g
+        self.elements = tuple(g.elements)
+        self.words = [_report_field(list(e.word)) for e in self.elements]
+
+
+def _report_field(value) -> str:
+    """The JSON text of value as the value of a key in a dict at indent 0."""
+    return json_text(value).replace("\n", "\n  ")
+
+
+def _sweep_lambda(sweep: _Sweep, command: str, fmt: str, lam: Weight) -> _Block:
     # built per call, so a replaced module attribute takes effect
-    sweep = {"verify-theorem": sweep_verify_theorem, "verify-lemma31": sweep_verify_lemma31}[command]
-    reports = sweep(g, lam)
-    if fmt != "json":
-        failures = [r.to_json_dict(g.elements[k], lam) for k, r in enumerate(reports) if not r.passed]
-        return _Block(list(lam), len(reports), failures, None)
-    dicts = [r.to_json_dict(g.elements[k], lam) for k, r in enumerate(reports)]
-    text = Fragment(json_text({"lambda": list(lam), "reports": dicts}))
-    return _Block(list(lam), len(reports), [r for r in dicts if not r["passed"]], text)
+    check = {"verify-theorem": sweep_verify_theorem, "verify-lemma31": sweep_verify_lemma31}[command]
+    reports = check(sweep.group, lam)
+    failures = {k: r.to_json_dict(sweep.elements[k], lam) for k, r in enumerate(reports) if not r.passed}
+    text = None
+    if fmt == "json":
+        lam_text = _report_field(list(lam))
+        rendered = [
+            _PASSED_REPORT % (r.dim_lhs, r.dim_rhs, r.interval_size, lam_text, sweep.words[k])
+            if r.passed
+            else json_text(failures[k])
+            for k, r in enumerate(reports)
+        ]
+        text = Fragment(_BLOCK % (lam_text, ",\n".join(rendered).replace("\n", "\n    ")))
+    return _Block(list(lam), len(reports), list(failures.values()), text)
 
 
 # set in each pool worker by _init_worker, never in the main process
-_worker_group: WeylGroup | None = None
+_worker_sweep: _Sweep | None = None
 
 
 def _init_worker(g: WeylGroup) -> None:
-    global _worker_group
-    _worker_group = g
+    global _worker_sweep
+    _worker_sweep = _Sweep(g)
 
 
 def _sweep_task(task: tuple) -> _Block:
-    return _sweep_lambda(_worker_group, *task)
+    return _sweep_lambda(_worker_sweep, *task)
 
 
 def _emit_sweep(args: argparse.Namespace, g: WeylGroup, blocks: list[_Block]) -> int:
@@ -302,7 +359,7 @@ def _emit_sweep(args: argparse.Namespace, g: WeylGroup, blocks: list[_Block]) ->
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = load_group(args)
+    g = load_group(args, table=True)
     d = g.datum
     lams = _lambda_grid(d.rank, args.grid)
     # the largest predicted work, dim V(lam - rho), first, so that no long lambda starts last;
@@ -317,7 +374,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         with multiprocessing.Pool(initializer=_init_worker, initargs=(g,)) as pool:
             done = pool.map(_sweep_task, tasks, chunksize=1)
     else:
-        done = [_sweep_lambda(g, *task) for task in tasks]
+        sweep = _Sweep(g)
+        done = [_sweep_lambda(sweep, *task) for task in tasks]
     blocks = [None] * len(lams)
     for k, block in zip(order, done):
         blocks[k] = block

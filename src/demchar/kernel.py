@@ -63,10 +63,10 @@ def kernel_basis_element(g: WeylGroup, lam: Weight) -> CharElement:
     check_regular_dominant(g.datum, lam)
     packing = packing_for(g.datum, [lam])
     total: dict[int, int] = {}
-    get = total.get
+    get, length = total.get, g.length
     advance = lambda w, i, sigma, below: packing.step(i, below[sigma])
     for w, p in peel(g, {packing.pack(weight_neg(lam)): 1}, advance):
-        sign = -1 if g.elements[w].length % 2 else 1
+        sign = -1 if length[w] % 2 else 1
         for k, c in p.items():
             total[k] = get(k, 0) + sign * c
     return CharElement.adopt(g.datum.rank, packing.unpack_terms(total))

@@ -61,10 +61,8 @@ class VerificationReport:
         }
 
 
-def _interval_reports(
-    g: WeylGroup, lam: Weight, taus: Sequence[WeylElement], frame: Weight
-) -> list[VerificationReport]:
-    """Check sum_{w <= tau} eps_w = D_tau(e^(lam - rho)) per tau, both sides read in e^frame.
+def _interval_reports(g: WeylGroup, lam: Weight, taus: Sequence[int], frame: Weight) -> list[VerificationReport]:
+    """Check sum_{w <= tau} eps_w = D_tau(e^(lam - rho)) per tau index, both sides read in e^frame.
 
     One ``weyl.peel`` walk over the union of the taus' lower intervals.  At
     each tau one operator step from sigma = s*tau's entries gives D_tau(e^-lam)
@@ -90,8 +88,9 @@ def _interval_reports(
     covers = g.largest_covers
     needed = 0
     for tau in taus:
-        needed |= rows[tau.index]
-    asked = {tau.index for tau in taus}
+        needed |= rows[tau]
+    asked = set(taus)
+    length = g.length
     packing = packing_for(g.datum, [lam], rho)
     step, m = packing.step, packing.star_key(weight_neg(rho))
     read = lambda terms: CharElement.adopt(g.datum.rank, packing.unpack_terms(terms)).shift(frame)
@@ -99,7 +98,7 @@ def _interval_reports(
     reports: dict[int, VerificationReport] = {}
 
     def entries(k, image, section, acc, new):  # (D_k(e^-lam), D_k(e^(lam - rho)), L(k)), storing eps_k
-        epsilon[k] = {m - key: -c if g.elements[k].length % 2 else c for key, c in image.items()}
+        epsilon[k] = {m - key: -c if length[k] % 2 else c for key, c in image.items()}
         acc = dict(acc)
         get = acc.get
         for w in new:
@@ -126,17 +125,17 @@ def _interval_reports(
                 interval_size=rows[k].bit_count(),
                 sides=None if passed else (read(lhs), read(section)),
             )
-    return [reports[tau.index] for tau in taus]
+    return [reports[tau] for tau in taus]
 
 
 def verify_theorem(g: WeylGroup, tau: WeylElement, lam: Weight) -> VerificationReport:
     """Check the summed-dual-characters identity for one (tau, lam)."""
-    return _interval_reports(g, lam, [tau], g.datum.rho)[0]
+    return _interval_reports(g, lam, [tau.index], g.datum.rho)[0]
 
 
 def sweep_verify_theorem(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
     """Reports of ``verify_theorem`` for every tau at one lam, indexed like g.elements."""
-    return _interval_reports(g, lam, g.elements, g.datum.rho)
+    return _interval_reports(g, lam, range(g.order), g.datum.rho)
 
 
 def epsilon_char(g: WeylGroup, w: WeylElement, lam: Weight) -> CharElement:
@@ -150,9 +149,9 @@ def verify_lemma31(g: WeylGroup, tau: WeylElement, lam: Weight) -> VerificationR
     This is the main identity multiplied by e^-rho, computed from the same
     tables, so it is not independent evidence for the theorem.
     """
-    return _interval_reports(g, lam, [tau], (0,) * g.datum.rank)[0]
+    return _interval_reports(g, lam, [tau.index], (0,) * g.datum.rank)[0]
 
 
 def sweep_verify_lemma31(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
     """Reports of ``verify_lemma31`` for every tau at one lam, indexed like g.elements."""
-    return _interval_reports(g, lam, g.elements, (0,) * g.datum.rank)
+    return _interval_reports(g, lam, range(g.order), (0,) * g.datum.rank)

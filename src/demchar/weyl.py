@@ -1,22 +1,35 @@
 """Weyl-group generation, canonical reduced words and the Bruhat order.
 
 The group is enumerated as the orbit of the regular weight rho: element w is
-keyed by w^-1(rho), so w*s_i has the key s_i(w^-1(rho)), and each step of
-the search is one simple reflection of a vector.  Elements are plain indices
-with one canonical reduced word each (the lexicographically smallest), and
-they act on weights along that word.  Generation is one breadth-first
-search; the Bruhat table is built on first read.
+keyed by w^-1(rho), packed into one int (``rootsys.Packing``), so w*s_i has
+the key s_i(w^-1(rho)) = k - t*a_i, with t = <w^-1(rho), alpha_i^vee> read by
+one shift and mask.  Generation is one breadth-first search, and the group
+is kept as compact tables, in the manner of Casselman (Invent. Math. 116,
+1994) and Stembridge (MSJ Memoirs 11, 2001): flat ``array('i')``
+multiplication tables, byte arrays of lengths and first letters, and a
+breadth-first parent with its last letter, from which an element's
+canonical reduced word (the lexicographically smallest) is rebuilt when it
+is read.  Elements are plain indices; ``WeylGroup.elements`` is a view that
+builds a WeylElement only when one is read, and a WeylElement acts on
+weights along its word.  The Bruhat table is built on first read.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial
 
-from .rootsys import RootDatum, Weight, simple_reflection
+from .rootsys import RootDatum, Weight, packing_for
 
 DEFAULT_MAX_GROUP_ORDER = 1_000_000
+
+# The Bruhat table holds about |W|^2 / 8 bytes.  This bound admits A6 (5,040
+# elements, 3.2 MB) and B5 (3,840), and refuses D6 (23,040, 66 MB), E6 and
+# every larger group before a single element is generated.
+MAX_BRUHAT_TABLE_BYTES = 1 << 24
 
 _EXCEPTIONAL_ORDER = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600, ("F", 4): 1152, ("G", 2): 12}
 
@@ -31,6 +44,18 @@ def classified_order(d: RootDatum) -> int:
     if d.family == "D":
         return 2 ** (n - 1) * factorial(n)
     return _EXCEPTIONAL_ORDER[d.family, n]
+
+
+def check_bruhat_table(d: RootDatum) -> None:
+    """Raise ValueError, before anything is built, if d's Bruhat table exceeds ``MAX_BRUHAT_TABLE_BYTES``."""
+    order = classified_order(d)
+    size = order * order // 8
+    if size > MAX_BRUHAT_TABLE_BYTES:
+        raise ValueError(
+            f"the Bruhat table of {d.family}{d.rank} ({order} elements) would take about {size} bytes, "
+            f"above the bound {MAX_BRUHAT_TABLE_BYTES}; weyl, verify-theorem and verify-lemma31 need it, "
+            "and bruhat compares two elements without it"
+        )
 
 
 @dataclass(frozen=True)
@@ -60,23 +85,42 @@ class WeylElement:
 
 @dataclass(frozen=True, eq=False)
 class WeylGroup:
-    """A fully generated Weyl group with its multiplication tables.
+    """A fully generated Weyl group as compact tables over the indices 0..|W|-1.
 
-    ``elements`` is sorted by (length, canonical word).  Immutable after
+    Indices are sorted by (length, canonical word): ``identity`` is 0 and
+    ``longest`` is |W| - 1.  With r the rank and i a 0-based letter:
+
+    - ``right_mult[k*r + i]`` is the index of w_k*s_(i+1) and
+      ``left_mult[k*r + i]`` that of s_(i+1)*w_k, both flat ``array('i')``;
+    - ``length[k]`` is l(w_k) and ``first[k]`` the first (1-based) letter of
+      its canonical word, 0 for the identity, both bytes;
+    - ``parent[k]`` (an ``array('i')``) is w_k without its last letter
+      ``last[k]`` (bytes), so the canonical word of w_k is the word of
+      ``parent[k]`` followed by ``last[k]``.
+
+    ``elements`` is a read-only sequence view that builds a WeylElement only
+    when one is read; loops over the group read the arrays.  Immutable after
     generation apart from the cached Bruhat table and its table of largest
     lower covers.
     """
 
     datum: RootDatum
-    elements: tuple[WeylElement, ...]
     identity: int
     longest: int
-    right_mult: tuple[tuple[int, ...], ...]
-    left_mult: tuple[tuple[int, ...], ...]
+    right_mult: array
+    left_mult: array
+    length: bytes
+    first: bytes
+    parent: array
+    last: bytes
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.length)
+
+    @property
+    def elements(self) -> ElementView:
+        return ElementView(self)
 
     @property
     def identity_element(self) -> WeylElement:
@@ -85,6 +129,15 @@ class WeylGroup:
     @property
     def longest_element(self) -> WeylElement:
         return self.elements[self.longest]
+
+    def word(self, k: int) -> tuple[int, ...]:
+        """The canonical reduced word of element k, rebuilt along its parents."""
+        parent, last = self.parent, self.last
+        letters = [0] * self.length[k]
+        for pos in range(len(letters) - 1, -1, -1):
+            letters[pos] = last[k]
+            k = parent[k]
+        return tuple(letters)
 
     @cached_property
     def bruhat_rows(self) -> tuple[int, ...]:
@@ -95,6 +148,7 @@ class WeylGroup:
         Two threads that read first may both compute them (Python 3.12 dropped
         the lock of ``cached_property``); both compute the same tuple from
         immutable tables, so the group stays safe to share across threads.
+        A group whose table exceeds ``MAX_BRUHAT_TABLE_BYTES`` raises ValueError.
         """
         return _bruhat_table(self)
 
@@ -110,14 +164,45 @@ class WeylGroup:
         return _largest_covers(self)
 
 
+class ElementView(Sequence):
+    """``WeylGroup.elements``: every element in index order, each WeylElement built when it is read.
+
+    It supports len, iteration, indexing (negative indices too) and slicing,
+    which gives a tuple.  It caches nothing, so reading an element twice
+    rebuilds its word twice.
+    """
+
+    __slots__ = ("_group",)
+
+    def __init__(self, g: WeylGroup):
+        self._group = g
+
+    def __len__(self) -> int:
+        return self._group.order
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(*k.indices(len(self)))))
+        g = self._group
+        k = range(g.order)[k]  # a negative index counts from the end; out of range is IndexError
+        return WeylElement(k, g.length[k], g.word(k), g.datum.simple_roots)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGroup:
     """Generate the full Weyl group of a root datum as the orbit of rho.
 
     A queue visits parents in index order and letters ascending, so BFS
     depth is the length and the first discovery gives the lexicographically
-    smallest reduced word; output is deterministic.  Raises ValueError,
-    before generating anything, if the group has more than ``max_order``
-    elements.
+    smallest reduced word; output is deterministic.  The key of w*s_i is
+    looked up only where t = <rho, w(alpha_i^vee)> > 0, that is where w*s_i
+    is one letter longer, and the same lookup fills in that (w*s_i)*s_i = w.
+    So the search holds the keys of only two lengths at a time: E7 takes
+    about 200 MB.  The tables are allocated at their final size up front.
+    Raises ValueError, before generating anything, if the group has more
+    than ``max_order`` elements.
     """
     order = classified_order(d)
     if order > max_order:
@@ -125,43 +210,50 @@ def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGrou
             f"Weyl group of {d.family}{d.rank} has {order} elements, which exceeds the bound "
             f"{max_order}; raise max_order (--max-group-order on the command line)"
         )
-    words: list[tuple[int, ...]] = [()]
-    index_of: dict[Weight, int] = {d.rho: 0}
-    keys: list[Weight] = [d.rho]
-    right_mult: list[tuple[int, ...]] = []
-    # keys grows while it is read, so this loop is the BFS queue
-    for p, key in enumerate(keys):
-        row = []
-        for i in range(1, d.rank + 1):
-            child = simple_reflection(d, i, key)
-            k = index_of.get(child)
-            if k is None:
-                k = index_of[child] = len(keys)
-                keys.append(child)
-                words.append(words[p] + (i,))
-            row.append(k)
-        right_mult.append(tuple(row))
-
-    n = len(keys)
+    rank = d.rank
+    packing = packing_for(d, [d.rho])
+    mask, bias = packing.mask, packing.bias
+    letters = [(i, packing.bits * i, a) for i, a in enumerate(packing.roots)]
+    right_mult = array("i", [0]) * (order * rank)
+    parent = array("i", [0]) * order
+    length, first, last = bytearray(order), bytearray(order), bytearray(order)
+    level, start, n = [packing.pack(d.rho)], 0, 1
+    while level:  # the keys of one length, in index order
+        index_of: dict[int, int] = {}
+        for p, key in enumerate(level, start):
+            row = p * rank
+            for i, shift, a in letters:
+                t = ((key >> shift) & mask) - bias
+                if t > 0:
+                    k = index_of.setdefault(key - t * a, n)
+                    if k == n:
+                        if n == order:
+                            raise RuntimeError(f"generated more than the {order} elements of {d.family}{d.rank}")
+                        parent[n], last[n], length[n], first[n] = p, i + 1, length[p] + 1, first[p] or i + 1
+                        n += 1
+                    right_mult[row + i] = k
+                    right_mult[k * rank + i] = p
+        start += len(level)
+        level = list(index_of)  # a dict keeps insertion order, which is index order
     if n != order:
         raise RuntimeError(f"generated {n} elements, but the Weyl group of {d.family}{d.rank} has {order}")
-    if n >= 2 and len(words[-2]) == len(words[-1]):
+    if n >= 2 and length[-2] == length[-1]:
         raise RuntimeError("no unique longest element; generation is inconsistent")
-    inv = []
-    for word in words:
-        k = 0
-        for i in reversed(word):
-            k = right_mult[k][i - 1]
-        inv.append(k)
-    # s_i * w = (w^-1 * s_i)^-1
-    left_mult = tuple(tuple(inv[j] for j in right_mult[inv[k]]) for k in range(n))
+    # s_i * w = (s_i * parent) * s_last, and parent comes first
+    left_mult = right_mult[:rank]
+    for k in range(1, n):
+        j, row = last[k] - 1, parent[k] * rank
+        left_mult.extend([right_mult[x * rank + j] for x in left_mult[row : row + rank]])
     return WeylGroup(
         datum=d,
-        elements=tuple(WeylElement(k, len(words[k]), words[k], d.simple_roots) for k in range(n)),
         identity=0,
         longest=n - 1,
-        right_mult=tuple(right_mult),
+        right_mult=right_mult,
         left_mult=left_mult,
+        length=bytes(length),
+        first=bytes(first),
+        parent=parent,
+        last=bytes(last),
     )
 
 
@@ -177,27 +269,29 @@ def peel(g: WeylGroup, seed, advance, within: int | None = None):
     union of lower intervals is.  Index order is length order; a value is
     kept only while the walk is at its length or the next.
     """
-    elements, left_mult = g.elements, g.left_mult
+    lengths, first, left_mult, rank = g.length, g.first, g.left_mult, g.datum.rank
     shorter, current, length = {}, {}, 0
     for tau in range(g.order) if within is None else bit_indices(within):
-        e = elements[tau]
-        if e.length > length:
-            shorter, current, length = current, {}, e.length
-        if e.length:
-            i = e.word[0] - 1
-            current[tau] = advance(tau, i, left_mult[tau][i], shorter)
+        if lengths[tau] > length:
+            shorter, current, length = current, {}, lengths[tau]
+        if length:
+            i = first[tau] - 1
+            current[tau] = advance(tau, i, left_mult[tau * rank + i], shorter)
         else:
             current[tau], seed = seed, None  # the window alone holds it
         yield tau, current[tau]
 
 
 def _bruhat_table(g: WeylGroup) -> tuple[int, ...]:
-    left_mult = g.left_mult
+    check_bruhat_table(g.datum)
+    rank = g.datum.rank
+    columns = [tuple(g.left_mult[s::rank]) for s in range(rank)]  # columns[s][w] is s*w
 
     def advance(tau, s, sigma, below):  # the row of tau is base | s*base, one OR per Bruhat pair
         mask = base = below[sigma]
+        column = columns[s]
         for w in bit_indices(base):
-            mask |= 1 << left_mult[w][s]
+            mask |= 1 << column[w]
         return mask
 
     return tuple(row for _, row in peel(g, 1, advance))
@@ -210,17 +304,17 @@ def lower_covers(g: WeylGroup) -> list[list[int]]:
     contiguous index range, and the covers of t are the bits of its Bruhat
     row in the range one length down: one shift and mask per element.
     """
-    rows = g.bruhat_rows
-    start = [0] * (g.longest_element.length + 2)  # start[l] is the first index of length l
-    for e in g.elements:
-        start[e.length + 1] = e.index + 1
+    rows, length = g.bruhat_rows, g.length
+    start = [0] * (length[g.longest] + 2)  # start[l] is the first index of length l
+    for k, l in enumerate(length):
+        start[l + 1] = k + 1
     covers = []
-    for e in g.elements:
-        if not e.length:
+    for t, l in enumerate(length):
+        if not l:
             covers.append([])
             continue
-        lo, hi = start[e.length - 1], start[e.length]
-        covers.append([lo + k for k in bit_indices((rows[e.index] >> lo) & ((1 << (hi - lo)) - 1))])
+        lo, hi = start[l - 1], start[l]
+        covers.append([lo + k for k in bit_indices((rows[t] >> lo) & ((1 << (hi - lo)) - 1))])
     return covers
 
 
@@ -245,10 +339,11 @@ def bruhat_leq(g: WeylGroup, w: WeylElement, tau: WeylElement) -> bool:
     min(w, s*w) <= s*tau.  The rest of the word is s*tau's canonical word, so
     one pass over tau's letters takes l(tau) steps and ends at tau = e.
     """
+    length, left_mult, rank = g.length, g.left_mult, g.datum.rank
     k = w.index
     for i in tau.word:
-        sk = g.left_mult[k][i - 1]
-        if g.elements[sk].length < g.elements[k].length:
+        sk = left_mult[k * rank + i - 1]
+        if length[sk] < length[k]:
             k = sk
     return k == g.identity
 
@@ -269,15 +364,15 @@ def bit_indices(mask: int) -> list[int]:
 
 def lower_interval(g: WeylGroup, tau: WeylElement) -> list[WeylElement]:
     """All w <= tau, ordered by length then canonical word."""
-    row = g.bruhat_rows[tau.index]
-    return [g.elements[k] for k in range(g.order) if (row >> k) & 1]
+    row, elements = g.bruhat_rows[tau.index], g.elements
+    return [elements[k] for k in range(g.order) if (row >> k) & 1]
 
 
 def element_by_word(g: WeylGroup, letters) -> WeylElement:
     """Product of simple reflections for a (not necessarily reduced) word."""
-    idx = g.identity
+    idx, rank = g.identity, g.datum.rank
     for i in letters:
-        if not 1 <= i <= g.datum.rank:
-            raise ValueError(f"word letter {i} out of range 1..{g.datum.rank}")
-        idx = g.right_mult[idx][i - 1]
+        if not 1 <= i <= rank:
+            raise ValueError(f"word letter {i} out of range 1..{rank}")
+        idx = g.right_mult[idx * rank + i - 1]
     return g.elements[idx]

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths it is used to check:
 the dimension formula works from the positive coroots alone, the
 Bruhat oracle enumerates subwords of a single fixed reduced word, the
-reference generator multiplies integer matrices, the theorem references
+reference generator multiplies integer matrices, the tuple generator keys
+the orbit of rho by weight tuples and keeps a word per element (the
+generator that the compact tables replaced), the theorem references
 evaluate one operator string per interval element, the decomposition
 reference subtracts one full section character per peeled weight, the
 operator reference steps weights as tuples instead of packed ints, and the
@@ -33,8 +35,8 @@ from demchar import build_datum, generate
 from demchar.charring import CharElement
 from demchar.demazure import check_char_rank, demazure_char, top_cohomology_char
 from demchar.kernel import in_kernel
-from demchar.rootsys import RootDatum, Weight, weight_add, weight_sub
-from demchar.weyl import WeylElement, WeylGroup, lower_interval
+from demchar.rootsys import RootDatum, Weight, simple_reflection, weight_add, weight_sub
+from demchar.weyl import WeylElement, WeylGroup, classified_order, lower_interval
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
@@ -125,6 +127,48 @@ def matrix_group(d: RootDatum) -> MatrixGroup:
                 row |= rows[u]
         rows.append(row)
     return MatrixGroup(matrices, words, right_mult, left_mult, tuple(rows))
+
+
+class TupleGroup(NamedTuple):
+    """A Weyl group as the previous generator built it: a word tuple per element, tuple-of-tuples tables."""
+
+    words: list[tuple[int, ...]]
+    right_mult: tuple[tuple[int, ...], ...]
+    left_mult: tuple[tuple[int, ...], ...]
+
+
+def tuple_generate(d: RootDatum) -> TupleGroup:
+    """Reference for ``weyl.generate``: the orbit of rho with weight tuples as keys.
+
+    Breadth-first, parents in index order and letters ascending, every
+    letter looked up in a dict of tuple keys; the words are kept, and each
+    inverse is walked along its reversed word.
+    """
+    words: list[tuple[int, ...]] = [()]
+    index_of: dict[Weight, int] = {d.rho: 0}
+    keys: list[Weight] = [d.rho]
+    right_mult: list[tuple[int, ...]] = []
+    for p, key in enumerate(keys):
+        row = []
+        for i in range(1, d.rank + 1):
+            child = simple_reflection(d, i, key)
+            k = index_of.get(child)
+            if k is None:
+                k = index_of[child] = len(keys)
+                keys.append(child)
+                words.append(words[p] + (i,))
+            row.append(k)
+        right_mult.append(tuple(row))
+    assert len(keys) == classified_order(d)
+    inv = []
+    for word in words:
+        k = 0
+        for i in reversed(word):
+            k = right_mult[k][i - 1]
+        inv.append(k)
+    # s_i * w = (w^-1 * s_i)^-1
+    left_mult = tuple(tuple(inv[j] for j in right_mult[inv[k]]) for k in range(len(keys)))
+    return TupleGroup(words, tuple(right_mult), left_mult)
 
 
 def classical_weyl_order(family: str, rank: int) -> int:
@@ -262,7 +306,7 @@ def subword_lower_set(g: WeylGroup, tau) -> set[int]:
         idx = g.identity
         for pos, letter in enumerate(word):
             if (mask >> pos) & 1:
-                idx = g.right_mult[idx][letter - 1]
+                idx = g.right_mult[idx * g.datum.rank + letter - 1]
         reachable.add(idx)
     return reachable
 
@@ -289,12 +333,12 @@ def alternative_reduced_words(g: WeylGroup, w: WeylElement, limit: int | None = 
     def rec(idx: int, tail: list[int]) -> None:
         if limit is not None and len(out) >= limit:
             return
-        if g.elements[idx].length == 0:
+        if g.length[idx] == 0:
             out.append(tuple(reversed(tail)))
             return
         for i in range(1, g.datum.rank + 1):
-            j = g.right_mult[idx][i - 1]
-            if g.elements[j].length < g.elements[idx].length:
+            j = g.right_mult[idx * g.datum.rank + i - 1]
+            if g.length[j] < g.length[idx]:
                 tail.append(i)
                 rec(j, tail)
                 tail.pop()
@@ -450,7 +494,7 @@ def peel_decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
     d = g.datum
     u = v.shift(d.rho)
     for i in range(1, d.rank + 1):
-        s_i = g.elements[g.left_mult[g.identity][i - 1]]
+        s_i = g.elements[g.left_mult[g.identity * d.rank + i - 1]]
         if w_apply(s_i, u) != u:
             raise RuntimeError(
                 f"e^rho * v is not invariant under simple reflection {i}; "

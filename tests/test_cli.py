@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from demchar.charring import CHAR_ELEMENT_SCHEMA, CharElement
 from demchar.cli import build_parser, main
 from demchar.kernel import DECOMPOSITION_SCHEMA, kernel_basis_element
+from demchar.rootsys import build_datum
+from demchar.weyl import generate
 
 import oracles
 
@@ -288,6 +291,43 @@ def test_max_group_order_flag():
     assert "exceeds the bound" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["verify-theorem", "verify-lemma31"])
+def test_sweep_block_is_the_report_dicts_rendered(command, monkeypatch):
+    # passing reports come from the template, failing ones from to_json_dict; both must read like the dicts
+    from dataclasses import replace
+
+    from demchar import cli
+    from demchar.weyl import WeylGroup
+
+    g = generate(build_datum("B", 3))
+    name = {"verify-theorem": "sweep_verify_theorem", "verify-lemma31": "sweep_verify_lemma31"}[command]
+    real = getattr(cli, name)
+    wrong = (CharElement.monomial((1, -2, 3)), CharElement.zero(3))
+
+    def some_fail(g, lam):  # every fifth check fails, so passing and failing reports interleave
+        return [replace(r, passed=False, sides=wrong) if k % 5 == 2 else r for k, r in enumerate(real(g, lam))]
+
+    monkeypatch.setattr(cli, name, some_fail)
+    words = []  # the words rebuilt in g
+
+    def word(self, k, real_word=WeylGroup.word):
+        if self is g:
+            words.append(k)
+        return real_word(self, k)
+
+    monkeypatch.setattr(WeylGroup, "word", word)
+    sweep = cli._Sweep(g)
+    for lam in [(1, 2, 1), (2, 2, 2)]:
+        reports = some_fail(g, lam)
+        dicts = [r.to_json_dict(tau, lam) for tau, r in zip(oracles.group("B", 3).elements, reports)]
+        block = cli._sweep_lambda(sweep, command, "json", lam)
+        assert block.text.text == oracles.json_reference({"lambda": list(lam), "reports": dicts})
+        assert block.failures == [r for r in dicts if not r["passed"]] and block.checks == g.order
+        assert cli._sweep_lambda(sweep, command, "plain", lam) == (list(lam), g.order, block.failures, None)
+    # once per element for the command, not once per lambda or per report
+    assert words == list(range(g.order))
+
+
 def test_emit_sweep_reports_mismatch_with_exit_one(capsys):
     # a mathematical mismatch cannot be produced by the real identities, so
     # exercise the reporting path with a fabricated failing report
@@ -356,7 +396,7 @@ def inline_pool(monkeypatch):
             return blocks
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
-    monkeypatch.setattr(cli, "_worker_group", None)
+    monkeypatch.setattr(cli, "_worker_sweep", None)
     return record
 
 
@@ -579,6 +619,16 @@ def test_only_bruhat_commands_build_the_table(monkeypatch, tmp_path):
     monkeypatch.setattr(weyl, "_bruhat_table", counted)
     assert run_in_process(["weyl", *common]) == (0, "")
     assert calls == [24]
+
+
+@pytest.mark.parametrize("command", ["weyl", "verify-theorem", "verify-lemma31"])
+def test_e6_table_commands_are_refused_at_once(command):
+    start = time.perf_counter()
+    r = run_cli(command, "--type", "E", "--rank", "6", timeout=60)
+    assert time.perf_counter() - start < 5
+    assert_usage_error(r)
+    assert r.stdout == ""
+    assert "Bruhat table of E6 (51840 elements)" in r.stderr and "bruhat compares two elements without it" in r.stderr
 
 
 def test_e6_bruhat_comparison_needs_no_table():

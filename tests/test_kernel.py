@@ -278,7 +278,7 @@ def test_invariance_check_names_the_first_reflection_that_moves_u():
     # u = e^rho * v = e^(0,1) + e^(0,-1) is fixed by s_1 but not by s_2
     v = CharElement(2, {(-1, 0): 1, (-1, -2): 1})
     u = v.shift(g.datum.rho)
-    s1, s2 = (g.elements[g.left_mult[g.identity][i]] for i in (0, 1))
+    s1, s2 = (g.elements[g.left_mult[g.identity * g.datum.rank + i]] for i in (0, 1))
     assert w_apply(s1, u) == u and w_apply(s2, u) != u
     with pytest.raises(ValueError, match="not in the joint Demazure kernel: simple reflection 2 moves"):
         decompose(g, v)

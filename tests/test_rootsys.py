@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demchar import demazure
 from demchar.rootsys import (
+    Packing,
     build_datum,
     check_regular_dominant,
     is_dominant,
+    packing_for,
     pairing,
     simple_reflection,
     weight_add,
@@ -209,3 +212,24 @@ def test_integer_weyl_dimension_matches_the_fraction_reference(family, rank):
     assert weyl_dimension(d, (0,) * rank) == 1
     # dim V(rho) = 2^|Phi+|
     assert weyl_dimension(d, d.rho) == 2 ** len(d.positive_roots)
+
+
+@pytest.mark.parametrize("family,rank", [t for t in TEST_MATRIX if t != ("E", 6)])
+def test_packed_reflection_of_the_orbit_of_rho(family, rank):
+    # weyl.generate reflects a packed key k as k - t*a_i, t read by one shift and mask
+    d = build_datum(family, rank)
+    packing = packing_for(d, [d.rho])
+    orbit, frontier = {d.rho}, [d.rho]
+    while frontier:
+        mu = frontier.pop()
+        k = packing.pack(mu)
+        assert packing.unpack_terms({k: 1}) == {mu: 1}
+        for i, a in enumerate(packing.roots):
+            t = ((k >> (packing.bits * i)) & packing.mask) - packing.bias
+            nu = simple_reflection(d, i + 1, mu)
+            assert t == mu[i] and k - t * a == packing.pack(nu)
+            if nu not in orbit:
+                orbit.add(nu)
+                frontier.append(nu)
+    assert len(orbit) == oracles.classical_weyl_order(family, rank)
+    assert demazure.Packing is Packing and demazure.packing_for is packing_for

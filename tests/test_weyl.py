@@ -1,14 +1,19 @@
 import pickle
 import random
+import tracemalloc
 import weakref
+from array import array
 from collections import Counter
 
 import pytest
 
 from demchar.rootsys import build_datum
 from demchar.weyl import (
+    MAX_BRUHAT_TABLE_BYTES,
+    WeylElement,
     bit_indices,
     bruhat_leq,
+    check_bruhat_table,
     classified_order,
     element_by_word,
     generate,
@@ -56,14 +61,91 @@ def test_longest_element_properties():
 REFERENCE_TYPES = [t for t in oracles.ALL_TYPES if oracles.classical_weyl_order(*t) <= 1920]
 
 
+def flat(rows) -> array:
+    """A tuple-of-tuples table in the group's flat layout: entry (k, i) at k * rank + i."""
+    return array("i", [x for row in rows for x in row])
+
+
+@pytest.mark.parametrize("family,rank", [t for t in oracles.ALL_TYPES if oracles.classical_weyl_order(*t) <= 51840])
+def test_compact_tables_match_the_tuple_generator(family, rank):
+    d = build_datum(family, rank)
+    g, ref = generate(d), oracles.tuple_generate(d)
+    assert g.right_mult == flat(ref.right_mult)
+    assert g.left_mult == flat(ref.left_mult)
+    assert [g.word(k) for k in range(g.order)] == ref.words
+    assert g.length == bytes(len(word) for word in ref.words)
+    assert g.first == bytes(word[0] if word else 0 for word in ref.words)
+    assert (g.identity, g.longest) == (0, len(ref.words) - 1)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("B", 3), ("G", 2), ("D", 4)])
+def test_element_view_reads_like_the_tuple_of_elements(family, rank):
+    d = build_datum(family, rank)
+    g = generate(d)
+    words = oracles.tuple_generate(d).words
+    ref = tuple(WeylElement(k, len(word), word, d.simple_roots) for k, word in enumerate(words))
+    view, n = g.elements, len(ref)
+    assert len(view) == n
+    assert tuple(view) == ref
+    assert [view[k] for k in range(-n, n)] == [*ref, *ref]
+    for cut in (slice(None), slice(1, None), slice(-3, None), slice(None, None, -2), slice(2, -1, 3), slice(n, None)):
+        assert view[cut] == ref[cut]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[bad]
+    assert (g.identity_element, g.longest_element) == (ref[0], ref[-1])
+    assert ref[-1] in view and view.index(ref[-1]) == n - 1
+    assert all(e.simple_roots is d.simple_roots for e in view)
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
+def test_peel_visits_the_steps_of_the_tuple_tables(family, rank):
+    # each tau is peeled by the first letter of its word, to sigma = s*tau of the previous tables
+    d = build_datum(family, rank)
+    ref = oracles.tuple_generate(d)
+    expected = [(tau, word[0] - 1, ref.left_mult[tau][word[0] - 1]) for tau, word in enumerate(ref.words) if word]
+    steps = []
+
+    def advance(tau, i, sigma, below):
+        steps.append((tau, i, sigma))
+
+    assert [tau for tau, _ in peel(generate(d), None, advance)] == list(range(len(ref.words)))
+    assert steps == expected
+
+
+def test_a_generated_group_keeps_under_100_bytes_per_element():
+    d = build_datum("D", 5)
+    tracemalloc.start()
+    try:
+        g = generate(d)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order == 1920
+    assert kept < 100 * g.order
+
+
+def test_bruhat_table_bound_admits_b5_and_refuses_e6_before_generation():
+    for family, rank in [("B", 5), ("A", 6), ("D", 5), ("F", 4)]:
+        check_bruhat_table(build_datum(family, rank))
+    for family, rank in [("D", 6), ("E", 6), ("E", 8)]:
+        with pytest.raises(ValueError, match="weyl, verify-theorem and verify-lemma31 need it.*bruhat"):
+            check_bruhat_table(build_datum(family, rank))
+    assert classified_order(build_datum("B", 5)) ** 2 // 8 <= MAX_BRUHAT_TABLE_BYTES
+    g = generate(build_datum("E", 6))
+    with pytest.raises(ValueError, match=f"bound {MAX_BRUHAT_TABLE_BYTES}"):
+        g.bruhat_rows
+    assert "bruhat_rows" not in vars(g)
+
+
 @pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
 def test_orbit_generation_matches_matrix_reference(family, rank):
     g = oracles.group(family, rank)
     ref = oracles.matrix_group(g.datum)
     assert [e.word for e in g.elements] == ref.words
     assert all(e.length == len(e.word) for e in g.elements)
-    assert g.right_mult == ref.right_mult
-    assert g.left_mult == ref.left_mult
+    assert g.right_mult == flat(ref.right_mult)
+    assert g.left_mult == flat(ref.left_mult)
     assert g.bruhat_rows == ref.bruhat_rows
     rng = random.Random(7)
     for e, m in zip(g.elements, ref.matrices):
@@ -108,13 +190,19 @@ def test_largest_covers_built_on_first_read_and_pickled():
 def test_bruhat_rows_built_on_first_read_and_pickled():
     g = generate(build_datum("B", 3))
     assert "bruhat_rows" not in vars(g)
+    bare = pickle.loads(pickle.dumps(g))
+    assert "bruhat_rows" not in vars(bare)
     rows = g.bruhat_rows
     assert vars(g)["bruhat_rows"] is rows
     copy = pickle.loads(pickle.dumps(g))
     assert vars(copy)["bruhat_rows"] == rows
-    assert copy.elements == g.elements
-    # one roots tuple shared by every element, so pickle stores it once
-    assert all(e.simple_roots is copy.datum.simple_roots for e in copy.elements)
+    for other in (bare, copy):
+        for name in ("right_mult", "left_mult", "length", "first", "parent", "last", "identity", "longest"):
+            assert getattr(other, name) == getattr(g, name)
+        assert list(other.elements) == list(g.elements)
+        # elements are built from the copy's own datum
+        assert all(e.simple_roots is other.datum.simple_roots for e in other.elements)
+    assert bare.bruhat_rows == rows
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("G", 2)])
@@ -212,7 +300,7 @@ def test_peel_holds_at_most_two_lengths_of_values(family, rank):
         return value
 
     def advance(tau, i, sigma, below):
-        assert below[sigma].tau == sigma == g.left_mult[tau][i]
+        assert below[sigma].tau == sigma == g.left_mult[tau * rank + i]
         # the window holds every element one letter shorter than tau
         assert sorted(below) == [e.index for e in g.elements if e.length == g.elements[tau].length - 1]
         assert g.elements[tau].word == (i + 1,) + g.elements[sigma].word
@@ -233,7 +321,7 @@ def test_peel_within_a_union_of_lower_intervals(family, rank):
     g = oracles.group(family, rank)
     # the intervals by the table-free bruhat_leq, so the check does not read the walk's own output
     intervals = [frozenset(w.index for w in g.elements if bruhat_leq(g, w, tau)) for tau in g.elements]
-    lift = lambda tau, i, sigma, below: below[sigma] | {g.left_mult[w][i] for w in below[sigma]}
+    lift = lambda tau, i, sigma, below: below[sigma] | {g.left_mult[w * rank + i] for w in below[sigma]}
     rng = random.Random(15)
     for _ in range(6):
         taus = rng.sample(range(g.order), rng.randint(1, 3))
@@ -286,7 +374,7 @@ def test_simple_multiplication_changes_length_by_one():
     g = oracles.group("B", 2)
     for e in g.elements:
         for i in range(g.datum.rank):
-            neighbour = g.elements[g.right_mult[e.index][i]]
+            neighbour = g.elements[g.right_mult[e.index * g.datum.rank + i]]
             assert abs(neighbour.length - e.length) == 1
 
 
