@@ -29,7 +29,10 @@ and a block or a report rendered ahead as a ``charring.Fragment``.
 
 ``weyl``, ``verify-theorem`` and ``verify-lemma31`` read the Bruhat table;
 a type whose table exceeds ``weyl.MAX_BRUHAT_TABLE_BYTES`` is refused
-before its group is generated.
+before its group is generated.  ``decompose`` refuses an element whose
+membership guard would expand more than ``kernel.MAX_GUARD_TERMS``
+weight-string terms, and ``verify-kernel`` passes that refusal on (exit 2)
+instead of counting it as a failed round trip.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from typing import NamedTuple
 from .charring import CharElement, Fragment, json_text
 from .demazure import demazure_char, euler_char, top_cohomology_char
 from .kernel import (
+    GuardBoundError,
     decompose,
     decomposition_to_json,
     in_kernel,
@@ -391,9 +395,14 @@ def _random_char(rng: random.Random, rank: int) -> CharElement:
 
 
 def _decomposes_to(g: WeylGroup, v: CharElement, expected: dict) -> bool:
-    """The round trip of one kernel element; an element refused as outside N fails it."""
+    """The round trip of one kernel element; an element refused as outside N fails it.
+
+    An element refused for its size is not a mismatch, so that refusal propagates.
+    """
     try:
         return decompose(g, v) == expected
+    except GuardBoundError:
+        raise
     except ValueError:
         return False
 

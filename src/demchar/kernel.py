@@ -2,13 +2,21 @@
 characterization, basis elements summed over one peeling walk of W, and
 the decomposition into the full-group section-character basis, read off by
 folding each weight into the dominant chamber (Weyl's character formula).
+
+Every layer works on packed weight keys (``rootsys.Packing``).  The
+decomposition packs e^rho * v once and uses those keys for its W-invariance
+lookup, for the size of its membership guard, which is refused above
+``MAX_GUARD_TERMS`` before anything is expanded, and for the fold; only the
+resulting weights are unpacked.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .charring import CharElement
 from .demazure import check_char_rank, packing_for
-from .rootsys import Weight, check_regular_dominant, simple_reflection, weight_add, weight_neg, weight_sub
+from .rootsys import Weight, check_regular_dominant, weight_add, weight_neg
 from .weyl import WeylGroup, peel
 
 DECOMPOSITION_SCHEMA = {
@@ -31,6 +39,15 @@ DECOMPOSITION_SCHEMA = {
     },
     "additionalProperties": False,
 }
+
+# ``decompose`` refuses an element whose ``in_kernel`` guard would expand more
+# weight-string terms than this; at the bound the guard takes a few seconds
+# and a few hundred MB.
+MAX_GUARD_TERMS = 10**7
+
+
+class GuardBoundError(ValueError):
+    """``decompose`` refused a W-invariant element whose guard would exceed ``MAX_GUARD_TERMS``."""
 
 
 def _packed_steps(g: WeylGroup, v: CharElement):
@@ -80,25 +97,53 @@ def verify_characterization(g: WeylGroup, v: CharElement) -> bool:
 def decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
     """Write e^rho * v as an integer combination of full-group section characters.
 
-    Requires v in N, that is u = e^rho * v W-invariant.  That is checked
-    first by looking up u[s_i(nu)] for every simple reflection s_i, which
-    costs no weight string, and then by ``in_kernel`` as a guard.  By Weyl's
-    character formula A_rho * chi(mu) = A_{mu+rho} (Humphreys, GTM 9, section
-    24), the coefficient of chi(mu) is sum_w sign(w) u[w(mu+rho) - rho].  So
-    each x = nu + rho, nu in the support of u, is reflected in simple roots on
-    which it is negative until it is dominant, flipping the sign each time
-    (Brauer-Klimyk, Racah-Speiser); a regular x adds to mu = x - rho, an x on
-    a wall adds nothing.  Returns {mu -> coefficient} in weight order, and
-    with ``with_stats`` also the number of reflections; the basis element of
-    N recovered at mu is the one attached to the weight mu + rho.
+    Requires v in N, that is u = e^rho * v W-invariant.  u is packed once
+    (``rootsys.Packing``), wide enough for the W-orbits of nu and nu + rho,
+    nu in its support, and everything below works on those keys.  For each
+    letter i in ascending order, u[s_i(nu)] is looked up as u[k - t * a_i],
+    t = <nu, alpha_i^vee> read by one shift and mask; the first reflection
+    that moves u is named in a ValueError.  The same t predicts the work of
+    the ``in_kernel`` guard, which runs next: its weight strings hold
+    sum |t| terms over letters and support, and above ``MAX_GUARD_TERMS``
+    the call is refused with ``GuardBoundError`` (a ValueError) before any
+    string is expanded.
+
+    By Weyl's character formula A_rho * chi(mu) = A_{mu+rho} (Humphreys,
+    GTM 9, section 24), the coefficient of chi(mu) is
+    sum_w sign(w) u[w(mu+rho) - rho].  So each packed x = nu + rho is
+    reflected at its first negative coordinate, x -= t * a_i, until it is
+    dominant, flipping the sign each time (Brauer-Klimyk, Racah-Speiser); a
+    regular x adds to mu = x - rho, an x with a zero coordinate adds
+    nothing.  The fold needs no mask per coordinate: a coordinate is
+    negative iff the top bit of its field is clear, and the top bits are
+    the packing's origin.  Returns {mu -> coefficient} in weight order, and
+    with ``with_stats`` also the number of reflections; the basis element
+    of N recovered at mu is the one attached to the weight mu + rho.
     """
-    check_char_rank(g.datum, v)
     d = g.datum
-    u = v.shift(d.rho)
-    # s_i permutes the weights, so u[s_i(nu)] == u[nu] for all nu is s_i(u) == u
-    for i in range(1, d.rank + 1):
-        if any(u.terms.get(simple_reflection(d, i, nu)) != c for nu, c in u.terms.items()):
-            raise ValueError(f"element is not in the joint Demazure kernel: simple reflection {i} moves e^rho * v")
+    check_char_rank(d, v)
+    # nu + rho has coordinates of size at most max |mu_j| + 2, and so does its W-orbit up to ht(theta^vee)
+    packing = packing_for(d, [(max(map(abs, chain.from_iterable(v.terms)), default=0) + 2,)])
+    bits, mask, bias, origin = packing.bits, packing.mask, packing.bias, packing.origin
+    u = packing.pack_terms(v.terms, d.rho)
+    get = u.get
+    # s_i permutes the weights, so u[s_i(nu)] == u[nu] for all nu is s_i(u) == u; and the
+    # guard's step i on e^(nu - rho), whose pairing is t - 1, expands a string of |t| weights
+    guard_terms = 0
+    for pos, a in enumerate(packing.roots):
+        shift = bits * pos
+        for k, c in u.items():
+            t = ((k >> shift) & mask) - bias
+            if t and get(k - t * a) != c:
+                raise ValueError(
+                    f"element is not in the joint Demazure kernel: simple reflection {pos + 1} moves e^rho * v"
+                )
+            guard_terms += t if t > 0 else -t
+    if guard_terms > MAX_GUARD_TERMS:
+        raise GuardBoundError(
+            f"e^rho * v is W-invariant, but checking kernel membership would expand {guard_terms} "
+            f"weight-string terms, above the bound MAX_GUARD_TERMS = {MAX_GUARD_TERMS}"
+        )
     if not in_kernel(g, v):
         raise RuntimeError(
             "e^rho * v is W-invariant but v is not in the joint Demazure kernel; "
@@ -106,21 +151,30 @@ def decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
         )
     # each reflection turns exactly one positive coroot from negative to positive on x
     bound = len(d.positive_roots)
-    totals: dict[Weight, int] = {}
+    rho = packing.offset(d.rho)
+    # the top bit of field i, as the lowest bit of a negative-coordinate mask -> (shift, packed root)
+    letter = {bias << (bits * pos): (bits * pos, a) for pos, a in enumerate(packing.roots)}
+    totals: dict[int, int] = {}
+    get_total = totals.get
     reflections = 0
-    for nu, c in u.terms.items():
-        x = weight_add(nu, d.rho)
+    for k, c in u.items():
+        x = k + rho
         steps = 0
-        while min(x) < 0:
+        negative = origin & ~x
+        while negative:
             steps += 1
             if steps > bound:
+                (nu,) = packing.unpack_terms({k: c})
                 raise RuntimeError(f"weight {list(nu)} needs more than {bound} reflections; internal inconsistency")
-            x = simple_reflection(d, 1 + next(i for i, a in enumerate(x) if a < 0), x)
+            shift, a = letter[negative & -negative]
+            x -= (((x >> shift) & mask) - bias) * a
+            negative = origin & ~x
         reflections += steps
-        if 0 not in x:
-            mu = weight_sub(x, d.rho)
-            totals[mu] = totals.get(mu, 0) + (-c if steps % 2 else c)
-    coefficients = {mu: c for mu, c in sorted(totals.items()) if c}
+        mu = x - rho
+        # x is dominant; mu = x - rho is dominant too iff x is regular
+        if not origin & ~mu:
+            totals[mu] = get_total(mu, 0) + (-c if steps & 1 else c)
+    coefficients = dict(sorted(packing.unpack_terms({mu: c for mu, c in totals.items() if c}).items()))
     if with_stats:
         return coefficients, reflections
     return coefficients

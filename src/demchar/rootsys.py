@@ -29,6 +29,7 @@ from that bound, plus any shift to be folded in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lshift
 from typing import Iterable, Mapping
 
 Weight = tuple[int, ...]
@@ -250,8 +251,10 @@ class Packing:
         """The key m with m - pack(mu) == pack(delta - mu) for every mu."""
         return 2 * self.origin + self.offset(delta)
 
-    def pack_terms(self, terms: Mapping[Weight, int]) -> dict[int, int]:
-        return {self.pack(mu): c for mu, c in terms.items()}
+    def pack_terms(self, terms: Mapping[Weight, int], shift: Weight = ()) -> dict[int, int]:
+        """{pack(mu + shift): c}; the empty shift packs the weights as they are."""
+        origin, shifts = self.pack(shift), range(0, self.bits * self.rank, self.bits)
+        return {origin + sum(map(lshift, mu, shifts)): c for mu, c in terms.items()}
 
     def unpack_terms(self, terms: Mapping[int, int]) -> dict[Weight, int]:
         mask, bias = self.mask, self.bias

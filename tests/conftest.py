@@ -12,3 +12,30 @@ def sections_of_lam(monkeypatch):
     from demchar import theorem
 
     monkeypatch.setattr(theorem, "weight_sub", lambda lam, rho: lam)
+
+
+@pytest.fixture
+def freeze_reflections(monkeypatch):
+    """Returns a switch that makes every packed reflection in ``kernel`` fix its key.
+
+    After the switch, ``kernel.packing_for`` hands out packings whose simple
+    roots are 0: the W-invariance lookup of ``decompose`` finds every key
+    unmoved, and its fold reflects each weight in place until it passes its
+    bound.  Zero roots would also stop the Demazure steps of the
+    ``in_kernel`` guard, so the guard answers True, which is right for the
+    kernel elements these tests pass; build them before the switch.
+    """
+    from demchar import kernel
+
+    real = kernel.packing_for
+
+    def packing_for(d, weights, shift=()):
+        packing = real(d, weights, shift)
+        packing.roots = (0,) * d.rank
+        return packing
+
+    def freeze():
+        monkeypatch.setattr(kernel, "packing_for", packing_for)
+        monkeypatch.setattr(kernel, "in_kernel", lambda g, v: True)
+
+    return freeze

@@ -7,10 +7,10 @@ reference generator multiplies integer matrices, the tuple generator keys
 the orbit of rho by weight tuples and keeps a word per element (the
 generator that the compact tables replaced), the theorem references
 evaluate one operator string per interval element, the decomposition
-reference subtracts one full section character per peeled weight, the
-operator reference steps weights as tuples instead of packed ints, and the
-full section character is rebuilt by Freudenthal's multiplicity formula with
-no Demazure operator at all.
+references subtract one full section character per peeled weight or fold
+weight tuples by ``simple_reflection``, the operator reference steps weights
+as tuples instead of packed ints, and the full section character is rebuilt
+by Freudenthal's multiplicity formula with no Demazure operator at all.
 
 The helpers that the library does not need live here too: the dominance
 order and height on the integer adjugate det(C) * C^-1, extreme weights in
@@ -522,6 +522,47 @@ def peel_decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
             u = u - c * demazure_char(g, w0, mu)
     if with_stats:
         return coefficients, rounds
+    return coefficients
+
+
+def tuple_decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
+    """Reference for ``kernel.decompose``: the same fold, on weight tuples.
+
+    The W-invariance check looks up u[s_i(nu)] by ``simple_reflection`` of
+    a tuple, ``in_kernel`` runs as a guard with no bound on its work, and
+    each x = nu + rho is reflected by ``simple_reflection`` at its first
+    negative coordinate until it is dominant.  Same results, stats and
+    errors as the packed version, below its guard bound.
+    """
+    check_char_rank(g.datum, v)
+    d = g.datum
+    u = v.shift(d.rho)
+    for i in range(1, d.rank + 1):
+        if any(u.terms.get(simple_reflection(d, i, nu)) != c for nu, c in u.terms.items()):
+            raise ValueError(f"element is not in the joint Demazure kernel: simple reflection {i} moves e^rho * v")
+    if not in_kernel(g, v):
+        raise RuntimeError(
+            "e^rho * v is W-invariant but v is not in the joint Demazure kernel; "
+            "kernel membership and invariance disagree"
+        )
+    bound = len(d.positive_roots)
+    totals: dict[Weight, int] = {}
+    reflections = 0
+    for nu, c in u.terms.items():
+        x = weight_add(nu, d.rho)
+        steps = 0
+        while min(x) < 0:
+            steps += 1
+            if steps > bound:
+                raise RuntimeError(f"weight {list(nu)} needs more than {bound} reflections; internal inconsistency")
+            x = simple_reflection(d, 1 + next(i for i, a in enumerate(x) if a < 0), x)
+        reflections += steps
+        if 0 not in x:
+            mu = weight_sub(x, d.rho)
+            totals[mu] = totals.get(mu, 0) + (-c if steps % 2 else c)
+    coefficients = {mu: c for mu, c in sorted(totals.items()) if c}
+    if with_stats:
+        return coefficients, reflections
     return coefficients
 
 

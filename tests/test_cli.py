@@ -666,11 +666,9 @@ def test_parallel_sweep_hands_workers_the_built_table(inline_pool, capsys):
     assert [line.split(" checks=")[0] for line in lines] == [f"lambda={list(lam)}" for lam in grid]
 
 
-def test_decompose_fold_past_its_bound_exits_three(monkeypatch):
-    from demchar import kernel
-
+def test_decompose_fold_past_its_bound_exits_three(freeze_reflections):
     v = kernel_basis_element(oracles.group("A", 2), (2, 3))
-    monkeypatch.setattr(kernel, "simple_reflection", lambda d, i, x: x)
+    freeze_reflections()
     code, err = run_in_process(["decompose", "--type", "A", "--rank", "2"], json.dumps(v.to_json_dict()))
     assert code == 3
     assert err.startswith("internal error:") and "reflections" in err
@@ -692,6 +690,33 @@ def test_decompose_refuses_a_twelve_digit_non_member_at_once():
     r = run_cli("decompose", "--type", "A", "--rank", "2", stdin=json.dumps(bad), timeout=10)
     assert_usage_error(r)
     assert "not in the joint Demazure kernel: simple reflection 1 moves" in r.stderr
+
+
+def spread_element(n: int) -> str:
+    """The A1 kernel element e^(n-1) + e^(-n-1), so e^rho * v = e^n + e^-n, as JSON."""
+    return json.dumps({"rank": 1, "terms": [{"weight": [n - 1], "coeff": "1"}, {"weight": [-n - 1], "coeff": "1"}]})
+
+
+def test_decompose_refuses_an_oversized_guard_at_once():
+    # the guard would expand 2 * 10^7 weight-string terms, above kernel.MAX_GUARD_TERMS
+    start = time.perf_counter()
+    r = run_cli("decompose", "--type", "A", "--rank", "1", stdin=spread_element(10**7), timeout=30)
+    assert time.perf_counter() - start < 5
+    assert_usage_error(r)
+    assert "above the bound MAX_GUARD_TERMS" in r.stderr
+    small = run_cli("decompose", "--type", "A", "--rank", "1", stdin=spread_element(10**3))
+    assert small.returncode == 0, small.stderr
+    assert small.stdout.splitlines() == ["mu=[998] lambda=[999] coeff=-1", "mu=[1000] lambda=[1001] coeff=1"]
+
+
+def test_verify_kernel_passes_on_a_guard_refusal(monkeypatch):
+    # a refusal for size is not a failed round trip, so it is exit 2 and not a mismatch
+    from demchar import kernel
+
+    monkeypatch.setattr(kernel, "MAX_GUARD_TERMS", 1)
+    code, err = run_in_process(["verify-kernel", "--type", "A", "--rank", "2", "--grid", "2"])
+    assert code == 2
+    assert err.startswith("error:") and "MAX_GUARD_TERMS = 1" in err
 
 
 def test_decompose_rank_mismatch_reads_the_library_message():

@@ -10,6 +10,8 @@ from demchar.charring import CharElement
 from demchar.demazure import demazure_char, top_cohomology_char
 from demchar.kernel import (
     DECOMPOSITION_SCHEMA,
+    MAX_GUARD_TERMS,
+    GuardBoundError,
     decompose,
     decomposition_to_json,
     in_kernel,
@@ -17,7 +19,8 @@ from demchar.kernel import (
     kernel_basis_element,
     verify_characterization,
 )
-from demchar.rootsys import weight_neg, weight_sub
+from demchar.rootsys import build_datum, weight_neg, weight_sub
+from demchar.weyl import classified_order
 
 import oracles
 from oracles import dominance_leq, w_apply
@@ -29,6 +32,26 @@ def dual_label(g, lam):
     """Index of the basis element recovered from kernel_basis_element(lam):
     -w0(lam - rho), which is lam - rho itself whenever -w0 is the identity."""
     return weight_neg(g.longest_element.apply(weight_sub(lam, g.datum.rho)))
+
+
+# every type whose group has at most 1152 elements (F4 the largest)
+REFERENCE_TYPES = [t for t in oracles.ALL_TYPES if classified_order(build_datum(*t)) <= 1152]
+
+
+def outcome(fn, g, v):
+    """One decompose call as data: coefficients in order and reflection count, or the error's type and message."""
+    try:
+        coefficients, reflections = fn(g, v, with_stats=True)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    assert fn(g, v) == coefficients
+    return list(coefficients.items()), reflections
+
+
+def assert_matches_the_tuple_reference(g, v):
+    packed = outcome(decompose, g, v)
+    assert packed == outcome(oracles.tuple_decompose, g, v)
+    return packed
 
 
 def test_in_kernel_examples():
@@ -231,6 +254,7 @@ def test_fold_matches_peel_on_seeded_combinations(family, rank, n):
         coeffs = decompose(g, v)
         assert coeffs == oracles.peel_decompose(g, v)
         assert list(coeffs) == sorted(coeffs)
+        assert_matches_the_tuple_reference(g, v)
 
 
 def test_fold_matches_peel_f4():
@@ -257,18 +281,17 @@ def test_fold_matches_peel_on_symmetrized_characters(fr, terms):
     v = sym.shift(weight_neg(g.datum.rho))
     coeffs = decompose(g, v)
     assert coeffs == oracles.peel_decompose(g, v)
+    assert_matches_the_tuple_reference(g, v)
     rebuilt = zero(2)
     for mu, c in coeffs.items():
         rebuilt = rebuilt + c * demazure_char(g, g.longest_element, mu)
     assert rebuilt == sym
 
 
-def test_fold_past_its_bound_is_an_internal_error(monkeypatch):
-    from demchar import kernel
-
+def test_fold_past_its_bound_is_an_internal_error(freeze_reflections):
     g = oracles.group("A", 2)
     v = kernel_basis_element(g, (2, 3))
-    monkeypatch.setattr(kernel, "simple_reflection", lambda d, i, x: x)
+    freeze_reflections()
     with pytest.raises(RuntimeError, match="more than 3 reflections"):
         decompose(g, v)
 
@@ -293,3 +316,95 @@ def test_invariant_element_outside_the_kernel_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(kernel, "in_kernel", lambda g, v: False)
     with pytest.raises(RuntimeError, match="kernel membership and invariance disagree"):
         decompose(g, v)
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
+def test_packed_decompose_matches_the_tuple_reference_on_every_basis_element(family, rank):
+    g = oracles.group(family, rank)
+    for lam in itertools.product((1, 2), repeat=rank):
+        coefficients, _ = assert_matches_the_tuple_reference(g, kernel_basis_element(g, lam))
+        assert coefficients == [(dual_label(g, lam), 1)]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("B", 3), ("D", 4)])
+def test_packed_decompose_matches_the_tuple_reference_on_non_members(family, rank):
+    g = oracles.group(family, rank)
+    rng = random.Random(71)
+    basis = kernel_basis_element(g, (2,) * rank)
+    candidates = [oracles.random_char(rng, rank) for _ in range(20)]
+    candidates += [basis + monomial(oracles.random_weight(rng, rank)) for _ in range(5)]
+    candidates += [CharElement(rank + 1, {(1,) * (rank + 1): 1})]
+    for v in candidates:
+        result = assert_matches_the_tuple_reference(g, v)
+        if v.rank != rank or not in_kernel(g, v):
+            assert result[0] is ValueError
+
+
+@pytest.mark.parametrize("family,rank,lam", [("A", 1, (10**12,)), ("A", 2, (10**12, 0)), ("G", 2, (10**12, 7))])
+def test_packed_decompose_matches_the_tuple_reference_at_a_twelve_digit_coordinate(monkeypatch, family, rank, lam):
+    # e^-rho times a W-orbit sum is in N; its guard would expand about 10^12 terms, so both
+    # guards answer True (which is right) and the bound is lifted, leaving the lookup and the fold
+    from demchar import kernel
+
+    g = oracles.group(family, rank)
+    orbit = zero(rank)
+    for w in g.elements:
+        orbit = orbit + monomial(w.apply(lam))
+    v = orbit.shift(weight_neg(g.datum.rho))
+    with pytest.raises(GuardBoundError):
+        decompose(g, v)
+    monkeypatch.setattr(kernel, "in_kernel", lambda g, v: True)
+    monkeypatch.setattr(oracles, "in_kernel", lambda g, v: True)
+    monkeypatch.setattr(kernel, "MAX_GUARD_TERMS", 10**14)
+    coefficients, _ = assert_matches_the_tuple_reference(g, v)
+    # the sum over W holds each orbit weight |W_lam| times, and so holds chi(lam) that often
+    assert (lam, g.order // len(orbit.terms)) in coefficients
+    moved = v + monomial((10**12,) + (0,) * (rank - 1))
+    assert assert_matches_the_tuple_reference(g, moved)[0] is ValueError
+
+
+def test_guard_bound_refuses_a_large_invariant_element_before_the_guard(monkeypatch):
+    # u = e^rho * v = e^N + e^-N: the guard's strings would hold 2N terms
+    from demchar import kernel
+
+    g = oracles.group("A", 1)
+    spread = lambda n: CharElement(1, {(n - 1,): 1, (-n - 1,): 1})
+    assert decompose(g, spread(1000)) == {(998,): -1, (1000,): 1}
+
+    def guard(g, v):
+        raise AssertionError("the guard ran")
+
+    monkeypatch.setattr(kernel, "in_kernel", guard)
+    expected = f"would expand 20000000 weight-string terms, above the bound MAX_GUARD_TERMS = {MAX_GUARD_TERMS}"
+    with pytest.raises(GuardBoundError, match=expected):
+        decompose(g, spread(10**7))
+    monkeypatch.setattr(kernel, "MAX_GUARD_TERMS", 2000)
+    with pytest.raises(AssertionError, match="the guard ran"):
+        decompose(g, spread(1000))
+    monkeypatch.setattr(kernel, "MAX_GUARD_TERMS", 1999)
+    with pytest.raises(GuardBoundError, match="2000 weight-string terms"):
+        decompose(g, spread(1000))
+
+
+def test_guard_bound_sums_the_strings_of_the_guard(monkeypatch):
+    # the predicted total is the number of weights the guard's Demazure steps expand
+    from demchar import demazure
+
+    counted = []
+    real = demazure.Packing.step
+
+    def step(packing, pos, terms):
+        shift = packing.bits * pos
+        for k in terms:
+            t = ((k >> shift) & packing.mask) - packing.bias
+            counted.append(t + 1 if t >= 0 else max(-t - 1, 0))
+        return real(packing, pos, terms)
+
+    monkeypatch.setattr(demazure.Packing, "step", step)
+    for family, rank, lam in [("A", 2, (2, 3)), ("B", 3, (1, 2, 1)), ("G", 2, (3, 1))]:
+        g = oracles.group(family, rank)
+        v = kernel_basis_element(g, lam)
+        counted.clear()
+        assert in_kernel(g, v)
+        u = v.shift(g.datum.rho)
+        assert sum(counted) == sum(abs(x) for nu in u.terms for x in nu)

@@ -233,3 +233,17 @@ def test_packed_reflection_of_the_orbit_of_rho(family, rank):
                 frontier.append(nu)
     assert len(orbit) == oracles.classical_weyl_order(family, rank)
     assert demazure.Packing is Packing and demazure.packing_for is packing_for
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("B", 3), ("G", 2), ("F", 4)])
+def test_pack_terms_packs_each_weight(family, rank):
+    d = build_datum(family, rank)
+    rng = random.Random(rank * 37 + ord(family))
+    for scale in (5, 10**12):
+        terms = {oracles.random_weight(rng, rank, -scale, scale): rng.randint(-9, 9) for _ in range(30)}
+        terms[(-scale,) * rank] = 1
+        terms[(scale,) * rank] = 2
+        packing = packing_for(d, terms, d.rho)
+        assert packing.pack_terms(terms) == {packing.pack(mu): c for mu, c in terms.items()}
+        assert packing.pack_terms(terms, d.rho) == {packing.pack(weight_add(mu, d.rho)): c for mu, c in terms.items()}
+        assert packing.unpack_terms(packing.pack_terms(terms)) == terms
