@@ -30,7 +30,6 @@ from .theorem import (
     verify_theorem,
 )
 from .weyl import (
-    WeylElement,
     WeylGroup,
     bruhat_leq,
     element_by_word,

@@ -161,11 +161,12 @@ def load_group(args: argparse.Namespace, table: bool = False) -> WeylGroup:
     return generate(d, args.max_group_order)
 
 
-def _resolve_element(g: WeylGroup, selector: str):
+def _resolve_element(g: WeylGroup, selector: str) -> int:
+    """The index of the element named on the command line: "e", "w0" or a word."""
     if selector == "e":
-        return g.identity_element
+        return g.identity
     if selector == "w0":
-        return g.longest_element
+        return g.longest
     return element_by_word(g, _parse_ints(selector))
 
 
@@ -191,7 +192,7 @@ def cmd_info(args: argparse.Namespace) -> int:
                 "num_positive_roots": len(d.positive_roots),
                 "cartan": [list(row) for row in d.cartan],
                 "rho": list(d.rho),
-                "longest_word": list(g.longest_element.word),
+                "longest_word": list(g.word(g.longest)),
             }
         )
     else:
@@ -199,7 +200,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         print(f"order of the Weyl group: {g.order}")
         print(f"positive roots: {len(d.positive_roots)}")
         print(f"rho: {list(d.rho)}")
-        print(f"longest element word: {list(g.longest_element.word)}")
+        print(f"longest element word: {list(g.word(g.longest))}")
         print("cartan:")
         for row in d.cartan:
             print(f"  {list(row)}")
@@ -211,9 +212,9 @@ def cmd_weyl(args: argparse.Namespace) -> int:
     if args.dot:
         print("digraph bruhat {")
         print("  rankdir=BT;")
-        for e in g.elements:
-            label = "e" if not e.word else ",".join(map(str, e.word))
-            print(f'  n{e.index} [label="{label}"];')
+        for k in range(g.order):
+            label = ",".join(map(str, g.word(k))) or "e"
+            print(f'  n{k} [label="{label}"];')
         for tau, covers in enumerate(lower_covers(g)):
             for w in covers:
                 print(f"  n{w} -> n{tau};")
@@ -223,14 +224,14 @@ def cmd_weyl(args: argparse.Namespace) -> int:
         _dump_json(
             {
                 "elements": [
-                    {"index": e.index, "length": e.length, "word": list(e.word)} for e in g.elements
+                    {"index": k, "length": g.length[k], "word": list(g.word(k))} for k in range(g.order)
                 ],
                 "bruhat_rows": [format(row, "x") for row in g.bruhat_rows],
             }
         )
     else:
-        for e in g.elements:
-            print(f"{e.index}: length={e.length} word={list(e.word)}")
+        for k in range(g.order):
+            print(f"{k}: length={g.length[k]} word={list(g.word(k))}")
         print("bruhat rows (element index ascending, leftmost bit = identity):")
         for row in g.bruhat_rows:
             print("".join("1" if (row >> k) & 1 else "." for k in range(g.order)))
@@ -255,7 +256,7 @@ def cmd_bruhat(args: argparse.Namespace) -> int:
     tau = _resolve_element(g, args.tau)
     result = bruhat_leq(g, w, tau)
     if args.fmt == "json":
-        _dump_json({"w": list(w.word), "tau": list(tau.word), "leq": result})
+        _dump_json({"w": list(g.word(w)), "tau": list(g.word(tau)), "leq": result})
     else:
         print("true" if result else "false")
     return EXIT_OK
@@ -284,10 +285,10 @@ _BLOCK = '{\n  "lambda": %s,\n  "reports": [\n    %s\n  ]\n}'
 
 
 class _Sweep:
-    """One sweep command's group, with every element and the text of its word as a report's "tau".
+    """One sweep command's group, with the text of each element's word as a passing report's "tau".
 
     One is made per command, or per pool worker, before any walk: so a
-    tau's word is rebuilt at most once per command, and these long-lived
+    tau's word is rendered at most once per command, and these long-lived
     objects do not land among a walk's freed memory, where they would keep
     it from being returned (the B4 grid 2 JSON sweep peaks at 32.1 MB of RSS
     when they are built after its first walk, 29.9 MB before).
@@ -295,8 +296,7 @@ class _Sweep:
 
     def __init__(self, g: WeylGroup):
         self.group = g
-        self.elements = tuple(g.elements)
-        self.words = [_report_field(list(e.word)) for e in self.elements]
+        self.words = [_report_field(list(g.word(k))) for k in range(g.order)]
 
 
 def _report_field(value) -> str:
@@ -308,7 +308,7 @@ def _sweep_lambda(sweep: _Sweep, command: str, fmt: str, lam: Weight) -> _Block:
     # built per call, so a replaced module attribute takes effect
     check = {"verify-theorem": sweep_verify_theorem, "verify-lemma31": sweep_verify_lemma31}[command]
     reports = check(sweep.group, lam)
-    failures = {k: r.to_json_dict(sweep.elements[k], lam) for k, r in enumerate(reports) if not r.passed}
+    failures = {k: r.to_json_dict(sweep.group.word(k), lam) for k, r in enumerate(reports) if not r.passed}
     text = None
     if fmt == "json":
         lam_text = _report_field(list(lam))
@@ -411,9 +411,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     g = load_group(args)
     d = g.datum
     rho = d.rho
-    w0 = g.longest_element
     lams = _lambda_grid(d.rank, args.grid)
-    dual = lambda mu: weight_neg(w0.apply(mu))
+    dual = lambda mu: weight_neg(g.act(g.longest, mu))
 
     per_lambda = []
     basis = {}

@@ -21,9 +21,8 @@ Tuples stay at every public boundary: CharElement and JSON.
 from __future__ import annotations
 
 from .charring import CharElement
-# Packing is re-exported, so demazure.Packing names the class that rootsys defines
-from .rootsys import Packing, RootDatum, Weight, check_regular_dominant, check_weight_rank, is_dominant, packing_for
-from .weyl import WeylElement, WeylGroup
+from .rootsys import RootDatum, Weight, check_regular_dominant, check_weight_rank, is_dominant, packing_for
+from .weyl import WeylGroup
 
 
 def check_char_rank(d: RootDatum, v: CharElement) -> None:
@@ -51,25 +50,25 @@ def demazure_word(d: RootDatum, word, v: CharElement) -> CharElement:
     return CharElement.adopt(v.rank, packing.unpack_terms(terms))
 
 
-def demazure_char(g: WeylGroup, tau: WeylElement, lam: Weight) -> CharElement:
+def demazure_char(g: WeylGroup, tau: int, lam: Weight) -> CharElement:
     """Character of the sections of the lam-line bundle over the tau cell closure.
 
-    Defined for dominant lam only: the operator string along tau's canonical
-    reduced word applied to e^lam.
+    Defined for dominant lam only: the operator string along the canonical
+    reduced word of element tau applied to e^lam.
     """
     check_weight_rank(g.datum, lam)
     if not is_dominant(g.datum, lam):
         raise ValueError(f"weight {list(lam)} is not dominant")
-    return demazure_word(g.datum, tau.word, CharElement.monomial(lam))
+    return demazure_word(g.datum, g.word(tau), CharElement.monomial(lam))
 
 
-def euler_char(g: WeylGroup, w: WeylElement, mu: Weight) -> CharElement:
-    """Alternating sum of cohomology characters for any weight mu."""
+def euler_char(g: WeylGroup, w: int, mu: Weight) -> CharElement:
+    """Alternating sum of cohomology characters over the cell closure of element w, for any weight mu."""
     check_weight_rank(g.datum, mu)
-    return demazure_word(g.datum, w.word, CharElement.monomial(mu))
+    return demazure_word(g.datum, g.word(w), CharElement.monomial(mu))
 
 
-def top_cohomology_char(g: WeylGroup, w: WeylElement, lam: Weight) -> CharElement:
+def top_cohomology_char(g: WeylGroup, w: int, lam: Weight) -> CharElement:
     """Character of the top (degree l(w)) cohomology of the (-lam)-bundle.
 
     Requires lam regular dominant, which concentrates cohomology in degree
@@ -77,4 +76,4 @@ def top_cohomology_char(g: WeylGroup, w: WeylElement, lam: Weight) -> CharElemen
     """
     check_regular_dominant(g.datum, lam)
     v = euler_char(g, w, tuple(-c for c in lam))
-    return -v if w.length % 2 else v
+    return -v if g.length[w] % 2 else v

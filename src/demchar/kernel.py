@@ -15,8 +15,8 @@ from __future__ import annotations
 from itertools import chain
 
 from .charring import CharElement
-from .demazure import check_char_rank, packing_for
-from .rootsys import Weight, check_regular_dominant, weight_add, weight_neg
+from .demazure import check_char_rank
+from .rootsys import Weight, check_regular_dominant, packing_for, weight_add, weight_neg
 from .weyl import WeylGroup, peel
 
 DECOMPOSITION_SCHEMA = {

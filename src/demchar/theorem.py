@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .charring import CHAR_ELEMENT_SCHEMA, CharElement
-from .demazure import packing_for, top_cohomology_char
-from .rootsys import Weight, check_regular_dominant, weight_neg, weight_sub
-from .weyl import WeylElement, WeylGroup, peel
+from .demazure import top_cohomology_char
+from .rootsys import Weight, check_regular_dominant, packing_for, weight_neg, weight_sub
+from .weyl import WeylGroup, check_element, peel
 
 VERIFICATION_REPORT_SCHEMA = {
     "type": "object",
@@ -48,10 +48,11 @@ class VerificationReport:
     interval_size: int
     sides: tuple[CharElement, CharElement] | None
 
-    def to_json_dict(self, tau: WeylElement, lam: Weight) -> dict:
+    def to_json_dict(self, word: Sequence[int], lam: Weight) -> dict:
+        """The report as JSON, with ``word`` (tau's canonical word) as its "tau"."""
         difference = [] if self.sides is None else (self.sides[0] - self.sides[1]).to_json_dict()["terms"]
         return {
-            "tau": list(tau.word),
+            "tau": list(word),
             "lambda": list(lam),
             "passed": self.passed,
             "dim_lhs": str(self.dim_lhs),
@@ -128,30 +129,32 @@ def _interval_reports(g: WeylGroup, lam: Weight, taus: Sequence[int], frame: Wei
     return [reports[tau] for tau in taus]
 
 
-def verify_theorem(g: WeylGroup, tau: WeylElement, lam: Weight) -> VerificationReport:
-    """Check the summed-dual-characters identity for one (tau, lam)."""
-    return _interval_reports(g, lam, [tau.index], g.datum.rho)[0]
+def verify_theorem(g: WeylGroup, tau: int, lam: Weight) -> VerificationReport:
+    """Check the summed-dual-characters identity for one (element tau, lam)."""
+    check_element(g, tau)
+    return _interval_reports(g, lam, [tau], g.datum.rho)[0]
 
 
 def sweep_verify_theorem(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
-    """Reports of ``verify_theorem`` for every tau at one lam, indexed like g.elements."""
+    """Reports of ``verify_theorem`` for every tau at one lam, indexed by element."""
     return _interval_reports(g, lam, range(g.order), g.datum.rho)
 
 
-def epsilon_char(g: WeylGroup, w: WeylElement, lam: Weight) -> CharElement:
+def epsilon_char(g: WeylGroup, w: int, lam: Weight) -> CharElement:
     """Lemma 3.1's eps_w = e^-rho * ch(H^l(w)(X(w), L_-lam))^*, the kernel character on w."""
     return top_cohomology_char(g, w, lam).star().shift(weight_neg(g.datum.rho))
 
 
-def verify_lemma31(g: WeylGroup, tau: WeylElement, lam: Weight) -> VerificationReport:
+def verify_lemma31(g: WeylGroup, tau: int, lam: Weight) -> VerificationReport:
     """Check that the kernel characters over the interval sum to the section character.
 
     This is the main identity multiplied by e^-rho, computed from the same
     tables, so it is not independent evidence for the theorem.
     """
-    return _interval_reports(g, lam, [tau.index], (0,) * g.datum.rank)[0]
+    check_element(g, tau)
+    return _interval_reports(g, lam, [tau], (0,) * g.datum.rank)[0]
 
 
 def sweep_verify_lemma31(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
-    """Reports of ``verify_lemma31`` for every tau at one lam, indexed like g.elements."""
+    """Reports of ``verify_lemma31`` for every tau at one lam, indexed by element."""
     return _interval_reports(g, lam, range(g.order), (0,) * g.datum.rank)

@@ -9,16 +9,15 @@ is kept as compact tables, in the manner of Casselman (Invent. Math. 116,
 multiplication tables, byte arrays of lengths and first letters, and a
 breadth-first parent with its last letter, from which an element's
 canonical reduced word (the lexicographically smallest) is rebuilt when it
-is read.  Elements are plain indices; ``WeylGroup.elements`` is a view that
-builds a WeylElement only when one is read, and a WeylElement acts on
-weights along its word.  The Bruhat table is built on first read.
+is read.  An element is its index and nothing else: the group reads its
+word and length, and ``WeylGroup.act`` applies it to a weight along that
+word.  The Bruhat table is built on first read.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 
@@ -58,31 +57,6 @@ def check_bruhat_table(d: RootDatum) -> None:
         )
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """One group element: its index, length and canonical reduced word.
-
-    Words use 1-based simple-root letters.  Equality and hashing use
-    (index, length, word); ``simple_roots`` is the datum's shared tuple,
-    kept only so that ``apply`` needs no group.
-    """
-
-    index: int
-    length: int
-    word: tuple[int, ...]
-    simple_roots: tuple[Weight, ...] = field(compare=False, repr=False)
-
-    def apply(self, lam: Weight) -> Weight:
-        """w(lam): the simple reflections of the word, last letter first."""
-        for i in reversed(self.word):
-            t = lam[i - 1]
-            lam = tuple(x - t * a for x, a in zip(lam, self.simple_roots[i - 1]))
-        return tuple(lam)
-
-    def __repr__(self) -> str:
-        return f"WeylElement(index={self.index}, length={self.length}, word={list(self.word)})"
-
-
 @dataclass(frozen=True, eq=False)
 class WeylGroup:
     """A fully generated Weyl group as compact tables over the indices 0..|W|-1.
@@ -98,8 +72,8 @@ class WeylGroup:
       ``last[k]`` (bytes), so the canonical word of w_k is the word of
       ``parent[k]`` followed by ``last[k]``.
 
-    ``elements`` is a read-only sequence view that builds a WeylElement only
-    when one is read; loops over the group read the arrays.  Immutable after
+    An element is its index: every function that takes an element takes
+    the index, and loops over the group read the arrays.  Immutable after
     generation apart from the cached Bruhat table and its table of largest
     lower covers.
     """
@@ -118,20 +92,9 @@ class WeylGroup:
     def order(self) -> int:
         return len(self.length)
 
-    @property
-    def elements(self) -> ElementView:
-        return ElementView(self)
-
-    @property
-    def identity_element(self) -> WeylElement:
-        return self.elements[self.identity]
-
-    @property
-    def longest_element(self) -> WeylElement:
-        return self.elements[self.longest]
-
     def word(self, k: int) -> tuple[int, ...]:
         """The canonical reduced word of element k, rebuilt along its parents."""
+        check_element(self, k)
         parent, last = self.parent, self.last
         letters = [0] * self.length[k]
         for pos in range(len(letters) - 1, -1, -1):
@@ -139,9 +102,17 @@ class WeylGroup:
             k = parent[k]
         return tuple(letters)
 
+    def act(self, k: int, lam: Weight) -> Weight:
+        """w_k(lam): the simple reflections of w_k's canonical word, last letter first."""
+        simple_roots = self.datum.simple_roots
+        for i in reversed(self.word(k)):
+            t = lam[i - 1]
+            lam = tuple(x - t * a for x, a in zip(lam, simple_roots[i - 1]))
+        return tuple(lam)
+
     @cached_property
     def bruhat_rows(self) -> tuple[int, ...]:
-        """``bruhat_rows[t]`` is a bitmask over the indices w with w <= elements[t].
+        """``bruhat_rows[t]`` is a bitmask over the indices k with w_k <= w_t.
 
         The rows are built on first read, one OR per Bruhat pair, and then
         cached on the group, so a pickled group carries them once they exist.
@@ -154,7 +125,7 @@ class WeylGroup:
 
     @cached_property
     def largest_covers(self) -> tuple[tuple[int | None, tuple[int, ...]], ...]:
-        """``largest_covers[t]`` is (c, increment): the lower cover c of elements[t] with the
+        """``largest_covers[t]`` is (c, increment): the lower cover c of w_t with the
         largest interval, and the indices of ``bruhat_rows[t] & ~bruhat_rows[c]``, ascending.
 
         Ties go to the smallest index.  The identity has no cover: its entry is
@@ -164,31 +135,10 @@ class WeylGroup:
         return _largest_covers(self)
 
 
-class ElementView(Sequence):
-    """``WeylGroup.elements``: every element in index order, each WeylElement built when it is read.
-
-    It supports len, iteration, indexing (negative indices too) and slicing,
-    which gives a tuple.  It caches nothing, so reading an element twice
-    rebuilds its word twice.
-    """
-
-    __slots__ = ("_group",)
-
-    def __init__(self, g: WeylGroup):
-        self._group = g
-
-    def __len__(self) -> int:
-        return self._group.order
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(self.__getitem__, range(*k.indices(len(self)))))
-        g = self._group
-        k = range(g.order)[k]  # a negative index counts from the end; out of range is IndexError
-        return WeylElement(k, g.length[k], g.word(k), g.datum.simple_roots)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+def check_element(g: WeylGroup, k: int) -> None:
+    """Raise ValueError unless k is an element index of g; a negative index does not count from the end."""
+    if not 0 <= k < g.order:
+        raise ValueError(f"element index {k} is out of range 0..{g.order - 1}")
 
 
 def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGroup:
@@ -298,7 +248,7 @@ def _bruhat_table(g: WeylGroup) -> tuple[int, ...]:
 
 
 def lower_covers(g: WeylGroup) -> list[list[int]]:
-    """``lower_covers(g)[t]``: the indices c < elements[t] with l(c) = l(t) - 1, ascending.
+    """``lower_covers(g)[t]``: the indices c with w_c < w_t and l(c) = l(t) - 1, ascending.
 
     Elements are sorted by length, so the elements of one length fill a
     contiguous index range, and the covers of t are the bits of its Bruhat
@@ -331,21 +281,21 @@ def _largest_covers(g: WeylGroup) -> tuple[tuple[int | None, tuple[int, ...]], .
     return tuple(table)
 
 
-def bruhat_leq(g: WeylGroup, w: WeylElement, tau: WeylElement) -> bool:
-    """True iff w <= tau in the Bruhat order, without the Bruhat table.
+def bruhat_leq(g: WeylGroup, w: int, tau: int) -> bool:
+    """True iff element w <= element tau in the Bruhat order, without the Bruhat table.
 
     Lifting property (Bjorner-Brenti, GTM 231, Prop. 2.2.7): for the first
     letter s of tau's canonical word, s*tau < tau, and w <= tau iff
     min(w, s*w) <= s*tau.  The rest of the word is s*tau's canonical word, so
     one pass over tau's letters takes l(tau) steps and ends at tau = e.
     """
+    check_element(g, w)
     length, left_mult, rank = g.length, g.left_mult, g.datum.rank
-    k = w.index
-    for i in tau.word:
-        sk = left_mult[k * rank + i - 1]
-        if length[sk] < length[k]:
-            k = sk
-    return k == g.identity
+    for i in g.word(tau):
+        sw = left_mult[w * rank + i - 1]
+        if length[sw] < length[w]:
+            w = sw
+    return w == g.identity
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -362,17 +312,18 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-def lower_interval(g: WeylGroup, tau: WeylElement) -> list[WeylElement]:
-    """All w <= tau, ordered by length then canonical word."""
-    row, elements = g.bruhat_rows[tau.index], g.elements
-    return [elements[k] for k in range(g.order) if (row >> k) & 1]
+def lower_interval(g: WeylGroup, tau: int) -> list[int]:
+    """The indices of all w <= tau, ascending: by length, then canonical word."""
+    check_element(g, tau)
+    row = g.bruhat_rows[tau]
+    return [k for k in range(g.order) if (row >> k) & 1]
 
 
-def element_by_word(g: WeylGroup, letters) -> WeylElement:
-    """Product of simple reflections for a (not necessarily reduced) word."""
+def element_by_word(g: WeylGroup, letters) -> int:
+    """The index of the product of simple reflections along a (not necessarily reduced) word."""
     idx, rank = g.identity, g.datum.rank
     for i in letters:
         if not 1 <= i <= rank:
             raise ValueError(f"word letter {i} out of range 1..{rank}")
         idx = g.right_mult[idx * rank + i - 1]
-    return g.elements[idx]
+    return idx

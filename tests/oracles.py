@@ -14,9 +14,10 @@ by Freudenthal's multiplicity formula with no Demazure operator at all.
 
 The helpers that the library does not need live here too: the dominance
 order and height on the integer adjugate det(C) * C^-1, extreme weights in
-that order, a Weyl-group element acting on a character, inversion counts,
-every reduced word of an element by descent search, and the Serre-twist
-weight rho + w(rho) - w(chi').
+that order, a Weyl-group element acting on a weight (``simple_reflection``
+letter by letter, not ``WeylGroup.act``) and on a character, inversion
+counts, every reduced word of an element by descent search, and the
+Serre-twist weight rho + w(rho) - w(chi').
 
 ``json_reference`` is the standard library's encoder, the reference for the
 command line's JSON emitter.
@@ -36,7 +37,7 @@ from demchar.charring import CharElement
 from demchar.demazure import check_char_rank, demazure_char, top_cohomology_char
 from demchar.kernel import in_kernel
 from demchar.rootsys import RootDatum, Weight, simple_reflection, weight_add, weight_sub
-from demchar.weyl import WeylElement, WeylGroup, classified_order, lower_interval
+from demchar.weyl import WeylGroup, classified_order, lower_interval
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
@@ -298,9 +299,9 @@ def freudenthal_char(g: WeylGroup, mu: Weight) -> CharElement:
     return CharElement(d.rank, terms)
 
 
-def subword_lower_set(g: WeylGroup, tau) -> set[int]:
-    """Indices of all subword products of tau's fixed canonical reduced word."""
-    word = tau.word
+def subword_lower_set(g: WeylGroup, tau: int) -> set[int]:
+    """Indices of all subword products of element tau's fixed canonical reduced word."""
+    word = g.word(tau)
     reachable = set()
     for mask in range(1 << len(word)):
         idx = g.identity
@@ -311,22 +312,29 @@ def subword_lower_set(g: WeylGroup, tau) -> set[int]:
     return reachable
 
 
-def w_apply(w: WeylElement, v: CharElement) -> CharElement:
-    """Push a character through a Weyl-group element: e^mu -> e^{w(mu)}."""
+def act(g: WeylGroup, w: int, lam: Weight) -> Weight:
+    """w(lam) for element w: ``simple_reflection`` letter by letter along its word, last letter first."""
+    for i in reversed(g.word(w)):
+        lam = simple_reflection(g.datum, i, lam)
+    return tuple(lam)
+
+
+def w_apply(g: WeylGroup, w: int, v: CharElement) -> CharElement:
+    """Push a character through element w: e^mu -> e^{w(mu)}."""
     out: dict[Weight, int] = {}
     for mu, c in v.terms.items():
-        key = w.apply(mu)
+        key = act(g, w, mu)
         out[key] = out.get(key, 0) + c
     return CharElement(v.rank, out)
 
 
-def inversions(g: WeylGroup, w: WeylElement) -> int:
-    """Number of positive roots sent to negative roots by w."""
+def inversions(g: WeylGroup, w: int) -> int:
+    """Number of positive roots sent to negative roots by element w."""
     positives = set(g.datum.positive_roots)
-    return sum(1 for beta in positives if tuple(-c for c in w.apply(beta)) in positives)
+    return sum(1 for beta in positives if tuple(-c for c in act(g, w, beta)) in positives)
 
 
-def alternative_reduced_words(g: WeylGroup, w: WeylElement, limit: int | None = None) -> list[tuple[int, ...]]:
+def alternative_reduced_words(g: WeylGroup, w: int, limit: int | None = None) -> list[tuple[int, ...]]:
     """Distinct reduced words for w (up to ``limit``), by DFS over right descents."""
     out: list[tuple[int, ...]] = []
 
@@ -343,17 +351,17 @@ def alternative_reduced_words(g: WeylGroup, w: WeylElement, limit: int | None = 
                 rec(j, tail)
                 tail.pop()
 
-    rec(w.index, [])
+    rec(w, [])
     return out
 
 
-def psi_character(w: WeylElement, chi_prime: Weight) -> Weight:
-    """Serre-duality twist weight: rho + w(rho) - w(chi'), with rho all ones."""
+def psi_character(g: WeylGroup, w: int, chi_prime: Weight) -> Weight:
+    """Serre-duality twist weight for element w: rho + w(rho) - w(chi'), with rho all ones."""
     rho = (1,) * len(chi_prime)
-    return weight_sub(weight_add(rho, w.apply(rho)), w.apply(chi_prime))
+    return weight_sub(weight_add(rho, act(g, w, rho)), act(g, w, chi_prime))
 
 
-def theorem_sides(g: WeylGroup, tau, lam: Weight) -> tuple[CharElement, CharElement]:
+def theorem_sides(g: WeylGroup, tau: int, lam: Weight) -> tuple[CharElement, CharElement]:
     """Both sides of the main identity, evaluated term by term.
 
     The left side is one operator string per w in the subword lower set of
@@ -362,12 +370,12 @@ def theorem_sides(g: WeylGroup, tau, lam: Weight) -> tuple[CharElement, CharElem
     """
     lhs = CharElement.zero(g.datum.rank)
     for k in sorted(subword_lower_set(g, tau)):
-        lhs = lhs + top_cohomology_char(g, g.elements[k], lam).star()
+        lhs = lhs + top_cohomology_char(g, k, lam).star()
     rho = g.datum.rho
     return lhs, CharElement.monomial(rho) * demazure_char(g, tau, weight_sub(lam, rho))
 
 
-def interval_sum(g: WeylGroup, tau, lam: Weight) -> CharElement:
+def interval_sum(g: WeylGroup, tau: int, lam: Weight) -> CharElement:
     """The left side of the main identity, one addition per w in lower_interval(g, tau).
 
     Each term is the signed top-cohomology character of -lam on w, starred
@@ -494,14 +502,14 @@ def peel_decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
     d = g.datum
     u = v.shift(d.rho)
     for i in range(1, d.rank + 1):
-        s_i = g.elements[g.left_mult[g.identity * d.rank + i - 1]]
-        if w_apply(s_i, u) != u:
+        s_i = g.left_mult[g.identity * d.rank + i - 1]
+        if w_apply(g, s_i, u) != u:
             raise RuntimeError(
                 f"e^rho * v is not invariant under simple reflection {i}; "
                 "kernel membership and invariance disagree"
             )
     coefficients: dict[Weight, int] = {}
-    w0 = g.longest_element
+    w0 = g.longest
     max_rounds = max(1, len(u.terms))
     rounds = 0
     processed: set[Weight] = set()

@@ -101,26 +101,26 @@ def test_star_is_ring_automorphism(u, v):
 def test_w_apply_is_ring_map(u, v, word):
     g = oracles.group("A", 2)
     w = element_by_word(g, word)
-    assert w_apply(w, u + v) == w_apply(w, u) + w_apply(w, v)
-    assert w_apply(w, u * v) == w_apply(w, u) * w_apply(w, v)
-    assert w_apply(w, u).dimension() == u.dimension()
+    assert w_apply(g, w, u + v) == w_apply(g, w, u) + w_apply(g, w, v)
+    assert w_apply(g, w, u * v) == w_apply(g, w, u) * w_apply(g, w, v)
+    assert w_apply(g, w, u).dimension() == u.dimension()
 
 
 def test_w_apply_examples():
     g1 = oracles.group("A", 1)
-    s = g1.longest_element
+    s = g1.longest
     sym = monomial((1,)) + monomial((-1,))
-    assert w_apply(s, sym) == sym
-    assert w_apply(g1.identity_element, sym) == sym
+    assert w_apply(g1, s, sym) == sym
+    assert w_apply(g1, g1.identity, sym) == sym
 
 
 def test_w_apply_longest_after_star_preserves_invariant_dimension():
     g = oracles.group("A", 2)
-    w0 = g.longest_element
+    w0 = g.longest
     # full orbit sum of (1,0): a W-invariant element
     v = monomial((1, 0)) + monomial((-1, 1)) + monomial((0, -1))
-    assert all(w_apply(w, v) == v for w in g.elements)
-    image = w_apply(w0, v.star())
+    assert all(w_apply(g, w, v) == v for w in range(g.order))
+    image = w_apply(g, w0, v.star())
     assert image.dimension() == v.dimension()
     assert len(image.terms) == len(v.terms)
 

@@ -317,15 +317,19 @@ def test_sweep_block_is_the_report_dicts_rendered(command, monkeypatch):
 
     monkeypatch.setattr(WeylGroup, "word", word)
     sweep = cli._Sweep(g)
-    for lam in [(1, 2, 1), (2, 2, 2)]:
+    ref = oracles.group("B", 3)
+    lams = [(1, 2, 1), (2, 2, 2)]
+    for lam in lams:
         reports = some_fail(g, lam)
-        dicts = [r.to_json_dict(tau, lam) for tau, r in zip(oracles.group("B", 3).elements, reports)]
+        dicts = [r.to_json_dict(ref.word(tau), lam) for tau, r in enumerate(reports)]
         block = cli._sweep_lambda(sweep, command, "json", lam)
         assert block.text.text == oracles.json_reference({"lambda": list(lam), "reports": dicts})
         assert block.failures == [r for r in dicts if not r["passed"]] and block.checks == g.order
         assert cli._sweep_lambda(sweep, command, "plain", lam) == (list(lam), g.order, block.failures, None)
-    # once per element for the command, not once per lambda or per report
-    assert words == list(range(g.order))
+    # once per element for the command, not once per lambda or per passing report; a failing
+    # report rebuilds its own word, once per call (a JSON and a plain call per lambda)
+    failing = [k for k in range(g.order) if k % 5 == 2]
+    assert words == list(range(g.order)) + failing * 2 * len(lams)
 
 
 def test_emit_sweep_reports_mismatch_with_exit_one(capsys):
@@ -808,21 +812,37 @@ def test_plain_counterexample_has_the_stdlib_bytes(capsys):
     assert_stdlib_bytes(text)
     assert json.loads(text)["difference_terms"]
     g = oracles.group("B", 2)
-    for tau, r in zip(g.elements, sweep_verify_theorem(g, (2, 1))):
+    for tau, r in enumerate(sweep_verify_theorem(g, (2, 1))):
         assert not r.passed and r.sides[0] == oracles.interval_sum(g, tau, (2, 1))
 
 
+_ELEMENT_OUTPUTS = [
+    ("weyl --dot", "D", 4, "947bd8d4065692ed59876a54c2869c53449e757003a43710603c589a62a81d7d"),
+    ("weyl --dot", "F", 4, "a9af9ec97048b24442c13f9fb2b169bdef8a4a2197c43a1d2510232e9de7ad25"),
+    ("weyl --dot", "B", 3, "a6ae5cf06b36f3495f5ca421e632afe5cfceb2a6baec2e75b2fd9756e690ef28"),
+    ("info --format json", "B", 3, "57c2719a18412d8297f9cef6a246e9717e085720b5e6ec23e978f6b6f3788fad"),
+    ("info --format json", "G", 2, "5d142ae7b241c783abfacd15eb2e78b6977eb03a2094524e43ca7d58e121f6b6"),
+    ("weyl", "B", 3, "abb23ac26023ec06a6c6e71218b7f18f488a85edac121da0d9fdbc672210b1ee"),
+    ("weyl", "G", 2, "e29b947568d2862cac2cd726ed55111346f4afdf246bf3a2c647911112c97c00"),
+    ("weyl --format json", "B", 3, "f4a8845bbd399ac5c4998dd41b702d6966eb47f4d3676f0ddaa0d77ff30a1439"),
+    ("weyl --format json", "G", 2, "7e1b50b751b3cfbfb5bb0ecf0e64fc844a2f7a6bab9088a08c5a9c37b6e025fd"),
+    ("bruhat --w 1 --tau w0 --format json", "B", 3, "282ba2960c1ca87d52db37579477418587c0e8ba252146963dbcb7ad5ad8bf9c"),
+    ("bruhat --w 1 --tau w0 --format json", "G", 2, "1653a6d669b366a55ef1107da1ca308479036f856914422d6f34e2178ad463f0"),
+]
+
+
 @pytest.mark.parametrize(
-    "family,rank,digest",
-    [
-        ("D", 4, "947bd8d4065692ed59876a54c2869c53449e757003a43710603c589a62a81d7d"),
-        ("F", 4, "a9af9ec97048b24442c13f9fb2b169bdef8a4a2197c43a1d2510232e9de7ad25"),
-        ("B", 3, "a6ae5cf06b36f3495f5ca421e632afe5cfceb2a6baec2e75b2fd9756e690ef28"),
+    "command,family,rank,digest",
+    _ELEMENT_OUTPUTS,
+    ids=[
+        "dot-D4", "dot-F4", "dot-B3", "info-json-B3", "info-json-G2", "weyl-B3", "weyl-G2",
+        "weyl-json-B3", "weyl-json-G2", "bruhat-json-B3", "bruhat-json-G2",
     ],
 )
-def test_dot_output_bytes_are_pinned(family, rank, digest, capsys):
-    """The Hasse diagram, drawn from the lower covers, as the full lower intervals drew it."""
-    code, out = stdout_in_process(["weyl", "--type", family, "--rank", str(rank), "--dot"], capsys)
+def test_element_output_bytes_are_pinned(command, family, rank, digest, capsys):
+    """The whole stdout of each command that prints element words and lengths, pinned by digest."""
+    argv = [*command.split(), "--type", family, "--rank", str(rank)]
+    code, out = stdout_in_process(argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demchar import demazure
 from demchar.rootsys import (
     Packing,
     build_datum,
@@ -232,7 +231,6 @@ def test_packed_reflection_of_the_orbit_of_rho(family, rank):
                 orbit.add(nu)
                 frontier.append(nu)
     assert len(orbit) == oracles.classical_weyl_order(family, rank)
-    assert demazure.Packing is Packing and demazure.packing_for is packing_for
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("B", 3), ("G", 2), ("F", 4)])

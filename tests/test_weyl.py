@@ -10,7 +10,6 @@ import pytest
 from demchar.rootsys import build_datum
 from demchar.weyl import (
     MAX_BRUHAT_TABLE_BYTES,
-    WeylElement,
     bit_indices,
     bruhat_leq,
     check_bruhat_table,
@@ -47,15 +46,15 @@ def test_group_orders(family, rank, order):
 
 def test_a2_lengths():
     g = oracles.group("A", 2)
-    assert sorted(e.length for e in g.elements) == [0, 1, 1, 2, 2, 3]
+    assert sorted(g.length) == [0, 1, 1, 2, 2, 3]
 
 
-def test_longest_element_properties():
+def test_longest_properties():
     for family, rank in [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2)]:
         g = oracles.group(family, rank)
-        w0 = g.longest_element
-        assert w0.length == len(g.datum.positive_roots)
-        assert element_by_word(g, w0.word + w0.word) == g.identity_element
+        w0 = g.longest
+        assert g.length[w0] == len(g.datum.positive_roots)
+        assert element_by_word(g, g.word(w0) + g.word(w0)) == g.identity
 
 
 REFERENCE_TYPES = [t for t in oracles.ALL_TYPES if oracles.classical_weyl_order(*t) <= 1920]
@@ -76,26 +75,6 @@ def test_compact_tables_match_the_tuple_generator(family, rank):
     assert g.length == bytes(len(word) for word in ref.words)
     assert g.first == bytes(word[0] if word else 0 for word in ref.words)
     assert (g.identity, g.longest) == (0, len(ref.words) - 1)
-
-
-@pytest.mark.parametrize("family,rank", [("A", 1), ("B", 3), ("G", 2), ("D", 4)])
-def test_element_view_reads_like_the_tuple_of_elements(family, rank):
-    d = build_datum(family, rank)
-    g = generate(d)
-    words = oracles.tuple_generate(d).words
-    ref = tuple(WeylElement(k, len(word), word, d.simple_roots) for k, word in enumerate(words))
-    view, n = g.elements, len(ref)
-    assert len(view) == n
-    assert tuple(view) == ref
-    assert [view[k] for k in range(-n, n)] == [*ref, *ref]
-    for cut in (slice(None), slice(1, None), slice(-3, None), slice(None, None, -2), slice(2, -1, 3), slice(n, None)):
-        assert view[cut] == ref[cut]
-    for bad in (n, -n - 1):
-        with pytest.raises(IndexError):
-            view[bad]
-    assert (g.identity_element, g.longest_element) == (ref[0], ref[-1])
-    assert ref[-1] in view and view.index(ref[-1]) == n - 1
-    assert all(e.simple_roots is d.simple_roots for e in view)
 
 
 @pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
@@ -142,15 +121,16 @@ def test_bruhat_table_bound_admits_b5_and_refuses_e6_before_generation():
 def test_orbit_generation_matches_matrix_reference(family, rank):
     g = oracles.group(family, rank)
     ref = oracles.matrix_group(g.datum)
-    assert [e.word for e in g.elements] == ref.words
-    assert all(e.length == len(e.word) for e in g.elements)
+    assert [g.word(k) for k in range(g.order)] == ref.words
+    assert all(g.length[k] == len(g.word(k)) for k in range(g.order))
     assert g.right_mult == flat(ref.right_mult)
     assert g.left_mult == flat(ref.left_mult)
     assert g.bruhat_rows == ref.bruhat_rows
     rng = random.Random(7)
-    for e, m in zip(g.elements, ref.matrices):
+    for k, m in enumerate(ref.matrices):
         lam = oracles.random_weight(rng, rank, -6, 6)
-        assert e.apply(lam) == tuple(sum(a * x for a, x in zip(row, lam)) for row in m)
+        image = tuple(sum(a * x for a, x in zip(row, lam)) for row in m)
+        assert g.act(k, lam) == oracles.act(g, k, lam) == image
 
 
 @pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
@@ -158,25 +138,26 @@ def test_largest_covers_grow_each_interval_by_its_increment(family, rank):
     g = oracles.group(family, rank)
     rows = g.bruhat_rows
     by_length = {}
-    for w in g.elements:
-        by_length.setdefault(w.length, []).append(w)
+    for w, l in enumerate(g.length):
+        by_length.setdefault(l, []).append(w)
     assert g.largest_covers[g.identity] == (None, (g.identity,))
-    for tau, (c, increment) in zip(g.elements[1:], g.largest_covers[1:]):
+    for tau in range(1, g.order):
+        c, increment = g.largest_covers[tau]
         # the lower covers by the table-free bruhat_leq and the lengths alone
-        covers = [w.index for w in by_length[tau.length - 1] if bruhat_leq(g, w, tau)]
+        covers = [w for w in by_length[g.length[tau] - 1] if bruhat_leq(g, w, tau)]
         assert c in covers
         assert rows[c].bit_count() == max(rows[w].bit_count() for w in covers)
         assert all(rows[w].bit_count() < rows[c].bit_count() for w in covers if w < c)
         assert list(increment) == sorted(set(increment))
         inc = sum(1 << w for w in increment)
-        assert inc & rows[c] == 0 and inc | rows[c] == rows[tau.index]
+        assert inc & rows[c] == 0 and inc | rows[c] == rows[tau]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4), ("G", 2)])
 def test_lower_covers_are_the_interval_one_length_down(family, rank):
     g = oracles.group(family, rank)
-    for tau, covers in zip(g.elements, lower_covers(g)):
-        assert covers == [w.index for w in lower_interval(g, tau) if w.length == tau.length - 1]
+    for tau, covers in enumerate(lower_covers(g)):
+        assert covers == [w for w in lower_interval(g, tau) if g.length[w] == g.length[tau] - 1]
 
 
 def test_largest_covers_built_on_first_read_and_pickled():
@@ -199,54 +180,55 @@ def test_bruhat_rows_built_on_first_read_and_pickled():
     for other in (bare, copy):
         for name in ("right_mult", "left_mult", "length", "first", "parent", "last", "identity", "longest"):
             assert getattr(other, name) == getattr(g, name)
-        assert list(other.elements) == list(g.elements)
-        # elements are built from the copy's own datum
-        assert all(e.simple_roots is other.datum.simple_roots for e in other.elements)
+        assert [other.word(k) for k in range(other.order)] == [g.word(k) for k in range(g.order)]
+        assert [other.act(k, other.datum.rho) for k in range(other.order)] == [
+            g.act(k, g.datum.rho) for k in range(g.order)
+        ]
     assert bare.bruhat_rows == rows
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("G", 2)])
 def test_length_equals_inversion_count(family, rank):
     g = oracles.group(family, rank)
-    for e in g.elements:
-        assert e.length == len(e.word) == inversions(g, e)
+    for k in range(g.order):
+        assert g.length[k] == len(g.word(k)) == inversions(g, k)
 
 
 def test_canonical_word_is_lex_smallest():
     g = oracles.group("A", 3)
-    for e in g.elements:
-        words = alternative_reduced_words(g, e)
-        assert e.word == min(words)
+    for k in range(g.order):
+        words = alternative_reduced_words(g, k)
+        assert g.word(k) == min(words)
         assert len(set(words)) == len(words)
-        assert all(len(word) == e.length for word in words)
+        assert all(len(word) == g.length[k] for word in words)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2)])
 def test_bruhat_agrees_with_subword_oracle(family, rank):
     g = oracles.group(family, rank)
-    for tau in g.elements:
+    for tau in range(g.order):
         reachable = oracles.subword_lower_set(g, tau)
-        for w in g.elements:
-            assert bruhat_leq(g, w, tau) == (w.index in reachable)
+        for w in range(g.order):
+            assert bruhat_leq(g, w, tau) == (w in reachable)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
 def test_bruhat_leq_walk_matches_the_table(family, rank):
     g = oracles.group(family, rank)
-    for tau in g.elements:
-        row = g.bruhat_rows[tau.index]
-        for w in g.elements:
-            assert bruhat_leq(g, w, tau) == bool((row >> w.index) & 1)
+    for tau in range(g.order):
+        row = g.bruhat_rows[tau]
+        for w in range(g.order):
+            assert bruhat_leq(g, w, tau) == bool((row >> w) & 1)
 
 
 def test_bruhat_basics():
     g = oracles.group("A", 2)
-    e = g.identity_element
+    e = g.identity
     s1 = element_by_word(g, (1,))
     s2 = element_by_word(g, (2,))
     s12 = element_by_word(g, (1, 2))
     s21 = element_by_word(g, (2, 1))
-    for tau in g.elements:
+    for tau in range(g.order):
         assert bruhat_leq(g, e, tau)
         assert bruhat_leq(g, tau, tau)
     assert bruhat_leq(g, s1, s12)
@@ -257,26 +239,26 @@ def test_bruhat_basics():
 def test_bruhat_refined_by_length():
     for family, rank in [("A", 3), ("B", 3), ("G", 2)]:
         g = oracles.group(family, rank)
-        for tau in g.elements:
+        for tau in range(g.order):
             for w in lower_interval(g, tau):
-                assert w == tau or w.length < tau.length
+                assert w == tau or g.length[w] < g.length[tau]
 
 
 def test_lower_interval_examples():
     g = oracles.group("A", 2)
-    assert lower_interval(g, g.identity_element) == [g.identity_element]
-    assert len(lower_interval(g, g.longest_element)) == g.order
+    assert lower_interval(g, g.identity) == [g.identity]
+    assert lower_interval(g, g.longest) == list(range(g.order))
     s12 = element_by_word(g, (1, 2))
-    assert [x.word for x in lower_interval(g, s12)] == [(), (1,), (2,), (1, 2)]
+    assert [g.word(x) for x in lower_interval(g, s12)] == [(), (1,), (2,), (1, 2)]
 
 
 def test_lower_interval_ordering_and_monotonicity():
     g = oracles.group("B", 2)
-    for tau in g.elements:
+    for tau in range(g.order):
         interval = lower_interval(g, tau)
-        keys = [(x.length, x.word) for x in interval]
+        keys = [(g.length[x], g.word(x)) for x in interval]
         assert keys == sorted(keys)
-        assert [x.index for x in interval] == bit_indices(g.bruhat_rows[tau.index])
+        assert interval == bit_indices(g.bruhat_rows[tau])
         for w in interval:
             assert set(lower_interval(g, w)) <= set(interval)
 
@@ -292,7 +274,7 @@ class _Tracked:
 def test_peel_holds_at_most_two_lengths_of_values(family, rank):
     g = oracles.group(family, rank)
     alive = weakref.WeakSet()
-    sizes = Counter(e.length for e in g.elements)
+    sizes = Counter(g.length)
 
     def made(tau):
         value = _Tracked(tau)
@@ -302,16 +284,16 @@ def test_peel_holds_at_most_two_lengths_of_values(family, rank):
     def advance(tau, i, sigma, below):
         assert below[sigma].tau == sigma == g.left_mult[tau * rank + i]
         # the window holds every element one letter shorter than tau
-        assert sorted(below) == [e.index for e in g.elements if e.length == g.elements[tau].length - 1]
-        assert g.elements[tau].word == (i + 1,) + g.elements[sigma].word
+        assert sorted(below) == [k for k in range(g.order) if g.length[k] == g.length[tau] - 1]
+        assert g.word(tau) == (i + 1,) + g.word(sigma)
         return made(tau)
 
     seen = []
     for tau, value in peel(g, made(g.identity), advance):
         seen.append(tau)
         assert value.tau == tau
-        length = g.elements[tau].length
-        assert {g.elements[v.tau].length for v in alive} <= {length - 1, length}
+        length = g.length[tau]
+        assert {g.length[v.tau] for v in alive} <= {length - 1, length}
         assert len(alive) <= sizes[length] + sizes[length - 1]
     assert seen == list(range(g.order))
 
@@ -320,7 +302,7 @@ def test_peel_holds_at_most_two_lengths_of_values(family, rank):
 def test_peel_within_a_union_of_lower_intervals(family, rank):
     g = oracles.group(family, rank)
     # the intervals by the table-free bruhat_leq, so the check does not read the walk's own output
-    intervals = [frozenset(w.index for w in g.elements if bruhat_leq(g, w, tau)) for tau in g.elements]
+    intervals = [frozenset(w for w in range(g.order) if bruhat_leq(g, w, tau)) for tau in range(g.order)]
     lift = lambda tau, i, sigma, below: below[sigma] | {g.left_mult[w * rank + i] for w in below[sigma]}
     rng = random.Random(15)
     for _ in range(6):
@@ -334,48 +316,47 @@ def test_peel_within_a_union_of_lower_intervals(family, rank):
 
 def test_alternative_reduced_words_examples():
     g2 = oracles.group("A", 2)
-    assert sorted(alternative_reduced_words(g2, g2.longest_element)) == [(1, 2, 1), (2, 1, 2)]
+    assert sorted(alternative_reduced_words(g2, g2.longest)) == [(1, 2, 1), (2, 1, 2)]
     assert alternative_reduced_words(g2, element_by_word(g2, (1,))) == [(1,)]
     gb = oracles.group("B", 2)
-    assert sorted(alternative_reduced_words(gb, gb.longest_element)) == [(1, 2, 1, 2), (2, 1, 2, 1)]
-    assert len(alternative_reduced_words(gb, gb.longest_element, limit=1)) == 1
+    assert sorted(alternative_reduced_words(gb, gb.longest)) == [(1, 2, 1, 2), (2, 1, 2, 1)]
+    assert len(alternative_reduced_words(gb, gb.longest, limit=1)) == 1
 
 
 def test_apply_examples():
     g = oracles.group("A", 1)
-    s = g.longest_element
-    assert s.apply((3,)) == (-3,)
-    assert g.identity_element.apply((3,)) == (3,)
-    assert s.apply((0,)) == (0,)
+    s = g.longest
+    assert g.act(s, (3,)) == (-3,)
+    assert g.act(g.identity, (3,)) == (3,)
+    assert g.act(s, (0,)) == (0,)
 
 
 def test_longest_sends_dominant_to_antidominant():
     rng = random.Random(3)
     for family, rank in [("A", 3), ("B", 3), ("G", 2)]:
         g = oracles.group(family, rank)
-        w0 = g.longest_element
         for _ in range(20):
             lam = tuple(rng.randint(0, 5) for _ in range(rank))
-            assert all(c <= 0 for c in w0.apply(lam))
+            assert all(c <= 0 for c in g.act(g.longest, lam))
 
 
 def test_length_subadditive():
     rng = random.Random(11)
     g = oracles.group("B", 3)
     for _ in range(100):
-        w = g.elements[rng.randrange(g.order)]
-        v = g.elements[rng.randrange(g.order)]
-        wv = element_by_word(g, w.word + v.word)
-        assert wv.length <= w.length + v.length
+        w = rng.randrange(g.order)
+        v = rng.randrange(g.order)
+        wv = element_by_word(g, g.word(w) + g.word(v))
+        assert g.length[wv] <= g.length[w] + g.length[v]
 
 
 def test_simple_multiplication_changes_length_by_one():
     # equality case of subadditivity along generation edges
     g = oracles.group("B", 2)
-    for e in g.elements:
+    for k in range(g.order):
         for i in range(g.datum.rank):
-            neighbour = g.elements[g.right_mult[e.index * g.datum.rank + i]]
-            assert abs(neighbour.length - e.length) == 1
+            neighbour = g.right_mult[k * g.datum.rank + i]
+            assert abs(g.length[neighbour] - g.length[k]) == 1
 
 
 def test_max_order_guard():
@@ -393,6 +374,27 @@ def test_too_large_group_is_refused_before_generation():
     # generating E7 element by element up to the default bound takes minutes
     with pytest.raises(ValueError, match="2903040 elements.*--max-group-order"):
         generate(build_datum("E", 7))
+
+
+def test_element_indices_out_of_range_are_refused():
+    # an element is an index 0..|W|-1: -1 would otherwise read as the longest element or fail inside a walk
+    from demchar.demazure import demazure_char, euler_char, top_cohomology_char
+    from demchar.theorem import epsilon_char, verify_lemma31, verify_theorem
+
+    g = oracles.group("A", 2)
+    with_weight = (demazure_char, euler_char, top_cohomology_char, epsilon_char, verify_theorem, verify_lemma31)
+    calls = [
+        lambda k: g.word(k),
+        lambda k: g.act(k, (1, 0)),
+        lambda k: bruhat_leq(g, k, g.longest),
+        lambda k: bruhat_leq(g, g.identity, k),
+        lambda k: lower_interval(g, k),
+        *(lambda k, fn=fn: fn(g, k, (1, 1)) for fn in with_weight),
+    ]
+    for call in calls:
+        for k in (-1, g.order):
+            with pytest.raises(ValueError, match=rf"element index {k} is out of range 0\.\.5"):
+                call(k)
 
 
 def test_element_by_word_validates_letters():
