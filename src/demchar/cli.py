@@ -27,12 +27,14 @@ the emitter ``charring.json_text`` (the bytes of ``json.dumps(obj,
 indent=2, sort_keys=True)``); a character is handed to it as a CharElement,
 and a block or a report rendered ahead as a ``charring.Fragment``.
 
-``weyl``, ``verify-theorem`` and ``verify-lemma31`` read the Bruhat table;
-a type whose table exceeds ``weyl.MAX_BRUHAT_TABLE_BYTES`` is refused
-before its group is generated.  ``decompose`` refuses an element whose
-membership guard would expand more than ``kernel.MAX_GUARD_TERMS``
-weight-string terms, and ``verify-kernel`` passes that refusal on (exit 2)
-instead of counting it as a failed round trip.
+``info`` and ``decompose`` generate no group and take no
+``--max-group-order``.  ``weyl``, ``verify-theorem`` and ``verify-lemma31``
+read the Bruhat table; a type whose table exceeds
+``weyl.MAX_BRUHAT_TABLE_BYTES``, or a sweep grid of more than
+``MAX_GRID_WEIGHTS`` weights, is refused before its group is generated.
+``decompose`` refuses an element whose membership guard would expand more
+than ``kernel.MAX_GUARD_TERMS`` weight-string terms, and ``verify-kernel``
+passes that refusal on (exit 2) instead of counting it as a failed round trip.
 """
 
 from __future__ import annotations
@@ -57,13 +59,15 @@ from .kernel import (
     kernel_basis_element,
     verify_characterization,
 )
-from .rootsys import Weight, build_datum, weight_neg, weight_sub, weyl_dimension
+from .rootsys import RootDatum, Weight, build_datum, weight_neg, weight_sub, weyl_dimension
 from .theorem import sweep_verify_lemma31, sweep_verify_theorem
 from .weyl import (
     DEFAULT_MAX_GROUP_ORDER,
     WeylGroup,
     bruhat_leq,
+    canonical_word,
     check_bruhat_table,
+    classified_order,
     element_by_word,
     generate,
     lower_covers,
@@ -77,6 +81,9 @@ EXIT_PIPE = 141
 
 # fixed seed: randomized kernel combinations must print identically across runs
 KERNEL_SWEEP_SEED = 0x5EED
+
+# a sweep lists its grid^rank weights up front; every grid in use holds at most 32 (D5 at grid 2)
+MAX_GRID_WEIGHTS = 10**4
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -104,18 +111,20 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--type", required=True, dest="family", help="family letter A-G")
     common.add_argument("--rank", required=True, type=int)
     common.add_argument("--format", default="plain", choices=("plain", "json"), dest="fmt")
-    common.add_argument("--max-group-order", type=int, default=DEFAULT_MAX_GROUP_ORDER)
+    # the commands that generate W
+    grouped = argparse.ArgumentParser(add_help=False, parents=[common])
+    grouped.add_argument("--max-group-order", type=int, default=DEFAULT_MAX_GROUP_ORDER)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("info", parents=[common], help="group order, roots, Cartan matrix")
 
-    p = sub.add_parser("weyl", parents=[common], help="dump elements and Bruhat table")
+    p = sub.add_parser("weyl", parents=[grouped], help="dump elements and Bruhat table")
     p.add_argument("--dot", action="store_true", help="emit the Bruhat Hasse diagram as DOT")
 
     # the character commands share the dests element and weight, so one cmd_char serves
     # all three; each metavar keeps the flag's own name in the help text
-    p = sub.add_parser("demchar", parents=[common], help="section character for dominant mu")
+    p = sub.add_parser("demchar", parents=[grouped], help="section character for dominant mu")
     p.add_argument(
         "--tau", default="w0", dest="element", metavar="TAU", help='element: "e", "w0", or a word like "1,2,1"'
     )
@@ -123,18 +132,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--mu", required=True, type=_parse_ints, dest="weight", metavar="MU", help="dominant weight, comma-separated"
     )
 
-    p = sub.add_parser("topchar", parents=[common], help="top cohomology character of -lambda")
+    p = sub.add_parser("topchar", parents=[grouped], help="top cohomology character of -lambda")
     p.add_argument("--w", default="w0", dest="element", metavar="W", help='element: "e", "w0", or a word')
     p.add_argument(
         "--lambda", required=True, type=_parse_ints, dest="weight", metavar="LAM", help="regular dominant weight"
     )
 
-    p = sub.add_parser("euler", parents=[common], help="Euler characteristic for any mu")
+    p = sub.add_parser("euler", parents=[grouped], help="Euler characteristic for any mu")
     p.add_argument("--w", default="w0", dest="element", metavar="W")
     p.add_argument("--mu", required=True, type=_parse_ints, dest="weight", metavar="MU")
 
     for name in ("verify-theorem", "verify-lemma31", "verify-kernel"):
-        p = sub.add_parser(name, parents=[common], help=f"batch verification sweep ({name})")
+        p = sub.add_parser(name, parents=[grouped], help=f"batch verification sweep ({name})")
         p.add_argument("--grid", type=int, default=2, help="sweep weights with coordinates in [1, grid]")
         if name != "verify-kernel":
             p.add_argument("--parallel", action="store_true", help="parallelize sweeps over weights")
@@ -142,22 +151,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", parents=[common], help="decompose a kernel element (JSON in)")
     p.add_argument("charfile", nargs="?", default=None, help="CharElement JSON file (default stdin)")
 
-    p = sub.add_parser("bruhat", parents=[common], help="compare two elements in Bruhat order")
+    p = sub.add_parser("bruhat", parents=[grouped], help="compare two elements in Bruhat order")
     p.add_argument("--w", required=True)
     p.add_argument("--tau", required=True)
 
     return parser
 
 
-def load_group(args: argparse.Namespace, table: bool = False) -> WeylGroup:
+def load_group(args: argparse.Namespace, table: bool = False, grid: int | None = None) -> WeylGroup:
     """The Weyl group of the requested type; sweep workers receive this same group.
 
-    A command that reads the Bruhat table passes ``table``, so that a type
-    whose table is too large is refused before the group is generated.
+    A command that reads the Bruhat table passes ``table``, and a sweep its
+    ``grid``, so that a type whose table is too large, or a grid of more than
+    ``MAX_GRID_WEIGHTS`` weights, is refused before the group is generated.
     """
     d = build_datum(args.family, args.rank)
     if table:
         check_bruhat_table(d)
+    if grid is not None:
+        if grid < 1:
+            raise ValueError("grid bound must be at least 1")
+        if grid**d.rank > MAX_GRID_WEIGHTS:
+            raise ValueError(
+                f"grid {grid} on {d.family}{d.rank} holds {grid**d.rank} weights, "
+                f"above the bound MAX_GRID_WEIGHTS = {MAX_GRID_WEIGHTS}"
+            )
     return generate(d, args.max_group_order)
 
 
@@ -175,32 +193,31 @@ def _dump_json(obj) -> None:
 
 
 def _lambda_grid(rank: int, bound: int) -> list[Weight]:
-    if bound < 1:
-        raise ValueError("grid bound must be at least 1")
     return [tuple(c) for c in itertools.product(range(1, bound + 1), repeat=rank)]
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    g = load_group(args)
-    d = g.datum
+    d = build_datum(args.family, args.rank)
+    order = classified_order(d)
+    longest_word = list(canonical_word(d, weight_neg(d.rho)))
     if args.fmt == "json":
         _dump_json(
             {
                 "family": d.family,
                 "rank": d.rank,
-                "order": g.order,
+                "order": order,
                 "num_positive_roots": len(d.positive_roots),
                 "cartan": [list(row) for row in d.cartan],
                 "rho": list(d.rho),
-                "longest_word": list(g.word(g.longest)),
+                "longest_word": longest_word,
             }
         )
     else:
         print(f"type: {d.family}{d.rank}")
-        print(f"order of the Weyl group: {g.order}")
+        print(f"order of the Weyl group: {order}")
         print(f"positive roots: {len(d.positive_roots)}")
         print(f"rho: {list(d.rho)}")
-        print(f"longest element word: {list(g.word(g.longest))}")
+        print(f"longest element word: {longest_word}")
         print("cartan:")
         for row in d.cartan:
             print(f"  {list(row)}")
@@ -233,8 +250,9 @@ def cmd_weyl(args: argparse.Namespace) -> int:
         for k in range(g.order):
             print(f"{k}: length={g.length[k]} word={list(g.word(k))}")
         print("bruhat rows (element index ascending, leftmost bit = identity):")
+        spec = f"0{g.order}b"  # bit k is the k-th character from the right
         for row in g.bruhat_rows:
-            print("".join("1" if (row >> k) & 1 else "." for k in range(g.order)))
+            print(format(row, spec)[::-1].replace("0", "."))
     return EXIT_OK
 
 
@@ -363,7 +381,7 @@ def _emit_sweep(args: argparse.Namespace, g: WeylGroup, blocks: list[_Block]) ->
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = load_group(args, table=True)
+    g = load_group(args, table=True, grid=args.grid)
     d = g.datum
     lams = _lambda_grid(d.rank, args.grid)
     # the largest predicted work, dim V(lam - rho), first, so that no long lambda starts last;
@@ -394,13 +412,13 @@ def _random_char(rng: random.Random, rank: int) -> CharElement:
     return CharElement(rank, terms)
 
 
-def _decomposes_to(g: WeylGroup, v: CharElement, expected: dict) -> bool:
+def _decomposes_to(d: RootDatum, v: CharElement, expected: dict) -> bool:
     """The round trip of one kernel element; an element refused as outside N fails it.
 
     An element refused for its size is not a mismatch, so that refusal propagates.
     """
     try:
-        return decompose(g, v) == expected
+        return decompose(d, v) == expected
     except GuardBoundError:
         raise
     except ValueError:
@@ -408,7 +426,7 @@ def _decomposes_to(g: WeylGroup, v: CharElement, expected: dict) -> bool:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    g = load_group(args)
+    g = load_group(args, grid=args.grid)
     d = g.datum
     rho = d.rho
     lams = _lambda_grid(d.rank, args.grid)
@@ -419,13 +437,13 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     for lam in lams:
         v = kernel_basis_element(g, lam)
         basis[lam] = v
-        member = in_kernel(g, v)
+        member = in_kernel(d, v)
         per_lambda.append(
             {
                 "lambda": list(lam),
                 "member": member,
-                "roundtrip": _decomposes_to(g, v, {dual(weight_sub(lam, rho)): 1}),
-                "characterization": member == is_demazure_invariant(g, v.shift(rho)),
+                "roundtrip": _decomposes_to(d, v, {dual(weight_sub(lam, rho)): 1}),
+                "characterization": member == is_demazure_invariant(d, v.shift(rho)),
             }
         )
 
@@ -439,9 +457,9 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         for lam, c in coeffs.items():
             v = v + c * basis[lam]
         expected = {dual(weight_sub(lam, rho)): c for lam, c in coeffs.items()}
-        if _decomposes_to(g, v, expected):
+        if _decomposes_to(d, v, expected):
             combo_ok += 1
-    random_ok = sum(1 for _ in range(n_combos) if verify_characterization(g, _random_char(rng, d.rank)))
+    random_ok = sum(1 for _ in range(n_combos) if verify_characterization(d, _random_char(rng, d.rank)))
 
     all_ok = (
         all(x["member"] and x["roundtrip"] and x["characterization"] for x in per_lambda)
@@ -476,15 +494,15 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    g = load_group(args)
+    d = build_datum(args.family, args.rank)
     text = sys.stdin.read() if args.charfile in (None, "-") else Path(args.charfile).read_text()
     try:
         data = json.loads(text)
     except RecursionError:
         # a RecursionError is a RuntimeError, which would be reported as internal
         raise ValueError("JSON input is nested too deeply") from None
-    coefficients = decompose(g, CharElement.from_json_dict(data))
-    payload = decomposition_to_json(g, coefficients)
+    coefficients = decompose(d, CharElement.from_json_dict(data))
+    payload = decomposition_to_json(d, coefficients)
     if args.fmt == "json":
         _dump_json(payload)
     else:

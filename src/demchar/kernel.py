@@ -16,7 +16,7 @@ from itertools import chain
 
 from .charring import CharElement
 from .demazure import check_char_rank
-from .rootsys import Weight, check_regular_dominant, packing_for, weight_add, weight_neg
+from .rootsys import RootDatum, Weight, check_regular_dominant, packing_for, weight_add, weight_neg
 from .weyl import WeylGroup, peel
 
 DECOMPOSITION_SCHEMA = {
@@ -50,23 +50,23 @@ class GuardBoundError(ValueError):
     """``decompose`` refused a W-invariant element whose guard would exceed ``MAX_GUARD_TERMS``."""
 
 
-def _packed_steps(g: WeylGroup, v: CharElement):
+def _packed_steps(d: RootDatum, v: CharElement):
     """v packed once, and a lazy stream of its images under each simple-root operator."""
-    check_char_rank(g.datum, v)
-    packing = packing_for(g.datum, v.terms)
+    check_char_rank(d, v)
+    packing = packing_for(d, v.terms)
     terms = packing.pack_terms(v.terms)
-    return terms, (packing.step(pos, terms) for pos in range(g.datum.rank))
+    return terms, (packing.step(pos, terms) for pos in range(d.rank))
 
 
-def in_kernel(g: WeylGroup, v: CharElement) -> bool:
+def in_kernel(d: RootDatum, v: CharElement) -> bool:
     """True iff every simple-root Demazure operator annihilates v."""
-    _, images = _packed_steps(g, v)
+    _, images = _packed_steps(d, v)
     return not any(images)
 
 
-def is_demazure_invariant(g: WeylGroup, v: CharElement) -> bool:
+def is_demazure_invariant(d: RootDatum, v: CharElement) -> bool:
     """True iff every simple-root Demazure operator fixes v."""
-    terms, images = _packed_steps(g, v)
+    terms, images = _packed_steps(d, v)
     return all(image == terms for image in images)
 
 
@@ -89,12 +89,12 @@ def kernel_basis_element(g: WeylGroup, lam: Weight) -> CharElement:
     return CharElement.adopt(g.datum.rank, packing.unpack_terms(total))
 
 
-def verify_characterization(g: WeylGroup, v: CharElement) -> bool:
+def verify_characterization(d: RootDatum, v: CharElement) -> bool:
     """Check the biconditional: v is in N iff e^rho * v is Demazure-invariant."""
-    return in_kernel(g, v) == is_demazure_invariant(g, v.shift(g.datum.rho))
+    return in_kernel(d, v) == is_demazure_invariant(d, v.shift(d.rho))
 
 
-def decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
+def decompose(d: RootDatum, v: CharElement, with_stats: bool = False):
     """Write e^rho * v as an integer combination of full-group section characters.
 
     Requires v in N, that is u = e^rho * v W-invariant.  u is packed once
@@ -120,7 +120,6 @@ def decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
     with ``with_stats`` also the number of reflections; the basis element
     of N recovered at mu is the one attached to the weight mu + rho.
     """
-    d = g.datum
     check_char_rank(d, v)
     # nu + rho has coordinates of size at most max |mu_j| + 2, and so does its W-orbit up to ht(theta^vee)
     packing = packing_for(d, [(max(map(abs, chain.from_iterable(v.terms)), default=0) + 2,)])
@@ -144,7 +143,7 @@ def decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
             f"e^rho * v is W-invariant, but checking kernel membership would expand {guard_terms} "
             f"weight-string terms, above the bound MAX_GUARD_TERMS = {MAX_GUARD_TERMS}"
         )
-    if not in_kernel(g, v):
+    if not in_kernel(d, v):
         raise RuntimeError(
             "e^rho * v is W-invariant but v is not in the joint Demazure kernel; "
             "kernel membership and invariance disagree"
@@ -180,8 +179,8 @@ def decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
     return coefficients
 
 
-def decomposition_to_json(g: WeylGroup, coefficients: dict[Weight, int]) -> dict:
-    rho = g.datum.rho
+def decomposition_to_json(d: RootDatum, coefficients: dict[Weight, int]) -> dict:
+    rho = d.rho
     return {
         "coefficients": [
             {"mu": list(mu), "lambda": list(weight_add(mu, rho)), "coeff": str(c)}

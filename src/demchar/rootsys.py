@@ -256,10 +256,12 @@ class Packing:
         origin, shifts = self.pack(shift), range(0, self.bits * self.rank, self.bits)
         return {origin + sum(map(lshift, mu, shifts)): c for mu, c in terms.items()}
 
-    def unpack_terms(self, terms: Mapping[int, int]) -> dict[Weight, int]:
-        mask, bias = self.mask, self.bias
-        # one coordinate at a time over all keys; zip builds the tuples
-        columns = [[((k >> s) & mask) - bias for k in terms] for s in range(0, self.bits * self.rank, self.bits)]
+    def unpack_terms(self, terms: Mapping[int, int], shift: Weight = ()) -> dict[Weight, int]:
+        """{mu + shift: c} for each pack(mu): c; the empty shift unpacks the weights as they are."""
+        mask, bits = self.mask, self.bits
+        biases = [self.bias - x for x in shift] if shift else [self.bias] * self.rank
+        # one coordinate at a time over all keys, the shift folded into its bias; zip builds the tuples
+        columns = [[((k >> s) & mask) - b for k in terms] for s, b in zip(range(0, bits * self.rank, bits), biases)]
         return dict(zip(zip(*columns), terms.values()))
 
     def step(self, pos: int, terms: dict[int, int]) -> dict[int, int]:

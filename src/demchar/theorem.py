@@ -94,7 +94,7 @@ def _interval_reports(g: WeylGroup, lam: Weight, taus: Sequence[int], frame: Wei
     length = g.length
     packing = packing_for(g.datum, [lam], rho)
     step, m = packing.step, packing.star_key(weight_neg(rho))
-    read = lambda terms: CharElement.adopt(g.datum.rank, packing.unpack_terms(terms)).shift(frame)
+    read = lambda terms: CharElement.adopt(g.datum.rank, packing.unpack_terms(terms, frame))
     epsilon: list[dict[int, int] | None] = [None] * g.order
     reports: dict[int, VerificationReport] = {}
 

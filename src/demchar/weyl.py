@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 
-from .rootsys import RootDatum, Weight, packing_for
+from .rootsys import RootDatum, Weight, packing_for, simple_reflection
 
 DEFAULT_MAX_GROUP_ORDER = 1_000_000
 
@@ -55,6 +55,22 @@ def check_bruhat_table(d: RootDatum) -> None:
             f"above the bound {MAX_BRUHAT_TABLE_BYTES}; weyl, verify-theorem and verify-lemma31 need it, "
             "and bruhat compares two elements without it"
         )
+
+
+def canonical_word(d: RootDatum, key: Weight) -> tuple[int, ...]:
+    """The canonical reduced word of the w with w(rho) = key, read without generating W.
+
+    The first letter is w's smallest left descent, the smallest i with
+    <w(rho), alpha_i^vee> = key_i < 0 (Bjorner-Brenti, GTM 231, sections 1.4
+    and 2.2); the rest is the word of s_i*w, whose key is s_i(key).
+    """
+    letters, x = [], key
+    while i := next((j for j, c in enumerate(x, 1) if c < 0), 0):
+        letters.append(i)
+        x = simple_reflection(d, i, x)
+    if x != d.rho:
+        raise ValueError(f"weight {list(key)} is not in the W-orbit of rho")
+    return tuple(letters)
 
 
 @dataclass(frozen=True, eq=False)

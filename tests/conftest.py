@@ -36,6 +36,6 @@ def freeze_reflections(monkeypatch):
 
     def freeze():
         monkeypatch.setattr(kernel, "packing_for", packing_for)
-        monkeypatch.setattr(kernel, "in_kernel", lambda g, v: True)
+        monkeypatch.setattr(kernel, "in_kernel", lambda d, v: True)
 
     return freeze

@@ -496,10 +496,10 @@ def peel_decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
     coefficients and subtracts the matching section characters.  With
     ``with_stats``, also returns the number of rounds.
     """
-    check_char_rank(g.datum, v)
-    if not in_kernel(g, v):
-        raise ValueError("element is not in the joint Demazure kernel")
     d = g.datum
+    check_char_rank(d, v)
+    if not in_kernel(d, v):
+        raise ValueError("element is not in the joint Demazure kernel")
     u = v.shift(d.rho)
     for i in range(1, d.rank + 1):
         s_i = g.left_mult[g.identity * d.rank + i - 1]
@@ -533,7 +533,7 @@ def peel_decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
     return coefficients
 
 
-def tuple_decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
+def tuple_decompose(d: RootDatum, v: CharElement, with_stats: bool = False):
     """Reference for ``kernel.decompose``: the same fold, on weight tuples.
 
     The W-invariance check looks up u[s_i(nu)] by ``simple_reflection`` of
@@ -542,13 +542,12 @@ def tuple_decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
     negative coordinate until it is dominant.  Same results, stats and
     errors as the packed version, below its guard bound.
     """
-    check_char_rank(g.datum, v)
-    d = g.datum
+    check_char_rank(d, v)
     u = v.shift(d.rho)
     for i in range(1, d.rank + 1):
         if any(u.terms.get(simple_reflection(d, i, nu)) != c for nu, c in u.terms.items()):
             raise ValueError(f"element is not in the joint Demazure kernel: simple reflection {i} moves e^rho * v")
-    if not in_kernel(g, v):
+    if not in_kernel(d, v):
         raise RuntimeError(
             "e^rho * v is W-invariant but v is not in the joint Demazure kernel; "
             "kernel membership and invariance disagree"

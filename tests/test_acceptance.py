@@ -154,9 +154,9 @@ def test_criterion_5_kernel_basis_and_decomposition(announce):
         for lam in grid:
             v = kernel_basis_element(g, lam)
             basis[lam] = v
-            assert in_kernel(g, v), (family, rank, lam)
-            assert decompose(g, v) == {dual(weight_sub(lam, d.rho)): 1}, (family, rank, lam)
-            assert verify_characterization(g, v)
+            assert in_kernel(d, v), (family, rank, lam)
+            assert decompose(d, v) == {dual(weight_sub(lam, d.rho)): 1}, (family, rank, lam)
+            assert verify_characterization(d, v)
         rng = random.Random(f"kernel-{family}{rank}")
         for _ in range(50):
             chosen = rng.sample(grid, rng.randint(1, min(3, len(grid))))
@@ -165,11 +165,11 @@ def test_criterion_5_kernel_basis_and_decomposition(announce):
             for lam, c in coeffs.items():
                 v = v + c * basis[lam]
             expected = {dual(weight_sub(lam, d.rho)): c for lam, c in coeffs.items()}
-            assert decompose(g, v) == expected
-            assert verify_characterization(g, v)
+            assert decompose(d, v) == expected
+            assert verify_characterization(d, v)
             combos_checked += 1
         for _ in range(50):
-            assert verify_characterization(g, oracles.random_char(rng, rank))
+            assert verify_characterization(d, oracles.random_char(rng, rank))
     announce(
         f"PASS criterion 5: kernel membership, characterization, and {combos_checked} "
         "decomposition round trips exact"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from demchar.charring import CHAR_ELEMENT_SCHEMA, CharElement
 from demchar.cli import build_parser, main
 from demchar.kernel import DECOMPOSITION_SCHEMA, kernel_basis_element
-from demchar.rootsys import build_datum
+from demchar.rootsys import build_datum, simple_reflection
 from demchar.weyl import generate
 
 import oracles
@@ -286,9 +286,16 @@ def test_parsed_namespace_round_trip():
 
 
 def test_max_group_order_flag():
-    r = run_cli("info", "--type", "A", "--rank", "3", "--max-group-order", "10")
+    r = run_cli("bruhat", "--type", "A", "--rank", "3", "--w", "1", "--tau", "w0", "--max-group-order", "10")
     assert r.returncode == 2
     assert "exceeds the bound" in r.stderr
+
+
+@pytest.mark.parametrize("command", ["info", "decompose"])
+def test_commands_without_a_group_reject_max_group_order(command):
+    code, err = run_in_process([command, "--type", "A", "--rank", "2", "--max-group-order", "10"])
+    assert code == 2
+    assert "unrecognized arguments: --max-group-order" in err
 
 
 @pytest.mark.parametrize("command", ["verify-theorem", "verify-lemma31"])
@@ -467,9 +474,89 @@ def test_deeply_nested_json_is_usage_error():
 
 
 def test_too_large_group_is_refused_up_front():
-    r = run_cli("info", "--type", "E", "--rank", "7", timeout=60)
+    r = run_cli("bruhat", "--type", "E", "--rank", "7", "--w", "1", "--tau", "w0", timeout=60)
     assert_usage_error(r)
     assert "--max-group-order" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "command,rest",
+    [
+        ("demchar", ["--mu", "0,0,0,0,0,0,1"]),
+        ("topchar", ["--lambda", "1,1,1,1,1,1,1"]),
+        ("euler", ["--mu", "0,0,0,0,0,0,1"]),
+        ("verify-kernel", ["--grid", "1"]),
+        ("bruhat", ["--w", "1", "--tau", "w0"]),
+    ],
+)
+def test_commands_that_generate_the_group_refuse_e7_by_default(command, rest):
+    # weyl and the two theorem sweeps are refused earlier, for their Bruhat table
+    code, err = run_in_process([command, "--type", "E", "--rank", "7", *rest])
+    assert code == 2
+    assert "has 2903040 elements, which exceeds the bound 1000000" in err and err.count("\n") == 1
+
+
+def test_info_and_decompose_generate_no_group(monkeypatch):
+    from demchar import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the group was generated")
+
+    basis = json.dumps(kernel_basis_element(oracles.group("A", 2), (2, 1)).to_json_dict())
+    monkeypatch.setattr(cli, "generate", refuse)
+    assert run_in_process(["info", "--type", "A", "--rank", "2"]) == (0, "")
+    assert run_in_process(["info", "--type", "A", "--rank", "2", "--format", "json"]) == (0, "")
+    assert run_in_process(["decompose", "--type", "A", "--rank", "2"], basis) == (0, "")
+
+
+@pytest.mark.parametrize("rank,positive_roots,order", [(7, 63, 2903040), (8, 120, 696729600)])
+def test_e7_and_e8_info_print_the_classified_order_and_the_longest_word(rank, positive_roots, order):
+    start = time.perf_counter()
+    r = run_cli("info", "--type", "E", "--rank", str(rank), "--format", "json", timeout=60)
+    assert time.perf_counter() - start < 10
+    assert r.returncode == 0, r.stderr
+    data = json.loads(r.stdout)
+    assert data["order"] == order and data["num_positive_roots"] == positive_roots
+    d = build_datum("E", rank)
+    word = data["longest_word"]
+    assert len(word) == positive_roots
+    # a word of |Phi+| letters that sends -rho to rho is a reduced word of w0
+    lam = tuple(-c for c in d.rho)
+    for i in reversed(word):
+        lam = simple_reflection(d, i, lam)
+    assert lam == d.rho
+
+
+def test_e8_decompose_of_e_minus_rho():
+    element = json.dumps({"rank": 8, "terms": [{"weight": [-1] * 8, "coeff": "1"}]})
+    r = run_cli("decompose", "--type", "E", "--rank", "8", stdin=element, timeout=60)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == f"mu={[0] * 8} lambda={[1] * 8} coeff=1\n"
+
+
+@pytest.mark.parametrize("command", ["verify-theorem", "verify-lemma31", "verify-kernel"])
+def test_oversized_grid_is_refused_before_the_group(command, monkeypatch):
+    from demchar import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the group was generated")
+
+    monkeypatch.setattr(cli, "generate", refuse)
+    code, err = run_in_process([command, "--type", "A", "--rank", "2", "--grid", "100000"])
+    assert code == 2
+    assert err == (
+        "error: grid 100000 on A2 holds 10000000000 weights, "
+        f"above the bound MAX_GRID_WEIGHTS = {cli.MAX_GRID_WEIGHTS}\n"
+    )
+
+
+def test_grid_bound_admits_a_grid_of_exactly_max_grid_weights(monkeypatch):
+    from demchar import cli
+
+    monkeypatch.setattr(cli, "MAX_GRID_WEIGHTS", 4)
+    assert run_in_process(["verify-kernel", "--type", "A", "--rank", "2", "--grid", "2"]) == (0, "")
+    code, err = run_in_process(["verify-kernel", "--type", "A", "--rank", "2", "--grid", "3"])
+    assert code == 2 and "holds 9 weights, above the bound MAX_GRID_WEIGHTS = 4" in err
 
 
 def test_rank_beyond_bound_is_usage_error():
@@ -682,7 +769,7 @@ def test_decompose_invariant_element_outside_the_kernel_exits_three(monkeypatch)
     from demchar import kernel
 
     v = kernel_basis_element(oracles.group("A", 2), (2, 1))
-    monkeypatch.setattr(kernel, "in_kernel", lambda g, v: False)
+    monkeypatch.setattr(kernel, "in_kernel", lambda d, v: False)
     code, err = run_in_process(["decompose", "--type", "A", "--rank", "2"], json.dumps(v.to_json_dict()))
     assert code == 3
     assert err.startswith("internal error:") and "disagree" in err

@@ -38,35 +38,35 @@ def dual_label(g, lam):
 REFERENCE_TYPES = [t for t in oracles.ALL_TYPES if classified_order(build_datum(*t)) <= 1152]
 
 
-def outcome(fn, g, v):
+def outcome(fn, d, v):
     """One decompose call as data: coefficients in order and reflection count, or the error's type and message."""
     try:
-        coefficients, reflections = fn(g, v, with_stats=True)
+        coefficients, reflections = fn(d, v, with_stats=True)
     except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
-    assert fn(g, v) == coefficients
+    assert fn(d, v) == coefficients
     return list(coefficients.items()), reflections
 
 
-def assert_matches_the_tuple_reference(g, v):
-    packed = outcome(decompose, g, v)
-    assert packed == outcome(oracles.tuple_decompose, g, v)
+def assert_matches_the_tuple_reference(d, v):
+    packed = outcome(decompose, d, v)
+    assert packed == outcome(oracles.tuple_decompose, d, v)
     return packed
 
 
 def test_in_kernel_examples():
-    g = oracles.group("A", 1)
-    assert in_kernel(g, zero(1))
-    assert in_kernel(g, monomial((-1,)))
-    assert in_kernel(g, monomial((-2,)) + monomial((0,)))
-    assert not in_kernel(g, monomial((1,)))
+    d = build_datum("A", 1)
+    assert in_kernel(d, zero(1))
+    assert in_kernel(d, monomial((-1,)))
+    assert in_kernel(d, monomial((-2,)) + monomial((0,)))
+    assert not in_kernel(d, monomial((1,)))
 
 
 def test_is_demazure_invariant_examples():
-    g = oracles.group("A", 1)
-    assert is_demazure_invariant(g, monomial((1,)) + monomial((-1,)))
-    assert is_demazure_invariant(g, monomial((0,)))
-    assert not is_demazure_invariant(g, monomial((1,)))
+    d = build_datum("A", 1)
+    assert is_demazure_invariant(d, monomial((1,)) + monomial((-1,)))
+    assert is_demazure_invariant(d, monomial((0,)))
+    assert not is_demazure_invariant(d, monomial((1,)))
 
 
 def test_kernel_basis_element_frozen():
@@ -84,35 +84,35 @@ def test_kernel_basis_element_rejects_non_regular():
 
 
 def test_characterization_examples():
-    g = oracles.group("A", 1)
+    d = build_datum("A", 1)
     member = monomial((-2,)) + monomial((0,))
-    assert in_kernel(g, member) and is_demazure_invariant(g, monomial((1,)) * member)
-    assert verify_characterization(g, member)
-    assert verify_characterization(g, zero(1))
+    assert in_kernel(d, member) and is_demazure_invariant(d, monomial((1,)) * member)
+    assert verify_characterization(d, member)
+    assert verify_characterization(d, zero(1))
     non_member = monomial((1,))
-    assert not in_kernel(g, non_member)
-    assert verify_characterization(g, non_member)
+    assert not in_kernel(d, non_member)
+    assert verify_characterization(d, non_member)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
 def test_characterization_on_random_elements(family, rank):
-    g = oracles.group(family, rank)
+    d = build_datum(family, rank)
     rng = random.Random(47)
     for _ in range(60):
-        assert verify_characterization(g, oracles.random_char(rng, rank))
+        assert verify_characterization(d, oracles.random_char(rng, rank))
 
 
 def test_decompose_frozen_example():
-    g = oracles.group("A", 1)
+    d = build_datum("A", 1)
     v = monomial((-2,)) + monomial((0,))
-    assert decompose(g, v) == {(1,): 1}
-    assert decompose(g, zero(1)) == {}
+    assert decompose(d, v) == {(1,): 1}
+    assert decompose(d, zero(1)) == {}
 
 
 def test_decompose_rejects_non_members():
-    g = oracles.group("A", 1)
+    d = build_datum("A", 1)
     with pytest.raises(ValueError):
-        decompose(g, monomial((1,)))
+        decompose(d, monomial((1,)))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2)])
@@ -120,8 +120,8 @@ def test_decompose_round_trips_basis_elements(family, rank):
     g = oracles.group(family, rank)
     for lam in itertools.product((1, 2, 3), repeat=rank):
         v = kernel_basis_element(g, lam)
-        assert in_kernel(g, v)
-        assert decompose(g, v) == {dual_label(g, lam): 1}
+        assert in_kernel(g.datum, v)
+        assert decompose(g.datum, v) == {dual_label(g, lam): 1}
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2)])
@@ -137,7 +137,7 @@ def test_decompose_round_trips_integer_combinations(family, rank):
         for lam, c in coeffs.items():
             v = v + c * basis[lam]
         expected = {dual_label(g, lam): c for lam, c in coeffs.items()}
-        assert decompose(g, v) == expected
+        assert decompose(g.datum, v) == expected
 
 
 def test_decompose_round_count_bounded_by_support():
@@ -147,7 +147,7 @@ def test_decompose_round_count_bounded_by_support():
     coeffs, rounds = oracles.peel_decompose(g, v, with_stats=True)
     assert rounds <= twisted_support
     assert set(coeffs.values()) == {1, -2}
-    folded, reflections = decompose(g, v, with_stats=True)
+    folded, reflections = decompose(g.datum, v, with_stats=True)
     assert folded == coeffs
     assert reflections <= twisted_support * len(g.datum.positive_roots)
 
@@ -155,7 +155,7 @@ def test_decompose_round_count_bounded_by_support():
 def test_decompose_is_deterministic():
     g = oracles.group("B", 2)
     v = kernel_basis_element(g, (2, 1)) + kernel_basis_element(g, (1, 2))
-    assert decompose(g, v) == decompose(g, v)
+    assert decompose(g.datum, v) == decompose(g.datum, v)
 
 
 def test_dual_label_is_identity_when_minus_w0_is():
@@ -168,7 +168,7 @@ def test_dual_label_is_identity_when_minus_w0_is():
 def test_decomposition_json_schema():
     g = oracles.group("A", 2)
     v = kernel_basis_element(g, (2, 1))
-    payload = decomposition_to_json(g, decompose(g, v))
+    payload = decomposition_to_json(g.datum, decompose(g.datum, v))
     jsonschema.validate(payload, DECOMPOSITION_SCHEMA)
     (entry,) = payload["coefficients"]
     assert tuple(entry["mu"]) == dual_label(g, (2, 1))
@@ -180,10 +180,10 @@ def test_decomposition_json_schema():
 def test_character_rank_must_match_rank(fn):
     # the operators pack each weight (rootsys.Packing), so an unchecked rank-3 character would be
     # packed with three coordinates
-    g = oracles.group("A", 2)
+    d = build_datum("A", 2)
     for v in [CharElement(3, {(1, 0, 0): 1}), CharElement(1, {(1,): 1})]:
         with pytest.raises(ValueError, match="needs rank 2"):
-            fn(g, v)
+            fn(d, v)
 
 
 @pytest.mark.parametrize("lam", [(1,), (1, 1, 5)])
@@ -209,7 +209,7 @@ def test_decompose_takes_incomparable_weights_in_one_round():
     assert not dominance_leq(g.datum, (0, 3), (3, 0)) and not dominance_leq(g.datum, (3, 0), (0, 3))
     # round 1 peels both (0, 3) and (3, 0); round 2 peels (1, 1)
     assert rounds == 2
-    folded, reflections = decompose(g, v, with_stats=True)
+    folded, reflections = decompose(g.datum, v, with_stats=True)
     assert folded == coeffs
     assert reflections <= len((monomial(g.datum.rho) * v).terms) * len(g.datum.positive_roots)
 
@@ -225,7 +225,7 @@ def test_decomposition_reconstructs_the_twisted_element(family, rank):
         for lam in rng.sample(grid, rng.randint(1, 3)):
             v = v + rng.choice([-2, -1, 1, 3]) * basis[lam]
         rebuilt = zero(rank)
-        for mu, c in decompose(g, v).items():
+        for mu, c in decompose(g.datum, v).items():
             rebuilt = rebuilt + c * demazure_char(g, g.longest, mu)
         assert rebuilt == v.shift(g.datum.rho)
 
@@ -235,7 +235,7 @@ def test_decompose_f4():
     rho = g.datum.rho
     neg_rho = weight_neg(rho)
     v = demazure_char(g, g.longest, rho).shift(neg_rho) + 3 * monomial(neg_rho)
-    assert decompose(g, v) == {rho: 1, (0, 0, 0, 0): 3}
+    assert decompose(g.datum, v) == {rho: 1, (0, 0, 0, 0): 3}
 
 
 @pytest.mark.parametrize(
@@ -251,17 +251,17 @@ def test_fold_matches_peel_on_seeded_combinations(family, rank, n):
         v = zero(rank)
         for lam in rng.sample(grid, rng.randint(1, min(3, len(grid)))):
             v = v + rng.choice([-3, -2, -1, 1, 2, 3]) * basis[lam]
-        coeffs = decompose(g, v)
+        coeffs = decompose(g.datum, v)
         assert coeffs == oracles.peel_decompose(g, v)
         assert list(coeffs) == sorted(coeffs)
-        assert_matches_the_tuple_reference(g, v)
+        assert_matches_the_tuple_reference(g.datum, v)
 
 
 def test_fold_matches_peel_f4():
     g = oracles.group("F", 4)
     neg_rho = weight_neg(g.datum.rho)
     v = demazure_char(g, g.longest, g.datum.rho).shift(neg_rho) + 3 * monomial(neg_rho)
-    assert decompose(g, v) == oracles.peel_decompose(g, v)
+    assert decompose(g.datum, v) == oracles.peel_decompose(g, v)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -279,9 +279,9 @@ def test_fold_matches_peel_on_symmetrized_characters(fr, terms):
     for w in range(g.order):
         sym = sym + w_apply(g, w, f)
     v = sym.shift(weight_neg(g.datum.rho))
-    coeffs = decompose(g, v)
+    coeffs = decompose(g.datum, v)
     assert coeffs == oracles.peel_decompose(g, v)
-    assert_matches_the_tuple_reference(g, v)
+    assert_matches_the_tuple_reference(g.datum, v)
     rebuilt = zero(2)
     for mu, c in coeffs.items():
         rebuilt = rebuilt + c * demazure_char(g, g.longest, mu)
@@ -293,7 +293,7 @@ def test_fold_past_its_bound_is_an_internal_error(freeze_reflections):
     v = kernel_basis_element(g, (2, 3))
     freeze_reflections()
     with pytest.raises(RuntimeError, match="more than 3 reflections"):
-        decompose(g, v)
+        decompose(g.datum, v)
 
 
 def test_invariance_check_names_the_first_reflection_that_moves_u():
@@ -304,7 +304,7 @@ def test_invariance_check_names_the_first_reflection_that_moves_u():
     s1, s2 = (g.left_mult[g.identity * g.datum.rank + i] for i in (0, 1))
     assert w_apply(g, s1, u) == u and w_apply(g, s2, u) != u
     with pytest.raises(ValueError, match="not in the joint Demazure kernel: simple reflection 2 moves"):
-        decompose(g, v)
+        decompose(g.datum, v)
 
 
 def test_invariant_element_outside_the_kernel_is_an_internal_error(monkeypatch):
@@ -313,16 +313,16 @@ def test_invariant_element_outside_the_kernel_is_an_internal_error(monkeypatch):
 
     g = oracles.group("A", 2)
     v = kernel_basis_element(g, (2, 1))
-    monkeypatch.setattr(kernel, "in_kernel", lambda g, v: False)
+    monkeypatch.setattr(kernel, "in_kernel", lambda d, v: False)
     with pytest.raises(RuntimeError, match="kernel membership and invariance disagree"):
-        decompose(g, v)
+        decompose(g.datum, v)
 
 
 @pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
 def test_packed_decompose_matches_the_tuple_reference_on_every_basis_element(family, rank):
     g = oracles.group(family, rank)
     for lam in itertools.product((1, 2), repeat=rank):
-        coefficients, _ = assert_matches_the_tuple_reference(g, kernel_basis_element(g, lam))
+        coefficients, _ = assert_matches_the_tuple_reference(g.datum, kernel_basis_element(g, lam))
         assert coefficients == [(dual_label(g, lam), 1)]
 
 
@@ -335,8 +335,8 @@ def test_packed_decompose_matches_the_tuple_reference_on_non_members(family, ran
     candidates += [basis + monomial(oracles.random_weight(rng, rank)) for _ in range(5)]
     candidates += [CharElement(rank + 1, {(1,) * (rank + 1): 1})]
     for v in candidates:
-        result = assert_matches_the_tuple_reference(g, v)
-        if v.rank != rank or not in_kernel(g, v):
+        result = assert_matches_the_tuple_reference(g.datum, v)
+        if v.rank != rank or not in_kernel(g.datum, v):
             assert result[0] is ValueError
 
 
@@ -352,38 +352,38 @@ def test_packed_decompose_matches_the_tuple_reference_at_a_twelve_digit_coordina
         orbit = orbit + monomial(g.act(w, lam))
     v = orbit.shift(weight_neg(g.datum.rho))
     with pytest.raises(GuardBoundError):
-        decompose(g, v)
-    monkeypatch.setattr(kernel, "in_kernel", lambda g, v: True)
-    monkeypatch.setattr(oracles, "in_kernel", lambda g, v: True)
+        decompose(g.datum, v)
+    monkeypatch.setattr(kernel, "in_kernel", lambda d, v: True)
+    monkeypatch.setattr(oracles, "in_kernel", lambda d, v: True)
     monkeypatch.setattr(kernel, "MAX_GUARD_TERMS", 10**14)
-    coefficients, _ = assert_matches_the_tuple_reference(g, v)
+    coefficients, _ = assert_matches_the_tuple_reference(g.datum, v)
     # the sum over W holds each orbit weight |W_lam| times, and so holds chi(lam) that often
     assert (lam, g.order // len(orbit.terms)) in coefficients
     moved = v + monomial((10**12,) + (0,) * (rank - 1))
-    assert assert_matches_the_tuple_reference(g, moved)[0] is ValueError
+    assert assert_matches_the_tuple_reference(g.datum, moved)[0] is ValueError
 
 
 def test_guard_bound_refuses_a_large_invariant_element_before_the_guard(monkeypatch):
     # u = e^rho * v = e^N + e^-N: the guard's strings would hold 2N terms
     from demchar import kernel
 
-    g = oracles.group("A", 1)
+    d = build_datum("A", 1)
     spread = lambda n: CharElement(1, {(n - 1,): 1, (-n - 1,): 1})
-    assert decompose(g, spread(1000)) == {(998,): -1, (1000,): 1}
+    assert decompose(d, spread(1000)) == {(998,): -1, (1000,): 1}
 
-    def guard(g, v):
+    def guard(d, v):
         raise AssertionError("the guard ran")
 
     monkeypatch.setattr(kernel, "in_kernel", guard)
     expected = f"would expand 20000000 weight-string terms, above the bound MAX_GUARD_TERMS = {MAX_GUARD_TERMS}"
     with pytest.raises(GuardBoundError, match=expected):
-        decompose(g, spread(10**7))
+        decompose(d, spread(10**7))
     monkeypatch.setattr(kernel, "MAX_GUARD_TERMS", 2000)
     with pytest.raises(AssertionError, match="the guard ran"):
-        decompose(g, spread(1000))
+        decompose(d, spread(1000))
     monkeypatch.setattr(kernel, "MAX_GUARD_TERMS", 1999)
     with pytest.raises(GuardBoundError, match="2000 weight-string terms"):
-        decompose(g, spread(1000))
+        decompose(d, spread(1000))
 
 
 def test_guard_bound_sums_the_strings_of_the_guard(monkeypatch):
@@ -403,6 +403,6 @@ def test_guard_bound_sums_the_strings_of_the_guard(monkeypatch):
         g = oracles.group(family, rank)
         v = kernel_basis_element(g, lam)
         counted.clear()
-        assert in_kernel(g, v)
+        assert in_kernel(g.datum, v)
         u = v.shift(g.datum.rho)
         assert sum(counted) == sum(abs(x) for nu in u.terms for x in nu)

@@ -245,3 +245,6 @@ def test_pack_terms_packs_each_weight(family, rank):
         assert packing.pack_terms(terms) == {packing.pack(mu): c for mu, c in terms.items()}
         assert packing.pack_terms(terms, d.rho) == {packing.pack(weight_add(mu, d.rho)): c for mu, c in terms.items()}
         assert packing.unpack_terms(packing.pack_terms(terms)) == terms
+        for shift in (d.rho, weight_sub((0,) * rank, d.rho)):
+            shifted = {weight_add(mu, shift): c for mu, c in terms.items()}
+            assert packing.unpack_terms(packing.pack_terms(terms), shift) == shifted

@@ -7,11 +7,12 @@ from collections import Counter
 
 import pytest
 
-from demchar.rootsys import build_datum
+from demchar.rootsys import build_datum, weight_neg
 from demchar.weyl import (
     MAX_BRUHAT_TABLE_BYTES,
     bit_indices,
     bruhat_leq,
+    canonical_word,
     check_bruhat_table,
     classified_order,
     element_by_word,
@@ -201,6 +202,27 @@ def test_canonical_word_is_lex_smallest():
         assert g.word(k) == min(words)
         assert len(set(words)) == len(words)
         assert all(len(word) == g.length[k] for word in words)
+
+
+@pytest.mark.parametrize("family,rank", [t for t in oracles.ALL_TYPES if classified_order(build_datum(*t)) <= 1920])
+def test_canonical_word_from_the_image_of_rho_matches_the_group(family, rank):
+    g = oracles.group(family, rank)
+    d = g.datum
+    for k in range(g.order):
+        assert canonical_word(d, oracles.act(g, k, d.rho)) == g.word(k)
+
+
+def test_canonical_word_of_minus_rho_is_the_longest_word_on_e6():
+    g = oracles.group("E", 6)
+    assert canonical_word(g.datum, weight_neg(g.datum.rho)) == g.word(g.longest)
+
+
+def test_canonical_word_refuses_a_weight_outside_the_orbit_of_rho():
+    d = build_datum("B", 2)
+    assert canonical_word(d, (1, 1)) == ()
+    for key in [(0, 1), (-2, 2), (1, 1, 1)]:
+        with pytest.raises(ValueError):
+            canonical_word(d, key)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2)])
