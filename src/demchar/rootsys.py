@@ -193,6 +193,7 @@ def pairing(d: RootDatum, lam: Weight, i: int) -> int:
 
 def simple_reflection(d: RootDatum, i: int, lam: Weight) -> Weight:
     """Reflect lam in the hyperplane of the i-th simple root (1-based)."""
+    check_weight_rank(d, lam)
     t = pairing(d, lam, i)
     alpha = d.simple_roots[i - 1]
     return tuple(x - t * a for x, a in zip(lam, alpha))
@@ -212,6 +213,7 @@ def check_regular_dominant(d: RootDatum, lam: Weight) -> None:
 
 
 def is_dominant(d: RootDatum, lam: Weight) -> bool:
+    check_weight_rank(d, lam)
     return all(c >= 0 for c in lam)
 
 

@@ -1,17 +1,17 @@
 """Weyl-group generation, canonical reduced words and the Bruhat order.
 
 The group is enumerated as the orbit of the regular weight rho: element w is
-keyed by w^-1(rho), packed into one int (``rootsys.Packing``), so w*s_i has
-the key s_i(w^-1(rho)) = k - t*a_i, with t = <w^-1(rho), alpha_i^vee> read by
-one shift and mask.  Generation is one breadth-first search, and the group
-is kept as compact tables, in the manner of Casselman (Invent. Math. 116,
-1994) and Stembridge (MSJ Memoirs 11, 2001): flat ``array('i')``
-multiplication tables, byte arrays of lengths and first letters, and a
-breadth-first parent with its last letter, from which an element's
-canonical reduced word (the lexicographically smallest) is rebuilt when it
-is read.  An element is its index and nothing else: the group reads its
-word and length, and ``WeylGroup.act`` applies it to a weight along that
-word.  The Bruhat table is built on first read.
+keyed by w(rho), packed into one int (``rootsys.Packing``), so s_i*w has the
+key k - t*a_i, with t = <w(rho), alpha_i^vee> read by one shift and mask.
+The smallest i with t < 0 is w's smallest left descent, the first letter of
+its canonical (lexicographically smallest) reduced word (Bjorner-Brenti,
+GTM 231, section 2.2), so W is the tree of peeling that letter off.  It is
+kept as compact tables, in the manner of Casselman (Invent. Math. 116,
+1994) and Stembridge (MSJ Memoirs 11, 2001): a flat ``array('i')``
+left-multiplication table and byte arrays of lengths and first letters,
+down which an element's word is read.  An element is its index and nothing
+else: ``WeylGroup.act`` applies it to a weight along its word.  The Bruhat
+table is built on first read.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 
-from .rootsys import RootDatum, Weight, packing_for, simple_reflection
+from .rootsys import RootDatum, Weight, check_weight_rank, packing_for, simple_reflection
 
 DEFAULT_MAX_GROUP_ORDER = 1_000_000
 
@@ -80,46 +80,48 @@ class WeylGroup:
     Indices are sorted by (length, canonical word): ``identity`` is 0 and
     ``longest`` is |W| - 1.  With r the rank and i a 0-based letter:
 
-    - ``right_mult[k*r + i]`` is the index of w_k*s_(i+1) and
-      ``left_mult[k*r + i]`` that of s_(i+1)*w_k, both flat ``array('i')``;
+    - ``left_mult[k*r + i]`` is the index of s_(i+1)*w_k, a flat ``array('i')``;
     - ``length[k]`` is l(w_k) and ``first[k]`` the first (1-based) letter of
-      its canonical word, 0 for the identity, both bytes;
-    - ``parent[k]`` (an ``array('i')``) is w_k without its last letter
-      ``last[k]`` (bytes), so the canonical word of w_k is the word of
-      ``parent[k]`` followed by ``last[k]``.
+      its canonical word, 0 for the identity, both bytes.
 
-    An element is its index: every function that takes an element takes
-    the index, and loops over the group read the arrays.  Immutable after
-    generation apart from the cached Bruhat table and its table of largest
-    lower covers.
+    The canonical word of w_k is ``first[k]`` followed by the word of
+    s_first*w_k, so it is read down ``left_mult``.  An element is its index:
+    every function that takes an element takes the index, and loops over
+    the group read the arrays.  Immutable after generation apart from the
+    cached Bruhat table and its table of largest lower covers.
     """
 
     datum: RootDatum
-    identity: int
-    longest: int
-    right_mult: array
     left_mult: array
     length: bytes
     first: bytes
-    parent: array
-    last: bytes
 
     @property
     def order(self) -> int:
         return len(self.length)
 
+    @property
+    def identity(self) -> int:
+        return 0
+
+    @property
+    def longest(self) -> int:
+        return self.order - 1
+
     def word(self, k: int) -> tuple[int, ...]:
-        """The canonical reduced word of element k, rebuilt along its parents."""
+        """The canonical reduced word of element k, read down its first letters."""
         check_element(self, k)
-        parent, last = self.parent, self.last
-        letters = [0] * self.length[k]
-        for pos in range(len(letters) - 1, -1, -1):
-            letters[pos] = last[k]
-            k = parent[k]
+        first, left_mult, rank = self.first, self.left_mult, self.datum.rank
+        letters = []
+        while k:
+            i = first[k]
+            letters.append(i)
+            k = left_mult[k * rank + i - 1]
         return tuple(letters)
 
     def act(self, k: int, lam: Weight) -> Weight:
         """w_k(lam): the simple reflections of w_k's canonical word, last letter first."""
+        check_weight_rank(self.datum, lam)
         simple_roots = self.datum.simple_roots
         for i in reversed(self.word(k)):
             t = lam[i - 1]
@@ -160,15 +162,16 @@ def check_element(g: WeylGroup, k: int) -> None:
 def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGroup:
     """Generate the full Weyl group of a root datum as the orbit of rho.
 
-    A queue visits parents in index order and letters ascending, so BFS
-    depth is the length and the first discovery gives the lexicographically
-    smallest reduced word; output is deterministic.  The key of w*s_i is
-    looked up only where t = <rho, w(alpha_i^vee)> > 0, that is where w*s_i
-    is one letter longer, and the same lookup fills in that (w*s_i)*s_i = w.
-    So the search holds the keys of only two lengths at a time: E7 takes
-    about 200 MB.  The tables are allocated at their final size up front.
-    Raises ValueError, before generating anything, if the group has more
-    than ``max_order`` elements.
+    Letters ascending and, for each, the elements of one length in index
+    order: the key of s_i*w is looked up only where t > 0, that is where
+    s_i*w is one letter longer, and the same lookup fills in s_i*(s_i*w) = w.
+    An element whose smallest left descent is j < i was found at letter j,
+    so each is found first from its peeling parent, and indices come out in
+    (length, first letter, parent index) order, which is (length, canonical
+    word) order.  The search holds the keys of two lengths at a time and the
+    tables are allocated at their final size up front: E7 takes about
+    130 MB.  Raises ValueError, before generating anything, if the group has
+    more than ``max_order`` elements.
     """
     order = classified_order(d)
     if order > max_order:
@@ -179,48 +182,31 @@ def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGrou
     rank = d.rank
     packing = packing_for(d, [d.rho])
     mask, bias = packing.mask, packing.bias
-    letters = [(i, packing.bits * i, a) for i, a in enumerate(packing.roots)]
-    right_mult = array("i", [0]) * (order * rank)
-    parent = array("i", [0]) * order
-    length, first, last = bytearray(order), bytearray(order), bytearray(order)
+    left_mult = array("i", [0]) * (order * rank)
+    length, first = bytearray(order), bytearray(order)
     level, start, n = [packing.pack(d.rho)], 0, 1
     while level:  # the keys of one length, in index order
         index_of: dict[int, int] = {}
-        for p, key in enumerate(level, start):
-            row = p * rank
-            for i, shift, a in letters:
+        for i, a in enumerate(packing.roots):
+            shift = packing.bits * i
+            for p, key in enumerate(level, start):
                 t = ((key >> shift) & mask) - bias
                 if t > 0:
                     k = index_of.setdefault(key - t * a, n)
                     if k == n:
                         if n == order:
                             raise RuntimeError(f"generated more than the {order} elements of {d.family}{d.rank}")
-                        parent[n], last[n], length[n], first[n] = p, i + 1, length[p] + 1, first[p] or i + 1
+                        length[n], first[n] = length[p] + 1, i + 1
                         n += 1
-                    right_mult[row + i] = k
-                    right_mult[k * rank + i] = p
+                    left_mult[p * rank + i] = k
+                    left_mult[k * rank + i] = p
         start += len(level)
         level = list(index_of)  # a dict keeps insertion order, which is index order
     if n != order:
         raise RuntimeError(f"generated {n} elements, but the Weyl group of {d.family}{d.rank} has {order}")
     if n >= 2 and length[-2] == length[-1]:
         raise RuntimeError("no unique longest element; generation is inconsistent")
-    # s_i * w = (s_i * parent) * s_last, and parent comes first
-    left_mult = right_mult[:rank]
-    for k in range(1, n):
-        j, row = last[k] - 1, parent[k] * rank
-        left_mult.extend([right_mult[x * rank + j] for x in left_mult[row : row + rank]])
-    return WeylGroup(
-        datum=d,
-        identity=0,
-        longest=n - 1,
-        right_mult=right_mult,
-        left_mult=left_mult,
-        length=bytes(length),
-        first=bytes(first),
-        parent=parent,
-        last=bytes(last),
-    )
+    return WeylGroup(datum=d, left_mult=left_mult, length=bytes(length), first=bytes(first))
 
 
 def peel(g: WeylGroup, seed, advance, within: int | None = None):
@@ -302,15 +288,18 @@ def bruhat_leq(g: WeylGroup, w: int, tau: int) -> bool:
 
     Lifting property (Bjorner-Brenti, GTM 231, Prop. 2.2.7): for the first
     letter s of tau's canonical word, s*tau < tau, and w <= tau iff
-    min(w, s*w) <= s*tau.  The rest of the word is s*tau's canonical word, so
-    one pass over tau's letters takes l(tau) steps and ends at tau = e.
+    min(w, s*w) <= s*tau.  The walk goes down tau's first letters, l(tau)
+    steps, and ends at tau = e.
     """
     check_element(g, w)
-    length, left_mult, rank = g.length, g.left_mult, g.datum.rank
-    for i in g.word(tau):
-        sw = left_mult[w * rank + i - 1]
+    check_element(g, tau)
+    length, first, left_mult, rank = g.length, g.first, g.left_mult, g.datum.rank
+    while tau:
+        i = first[tau] - 1
+        sw = left_mult[w * rank + i]
         if length[sw] < length[w]:
             w = sw
+        tau = left_mult[tau * rank + i]
     return w == g.identity
 
 
@@ -336,10 +325,10 @@ def lower_interval(g: WeylGroup, tau: int) -> list[int]:
 
 
 def element_by_word(g: WeylGroup, letters) -> int:
-    """The index of the product of simple reflections along a (not necessarily reduced) word."""
+    """The index of the product of simple reflections along a (not necessarily reduced) word, from its right end."""
     idx, rank = g.identity, g.datum.rank
-    for i in letters:
+    for i in reversed(letters):
         if not 1 <= i <= rank:
             raise ValueError(f"word letter {i} out of range 1..{rank}")
-        idx = g.right_mult[idx * rank + i - 1]
+        idx = g.left_mult[idx * rank + i - 1]
     return idx

@@ -305,9 +305,9 @@ def subword_lower_set(g: WeylGroup, tau: int) -> set[int]:
     reachable = set()
     for mask in range(1 << len(word)):
         idx = g.identity
-        for pos, letter in enumerate(word):
+        for pos in reversed(range(len(word))):  # the product is built from its right end
             if (mask >> pos) & 1:
-                idx = g.right_mult[idx * g.datum.rank + letter - 1]
+                idx = g.left_mult[idx * g.datum.rank + word[pos] - 1]
         reachable.add(idx)
     return reachable
 
@@ -335,21 +335,21 @@ def inversions(g: WeylGroup, w: int) -> int:
 
 
 def alternative_reduced_words(g: WeylGroup, w: int, limit: int | None = None) -> list[tuple[int, ...]]:
-    """Distinct reduced words for w (up to ``limit``), by DFS over right descents."""
+    """Distinct reduced words for w (up to ``limit``), by DFS over left descents."""
     out: list[tuple[int, ...]] = []
 
-    def rec(idx: int, tail: list[int]) -> None:
+    def rec(idx: int, head: list[int]) -> None:
         if limit is not None and len(out) >= limit:
             return
         if g.length[idx] == 0:
-            out.append(tuple(reversed(tail)))
+            out.append(tuple(head))
             return
         for i in range(1, g.datum.rank + 1):
-            j = g.right_mult[idx * g.datum.rank + i - 1]
+            j = g.left_mult[idx * g.datum.rank + i - 1]
             if g.length[j] < g.length[idx]:
-                tail.append(i)
-                rec(j, tail)
-                tail.pop()
+                head.append(i)
+                rec(j, head)
+                head.pop()
 
     rec(w, [])
     return out

@@ -136,6 +136,23 @@ def test_dominance_flags():
             check_regular_dominant(d, lam)
 
 
+@pytest.mark.parametrize("lam", [(1,), (1, 2, 3)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, lam: simple_reflection(g.datum, 1, lam),
+        lambda g, lam: is_dominant(g.datum, lam),
+        lambda g, lam: g.act(g.longest, lam),
+    ],
+    ids=["simple_reflection", "is_dominant", "act"],
+)
+def test_weight_functions_refuse_a_weight_of_the_wrong_rank(call, lam):
+    # each would otherwise answer from the coordinates it reads, or fail with IndexError
+    g = oracles.group("A", 2)
+    with pytest.raises(ValueError, match=rf"has {len(lam)} coordinates; A2 needs 2"):
+        call(g, lam)
+
+
 def test_dominance_compare_examples():
     d = build_datum("A", 2)
     # lam - mu = alpha_1, so mu <= lam
