@@ -20,6 +20,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
+from typing import Iterable
 
 from .rootsys import RootDatum, Weight, check_weight_rank, packing_for, simple_reflection
 
@@ -324,10 +325,10 @@ def lower_interval(g: WeylGroup, tau: int) -> list[int]:
     return [k for k in range(g.order) if (row >> k) & 1]
 
 
-def element_by_word(g: WeylGroup, letters) -> int:
+def element_by_word(g: WeylGroup, letters: Iterable[int]) -> int:
     """The index of the product of simple reflections along a (not necessarily reduced) word, from its right end."""
     idx, rank = g.identity, g.datum.rank
-    for i in reversed(letters):
+    for i in reversed(tuple(letters)):
         if not 1 <= i <= rank:
             raise ValueError(f"word letter {i} out of range 1..{rank}")
         idx = g.left_mult[idx * rank + i - 1]

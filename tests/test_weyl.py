@@ -56,6 +56,7 @@ def test_longest_properties():
         w0 = g.longest
         assert g.length[w0] == len(g.datum.positive_roots)
         assert element_by_word(g, g.word(w0) + g.word(w0)) == g.identity
+        assert element_by_word(g, iter(g.word(w0))) == w0
 
 
 REFERENCE_TYPES = [t for t in oracles.ALL_TYPES if oracles.classical_weyl_order(*t) <= 1920]
