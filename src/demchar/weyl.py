@@ -171,7 +171,7 @@ def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGrou
     (length, first letter, parent index) order, which is (length, canonical
     word) order.  The search holds the keys of two lengths at a time and the
     tables are allocated at their final size up front: E7 takes about
-    130 MB.  Raises ValueError, before generating anything, if the group has
+    126 MB.  Raises ValueError, before generating anything, if the group has
     more than ``max_order`` elements.
     """
     order = classified_order(d)
