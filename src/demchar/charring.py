@@ -64,6 +64,9 @@ class CharElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         self.rank = rank
         self.terms: dict[Weight, int] = {mu: c for mu, c in items if c}
+        for mu in self.terms:
+            if len(mu) != rank:
+                raise ValueError(f"weight {list(mu)} does not have rank {rank}")
 
     @classmethod
     def zero(cls, rank: int) -> "CharElement":

@@ -27,14 +27,18 @@ the emitter ``charring.json_text`` (the bytes of ``json.dumps(obj,
 indent=2, sort_keys=True)``); a character is handed to it as a CharElement,
 and a block or a report rendered ahead as a ``charring.Fragment``.
 
-``info`` and ``decompose`` generate no group and take no
-``--max-group-order``.  ``weyl``, ``verify-theorem`` and ``verify-lemma31``
-read the Bruhat table; a type whose table exceeds
+``info``, ``decompose``, ``demchar``, ``topchar``, ``euler`` and ``bruhat``
+generate no group and take no ``--max-group-order``: an element named on
+the command line is a word, resolved on the root datum to its canonical
+reduced word (``_resolve_element``).  ``weyl``, ``verify-theorem`` and
+``verify-lemma31`` read the Bruhat table; a type whose table exceeds
 ``weyl.MAX_BRUHAT_TABLE_BYTES``, or a sweep grid of more than
 ``MAX_GRID_WEIGHTS`` weights, is refused before its group is generated.
-``decompose`` refuses an element whose membership guard would expand more
-than ``kernel.MAX_GUARD_TERMS`` weight-string terms, and ``verify-kernel``
-passes that refusal on (exit 2) instead of counting it as a failed round trip.
+``demchar``, ``topchar`` and ``euler`` refuse a Demazure step that would
+expand more than ``MAX_GUARD_TERMS`` weight-string terms.  ``decompose``
+refuses an element whose membership guard would expand more than that, and
+``verify-kernel`` passes that refusal on (exit 2) instead of counting it as
+a failed round trip.
 """
 
 from __future__ import annotations
@@ -68,9 +72,9 @@ from .weyl import (
     canonical_word,
     check_bruhat_table,
     classified_order,
-    element_by_word,
     generate,
     lower_covers,
+    word_key,
 )
 
 EXIT_OK = 0
@@ -124,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the character commands share the dests element and weight, so one cmd_char serves
     # all three; each metavar keeps the flag's own name in the help text
-    p = sub.add_parser("demchar", parents=[grouped], help="section character for dominant mu")
+    p = sub.add_parser("demchar", parents=[common], help="section character for dominant mu")
     p.add_argument(
         "--tau", default="w0", dest="element", metavar="TAU", help='element: "e", "w0", or a word like "1,2,1"'
     )
@@ -132,13 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--mu", required=True, type=_parse_ints, dest="weight", metavar="MU", help="dominant weight, comma-separated"
     )
 
-    p = sub.add_parser("topchar", parents=[grouped], help="top cohomology character of -lambda")
+    p = sub.add_parser("topchar", parents=[common], help="top cohomology character of -lambda")
     p.add_argument("--w", default="w0", dest="element", metavar="W", help='element: "e", "w0", or a word')
     p.add_argument(
         "--lambda", required=True, type=_parse_ints, dest="weight", metavar="LAM", help="regular dominant weight"
     )
 
-    p = sub.add_parser("euler", parents=[grouped], help="Euler characteristic for any mu")
+    p = sub.add_parser("euler", parents=[common], help="Euler characteristic for any mu")
     p.add_argument("--w", default="w0", dest="element", metavar="W")
     p.add_argument("--mu", required=True, type=_parse_ints, dest="weight", metavar="MU")
 
@@ -151,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", parents=[common], help="decompose a kernel element (JSON in)")
     p.add_argument("charfile", nargs="?", default=None, help="CharElement JSON file (default stdin)")
 
-    p = sub.add_parser("bruhat", parents=[grouped], help="compare two elements in Bruhat order")
+    p = sub.add_parser("bruhat", parents=[common], help="compare two elements in Bruhat order")
     p.add_argument("--w", required=True)
     p.add_argument("--tau", required=True)
 
@@ -179,13 +183,13 @@ def load_group(args: argparse.Namespace, table: bool = False, grid: int | None =
     return generate(d, args.max_group_order)
 
 
-def _resolve_element(g: WeylGroup, selector: str) -> int:
-    """The index of the element named on the command line: "e", "w0" or a word."""
+def _resolve_element(d: RootDatum, selector: str) -> tuple[int, ...]:
+    """The canonical reduced word of the element named on the command line: "e", "w0" or a word."""
     if selector == "e":
-        return g.identity
+        return ()
     if selector == "w0":
-        return g.longest
-    return element_by_word(g, _parse_ints(selector))
+        return canonical_word(d, weight_neg(d.rho))
+    return canonical_word(d, word_key(d, _parse_ints(selector)))
 
 
 def _dump_json(obj) -> None:
@@ -257,9 +261,9 @@ def cmd_weyl(args: argparse.Namespace) -> int:
 
 
 def cmd_char(args: argparse.Namespace) -> int:
-    g = load_group(args)
+    d = build_datum(args.family, args.rank)
     char = {"demchar": demazure_char, "topchar": top_cohomology_char, "euler": euler_char}[args.command]
-    v = char(g, _resolve_element(g, args.element), args.weight)
+    v = char(d, _resolve_element(d, args.element), args.weight)
     if args.fmt == "json":
         _dump_json(v)
     else:
@@ -269,12 +273,12 @@ def cmd_char(args: argparse.Namespace) -> int:
 
 
 def cmd_bruhat(args: argparse.Namespace) -> int:
-    g = load_group(args)
-    w = _resolve_element(g, args.w)
-    tau = _resolve_element(g, args.tau)
-    result = bruhat_leq(g, w, tau)
+    d = build_datum(args.family, args.rank)
+    w = _resolve_element(d, args.w)
+    tau = _resolve_element(d, args.tau)
+    result = bruhat_leq(d, w, tau)
     if args.fmt == "json":
-        _dump_json({"w": list(g.word(w)), "tau": list(g.word(tau)), "leq": result})
+        _dump_json({"w": list(w), "tau": list(tau), "leq": result})
     else:
         print("true" if result else "false")
     return EXIT_OK

@@ -16,13 +16,26 @@ so a weight string is an integer range whose step is the packed simple
 root.  ``packing_for`` chooses the radix once per word or per walk over the
 group (``weyl.peel``) before the first step; no step tests a coordinate.
 Tuples stay at every public boundary: CharElement and JSON.
+
+An element of W is named by a word, and the characters act along its
+canonical reduced word (``weyl.word_key``, ``weyl.canonical_word``), read
+from the root datum alone.  A step whose weight strings would hold more
+than ``MAX_GUARD_TERMS`` terms is refused before it expands anything.  Each
+string has at most ``bias`` terms, so while the terms times ``bias`` stay
+under the bound no string is measured; above it, the step sums |t| + 1
+over its terms first.
 """
 
 from __future__ import annotations
 
 from .charring import CharElement
-from .rootsys import RootDatum, Weight, check_regular_dominant, check_weight_rank, is_dominant, packing_for
-from .weyl import WeylGroup
+from .rootsys import RootDatum, Weight, check_regular_dominant, check_weight_rank, is_dominant, packing_for, weight_neg
+from .weyl import canonical_word, word_key
+
+# A Demazure step, or ``kernel.decompose``'s membership guard, that would expand
+# more weight-string terms than this is refused; at the bound it takes a few
+# seconds and a few hundred MB.
+MAX_GUARD_TERMS = 10**7
 
 
 def check_char_rank(d: RootDatum, v: CharElement) -> None:
@@ -37,43 +50,61 @@ def demazure_step(d: RootDatum, i: int, v: CharElement) -> CharElement:
 
 
 def demazure_word(d: RootDatum, word, v: CharElement) -> CharElement:
-    """Compose Demazure steps along a word; the last letter acts first."""
+    """Compose Demazure steps along a word; the last letter acts first.
+
+    Raises ValueError before a step whose weight strings would hold more than
+    ``MAX_GUARD_TERMS`` terms.
+    """
     check_char_rank(d, v)
     letters = tuple(reversed(tuple(word)))
     for i in letters:
         if not 1 <= i <= d.rank:
             raise ValueError(f"word letter {i} out of range 1..{d.rank}")
     packing = packing_for(d, v.terms)
+    bits, mask, bias = packing.bits, packing.mask, packing.bias
     terms = packing.pack_terms(v.terms)
     for i in letters:
+        if len(terms) * bias > MAX_GUARD_TERMS:
+            shift = bits * (i - 1)
+            size = sum(abs(((k >> shift) & mask) - bias) + 1 for k in terms)
+            if size > MAX_GUARD_TERMS:
+                raise ValueError(
+                    f"the Demazure step of letter {i} would expand {size} weight-string terms, "
+                    f"above the bound MAX_GUARD_TERMS = {MAX_GUARD_TERMS}"
+                )
         terms = packing.step(i - 1, terms)
     return CharElement.adopt(v.rank, packing.unpack_terms(terms))
 
 
-def demazure_char(g: WeylGroup, tau: int, lam: Weight) -> CharElement:
-    """Character of the sections of the lam-line bundle over the tau cell closure.
+def demazure_char(d: RootDatum, word, lam: Weight) -> CharElement:
+    """Character of the sections of the lam-line bundle over the closure of the cell of tau.
 
-    Defined for dominant lam only: the operator string along the canonical
-    reduced word of element tau applied to e^lam.
+    Defined for dominant lam only, where it is the Euler characteristic: the
+    operator string along the canonical reduced word of tau, the product
+    along ``word``, applied to e^lam.
     """
-    check_weight_rank(g.datum, lam)
-    if not is_dominant(g.datum, lam):
+    if not is_dominant(d, lam):
         raise ValueError(f"weight {list(lam)} is not dominant")
-    return demazure_word(g.datum, g.word(tau), CharElement.monomial(lam))
+    return euler_char(d, word, lam)
 
 
-def euler_char(g: WeylGroup, w: int, mu: Weight) -> CharElement:
-    """Alternating sum of cohomology characters over the cell closure of element w, for any weight mu."""
-    check_weight_rank(g.datum, mu)
-    return demazure_word(g.datum, g.word(w), CharElement.monomial(mu))
+def euler_char(d: RootDatum, word, mu: Weight) -> CharElement:
+    """Alternating sum of cohomology characters over the cell closure of w, for any weight mu.
+
+    w is the product along ``word``, and the operator string runs along its
+    canonical reduced word.
+    """
+    check_weight_rank(d, mu)
+    return demazure_word(d, canonical_word(d, word_key(d, word)), CharElement.monomial(mu))
 
 
-def top_cohomology_char(g: WeylGroup, w: int, lam: Weight) -> CharElement:
-    """Character of the top (degree l(w)) cohomology of the (-lam)-bundle.
+def top_cohomology_char(d: RootDatum, word, lam: Weight) -> CharElement:
+    """Character of the top (degree l(w)) cohomology of the (-lam)-bundle, w the product along ``word``.
 
     Requires lam regular dominant, which concentrates cohomology in degree
     l(w); the character is then the Euler characteristic up to sign.
     """
-    check_regular_dominant(g.datum, lam)
-    v = euler_char(g, w, tuple(-c for c in lam))
-    return -v if g.length[w] % 2 else v
+    check_regular_dominant(d, lam)
+    word = canonical_word(d, word_key(d, word))
+    v = euler_char(d, word, weight_neg(lam))
+    return -v if len(word) % 2 else v

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .charring import CharElement
-from .demazure import check_char_rank
+from .demazure import MAX_GUARD_TERMS, check_char_rank
 from .rootsys import RootDatum, Weight, check_regular_dominant, packing_for, weight_add, weight_neg
 from .weyl import WeylGroup, peel
 
@@ -39,12 +39,6 @@ DECOMPOSITION_SCHEMA = {
     },
     "additionalProperties": False,
 }
-
-# ``decompose`` refuses an element whose ``in_kernel`` guard would expand more
-# weight-string terms than this; at the bound the guard takes a few seconds
-# and a few hundred MB.
-MAX_GUARD_TERMS = 10**7
-
 
 class GuardBoundError(ValueError):
     """``decompose`` refused a W-invariant element whose guard would exceed ``MAX_GUARD_TERMS``."""

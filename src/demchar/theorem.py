@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .charring import CHAR_ELEMENT_SCHEMA, CharElement
 from .demazure import top_cohomology_char
-from .rootsys import Weight, check_regular_dominant, packing_for, weight_neg, weight_sub
+from .rootsys import RootDatum, Weight, check_regular_dominant, packing_for, weight_neg, weight_sub
 from .weyl import WeylGroup, check_element, peel
 
 VERIFICATION_REPORT_SCHEMA = {
@@ -140,9 +140,12 @@ def sweep_verify_theorem(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
     return _interval_reports(g, lam, range(g.order), g.datum.rho)
 
 
-def epsilon_char(g: WeylGroup, w: int, lam: Weight) -> CharElement:
-    """Lemma 3.1's eps_w = e^-rho * ch(H^l(w)(X(w), L_-lam))^*, the kernel character on w."""
-    return top_cohomology_char(g, w, lam).star().shift(weight_neg(g.datum.rho))
+def epsilon_char(d: RootDatum, word, lam: Weight) -> CharElement:
+    """Lemma 3.1's eps_w = e^-rho * ch(H^l(w)(X(w), L_-lam))^*, the kernel character on w.
+
+    w is the product along ``word``, as in ``demazure.top_cohomology_char``.
+    """
+    return top_cohomology_char(d, word, lam).star().shift(weight_neg(d.rho))
 
 
 def verify_lemma31(g: WeylGroup, tau: int, lam: Weight) -> VerificationReport:

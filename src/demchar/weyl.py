@@ -9,9 +9,13 @@ GTM 231, section 2.2), so W is the tree of peeling that letter off.  It is
 kept as compact tables, in the manner of Casselman (Invent. Math. 116,
 1994) and Stembridge (MSJ Memoirs 11, 2001): a flat ``array('i')``
 left-multiplication table and byte arrays of lengths and first letters,
-down which an element's word is read.  An element is its index and nothing
-else: ``WeylGroup.act`` applies it to a weight along its word.  The Bruhat
-table is built on first read.
+down which an element's word is read.  An element of a generated group is
+its index and nothing else: ``WeylGroup.act`` applies it to a weight along
+its word.  The Bruhat table is built on first read.
+
+No group is needed to name one element: ``word_key`` sends a word to w(rho),
+``canonical_word`` reads w's canonical word back from that key, and
+``bruhat_leq`` compares two words by the lifting property on their keys.
 """
 
 from __future__ import annotations
@@ -58,6 +62,11 @@ def check_bruhat_table(d: RootDatum) -> None:
         )
 
 
+def _smallest_descent(key: Weight) -> int:
+    """The smallest i with <key, alpha_i^vee> < 0, 1-based; 0 if key is dominant."""
+    return next((i for i, c in enumerate(key, 1) if c < 0), 0)
+
+
 def canonical_word(d: RootDatum, key: Weight) -> tuple[int, ...]:
     """The canonical reduced word of the w with w(rho) = key, read without generating W.
 
@@ -66,12 +75,27 @@ def canonical_word(d: RootDatum, key: Weight) -> tuple[int, ...]:
     and 2.2); the rest is the word of s_i*w, whose key is s_i(key).
     """
     letters, x = [], key
-    while i := next((j for j, c in enumerate(x, 1) if c < 0), 0):
+    while i := _smallest_descent(x):
         letters.append(i)
         x = simple_reflection(d, i, x)
     if x != d.rho:
         raise ValueError(f"weight {list(key)} is not in the W-orbit of rho")
     return tuple(letters)
+
+
+def word_key(d: RootDatum, letters: Iterable[int]) -> Weight:
+    """w(rho) for the product w of simple reflections along a (not necessarily reduced) word.
+
+    The reflections act from the word's right end, as in ``element_by_word``,
+    and a letter outside 1..rank is refused with the same message; so
+    ``canonical_word(d, word_key(d, letters))`` names w without generating W.
+    """
+    key, rank = d.rho, d.rank
+    for i in reversed(tuple(letters)):
+        if not 1 <= i <= rank:
+            raise ValueError(f"word letter {i} out of range 1..{rank}")
+        key = simple_reflection(d, i, key)
+    return key
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +111,8 @@ class WeylGroup:
 
     The canonical word of w_k is ``first[k]`` followed by the word of
     s_first*w_k, so it is read down ``left_mult``.  An element is its index:
-    every function that takes an element takes the index, and loops over
-    the group read the arrays.  Immutable after generation apart from the
+    every function that takes a group takes indices, and loops over the
+    group read the arrays.  Immutable after generation apart from the
     cached Bruhat table and its table of largest lower covers.
     """
 
@@ -284,24 +308,21 @@ def _largest_covers(g: WeylGroup) -> tuple[tuple[int | None, tuple[int, ...]], .
     return tuple(table)
 
 
-def bruhat_leq(g: WeylGroup, w: int, tau: int) -> bool:
-    """True iff element w <= element tau in the Bruhat order, without the Bruhat table.
+def bruhat_leq(d: RootDatum, w: Iterable[int], tau: Iterable[int]) -> bool:
+    """True iff w <= tau in the Bruhat order, for elements named by (not necessarily reduced) words.
 
-    Lifting property (Bjorner-Brenti, GTM 231, Prop. 2.2.7): for the first
-    letter s of tau's canonical word, s*tau < tau, and w <= tau iff
-    min(w, s*w) <= s*tau.  The walk goes down tau's first letters, l(tau)
-    steps, and ends at tau = e.
+    Lifting property (Bjorner-Brenti, GTM 231, Prop. 2.2.7), read on the keys
+    x = w(rho) and y = tau(rho), where s_i*x < x iff <x, alpha_i^vee> < 0:
+    for the smallest left descent s of tau, s*tau < tau, and w <= tau iff
+    min(w, s*w) <= s*tau.  The walk takes l(tau) steps and ends at tau = e;
+    no group is generated and no table is read.
     """
-    check_element(g, w)
-    check_element(g, tau)
-    length, first, left_mult, rank = g.length, g.first, g.left_mult, g.datum.rank
-    while tau:
-        i = first[tau] - 1
-        sw = left_mult[w * rank + i]
-        if length[sw] < length[w]:
-            w = sw
-        tau = left_mult[tau * rank + i]
-    return w == g.identity
+    x, y = word_key(d, w), word_key(d, tau)
+    while i := _smallest_descent(y):
+        if x[i - 1] < 0:
+            x = simple_reflection(d, i, x)
+        y = simple_reflection(d, i, y)
+    return x == d.rho
 
 
 def bit_indices(mask: int) -> list[int]:

@@ -3,6 +3,8 @@
 Everything here deliberately avoids the code paths it is used to check:
 the dimension formula works from the positive coroots alone, the
 Bruhat oracle enumerates subwords of a single fixed reduced word, the
+index Bruhat walk reads the lifting property down a generated group's
+tables instead of the keys w(rho) (for tests that compare many pairs), the
 reference generator multiplies integer matrices, the tuple generator keys
 the orbit of rho by weight tuples and keeps a word per element (the
 generator that the compact tables replaced), the theorem references
@@ -37,7 +39,7 @@ from demchar.charring import CharElement
 from demchar.demazure import check_char_rank, demazure_char, top_cohomology_char
 from demchar.kernel import in_kernel
 from demchar.rootsys import RootDatum, Weight, simple_reflection, weight_add, weight_sub
-from demchar.weyl import WeylGroup, classified_order, lower_interval
+from demchar.weyl import WeylGroup, check_element, classified_order, lower_interval
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
@@ -312,6 +314,26 @@ def subword_lower_set(g: WeylGroup, tau: int) -> set[int]:
     return reachable
 
 
+def bruhat_leq_index(g: WeylGroup, w: int, tau: int) -> bool:
+    """True iff element w <= element tau in the Bruhat order, without the Bruhat table.
+
+    Lifting property (Bjorner-Brenti, GTM 231, Prop. 2.2.7): for the first
+    letter s of tau's canonical word, s*tau < tau, and w <= tau iff
+    min(w, s*w) <= s*tau.  The walk goes down tau's first letters, l(tau)
+    steps, and ends at tau = e.
+    """
+    check_element(g, w)
+    check_element(g, tau)
+    length, first, left_mult, rank = g.length, g.first, g.left_mult, g.datum.rank
+    while tau:
+        i = first[tau] - 1
+        sw = left_mult[w * rank + i]
+        if length[sw] < length[w]:
+            w = sw
+        tau = left_mult[tau * rank + i]
+    return w == g.identity
+
+
 def act(g: WeylGroup, w: int, lam: Weight) -> Weight:
     """w(lam) for element w: ``simple_reflection`` letter by letter along its word, last letter first."""
     for i in reversed(g.word(w)):
@@ -370,9 +392,9 @@ def theorem_sides(g: WeylGroup, tau: int, lam: Weight) -> tuple[CharElement, Cha
     """
     lhs = CharElement.zero(g.datum.rank)
     for k in sorted(subword_lower_set(g, tau)):
-        lhs = lhs + top_cohomology_char(g, k, lam).star()
+        lhs = lhs + top_cohomology_char(g.datum, g.word(k), lam).star()
     rho = g.datum.rho
-    return lhs, CharElement.monomial(rho) * demazure_char(g, tau, weight_sub(lam, rho))
+    return lhs, CharElement.monomial(rho) * demazure_char(g.datum, g.word(tau), weight_sub(lam, rho))
 
 
 def interval_sum(g: WeylGroup, tau: int, lam: Weight) -> CharElement:
@@ -383,7 +405,7 @@ def interval_sum(g: WeylGroup, tau: int, lam: Weight) -> CharElement:
     """
     total = CharElement.zero(g.datum.rank)
     for w in lower_interval(g, tau):
-        total = total + top_cohomology_char(g, w, lam).star()
+        total = total + top_cohomology_char(g.datum, g.word(w), lam).star()
     return total
 
 
@@ -527,7 +549,7 @@ def peel_decompose(g: WeylGroup, v: CharElement, with_stats: bool = False):
             processed.add(mu)
             c = u.terms[mu]
             coefficients[mu] = c
-            u = u - c * demazure_char(g, w0, mu)
+            u = u - c * demazure_char(g.datum, g.word(w0), mu)
     if with_stats:
         return coefficients, rounds
     return coefficients

@@ -70,7 +70,7 @@ def test_criterion_2_kernel_character_sums(announce):
             checks += len(reports)
             shifted = weight_sub(lam, d.rho)
             for w in range(g.order):
-                eps = epsilon_char(g, w, lam)
+                eps = epsilon_char(g.datum, g.word(w), lam)
                 assert all(c > 0 for c in eps.terms.values()), (family, rank, lam, g.word(w))
                 if eps.is_zero():
                     continue
@@ -130,14 +130,14 @@ def test_criterion_4_weyl_dimension_oracle(announce):
         rng = random.Random(f"dims-{family}{rank}")
         for _ in range(10):
             lam = tuple(rng.randint(0, 4) for _ in range(rank))
-            assert demazure_char(g, g.longest, lam).dimension() == oracles.weyl_dimension(
+            assert demazure_char(g.datum, g.word(g.longest), lam).dimension() == oracles.weyl_dimension(
                 g.datum, lam
             )
     g2 = oracles.group("A", 2)
-    assert demazure_char(g2, g2.longest, (1, 1)).dimension() == 8
+    assert demazure_char(g2.datum, g2.word(g2.longest), (1, 1)).dimension() == 8
     gg = oracles.group("G", 2)
     dims = {
-        demazure_char(gg, gg.longest, lam).dimension() for lam in [(1, 0), (0, 1)]
+        demazure_char(gg.datum, gg.word(gg.longest), lam).dimension() for lam in [(1, 0), (0, 1)]
     }
     assert dims == {7, 14}
     announce("PASS criterion 4: section-character dimensions match the Weyl dimension formula")
@@ -198,7 +198,7 @@ def test_criterion_7_combinatorial_substrate(announce):
         for tau in range(g.order):
             reachable = oracles.subword_lower_set(g, tau)
             for w in range(g.order):
-                assert bruhat_leq(g, w, tau) == (w in reachable)
+                assert bruhat_leq(g.datum, g.word(w), g.word(tau)) == (w in reachable)
                 pairs += 1
     announce(f"PASS criterion 7: group orders, l(w0)=|R+|, Bruhat vs subword oracle on {pairs} pairs")
 
@@ -209,7 +209,7 @@ def test_criterion_8_nonvanishing_at_two_rho(announce):
         d = g.datum
         lam = tuple(2 * c for c in d.rho)
         for w in range(g.order):
-            v = top_cohomology_char(g, w, lam)
+            v = top_cohomology_char(g.datum, g.word(w), lam)
             assert not v.is_zero(), (family, rank, g.word(w))
             high = weight_sub(g.act(w, weight_sub(d.rho, lam)), d.rho)
             assert extreme_weight(d, v, "highest") == high

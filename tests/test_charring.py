@@ -164,6 +164,14 @@ def test_json_rank_validation():
         CharElement.from_json_dict({"rank": 2, "terms": [{"weight": [1], "coeff": "1"}]})
 
 
+def test_constructor_refuses_a_weight_of_the_wrong_rank():
+    # a short weight would otherwise be packed with zeros appended, and operators would answer wrongly
+    for terms in [{(1,): 1}, {(1, 2, 3): 1}, [((1, 0), 1), ((1,), 2)]]:
+        with pytest.raises(ValueError, match=r"weight \[1.*\] does not have rank 2"):
+            CharElement(2, terms)
+    assert CharElement(2, [((1, 0), 1), ((0, 1), 2)]).terms == {(1, 0): 1, (0, 1): 2}
+
+
 @pytest.mark.parametrize(
     "data",
     [

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from demchar.charring import CHAR_ELEMENT_SCHEMA, CharElement
 from demchar.cli import build_parser, main
 from demchar.kernel import DECOMPOSITION_SCHEMA, kernel_basis_element
-from demchar.rootsys import build_datum, simple_reflection
+from demchar.rootsys import build_datum, simple_reflection, weyl_dimension
 from demchar.weyl import generate
 
 import oracles
@@ -286,14 +286,26 @@ def test_parsed_namespace_round_trip():
 
 
 def test_max_group_order_flag():
-    r = run_cli("bruhat", "--type", "A", "--rank", "3", "--w", "1", "--tau", "w0", "--max-group-order", "10")
+    r = run_cli("verify-kernel", "--type", "A", "--rank", "3", "--grid", "1", "--max-group-order", "10")
     assert r.returncode == 2
     assert "exceeds the bound" in r.stderr
 
 
-@pytest.mark.parametrize("command", ["info", "decompose"])
+# the commands that generate no group, with their required options
+WITHOUT_A_GROUP = {
+    "info": [],
+    "decompose": [],
+    "demchar": ["--mu", "1,1"],
+    "topchar": ["--lambda", "1,1"],
+    "euler": ["--mu", "1,1"],
+    "bruhat": ["--w", "1", "--tau", "w0"],
+}
+
+
+@pytest.mark.parametrize("command", WITHOUT_A_GROUP)
 def test_commands_without_a_group_reject_max_group_order(command):
-    code, err = run_in_process([command, "--type", "A", "--rank", "2", "--max-group-order", "10"])
+    argv = [command, "--type", "A", "--rank", "2", *WITHOUT_A_GROUP[command], "--max-group-order", "10"]
+    code, err = run_in_process(argv)
     assert code == 2
     assert "unrecognized arguments: --max-group-order" in err
 
@@ -474,26 +486,37 @@ def test_deeply_nested_json_is_usage_error():
 
 
 def test_too_large_group_is_refused_up_front():
-    r = run_cli("bruhat", "--type", "E", "--rank", "7", "--w", "1", "--tau", "w0", timeout=60)
+    r = run_cli("verify-kernel", "--type", "E", "--rank", "7", "--grid", "1", timeout=60)
     assert_usage_error(r)
     assert "--max-group-order" in r.stderr
 
 
-@pytest.mark.parametrize(
-    "command,rest",
-    [
-        ("demchar", ["--mu", "0,0,0,0,0,0,1"]),
-        ("topchar", ["--lambda", "1,1,1,1,1,1,1"]),
-        ("euler", ["--mu", "0,0,0,0,0,0,1"]),
-        ("verify-kernel", ["--grid", "1"]),
-        ("bruhat", ["--w", "1", "--tau", "w0"]),
-    ],
-)
-def test_commands_that_generate_the_group_refuse_e7_by_default(command, rest):
+def test_commands_that_generate_the_group_refuse_e7_by_default():
     # weyl and the two theorem sweeps are refused earlier, for their Bruhat table
-    code, err = run_in_process([command, "--type", "E", "--rank", "7", *rest])
+    code, err = run_in_process(["verify-kernel", "--type", "E", "--rank", "7", "--grid", "1"])
     assert code == 2
     assert "has 2903040 elements, which exceeds the bound 1000000" in err and err.count("\n") == 1
+
+
+OMEGA_7 = (0, 0, 0, 0, 0, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "command,rest,lines",
+    [
+        ("demchar", ["--mu", "0,0,0,0,0,0,1"], "dimension: 56"),
+        ("topchar", ["--lambda", "1,1,1,1,1,1,1"], "0\ndimension: 0"),
+        ("euler", ["--mu", "0,0,0,0,0,0,1"], "dimension: 56"),
+        ("bruhat", ["--w", "1", "--tau", "w0"], "true"),
+    ],
+    ids=["demchar", "topchar", "euler", "bruhat"],
+)
+def test_element_commands_run_on_e7_without_the_group(command, rest, lines, capsys):
+    # w0 by default: the section character and the Euler characteristic of V(omega_7), of dimension 56
+    assert weyl_dimension(build_datum("E", 7), OMEGA_7) == 56
+    assert main([command, "--type", "E", "--rank", "7", *rest]) == 0
+    out, err = capsys.readouterr()
+    assert out.endswith(lines + "\n") and err == ""
 
 
 def test_info_and_decompose_generate_no_group(monkeypatch):
@@ -507,6 +530,16 @@ def test_info_and_decompose_generate_no_group(monkeypatch):
     assert run_in_process(["info", "--type", "A", "--rank", "2"]) == (0, "")
     assert run_in_process(["info", "--type", "A", "--rank", "2", "--format", "json"]) == (0, "")
     assert run_in_process(["decompose", "--type", "A", "--rank", "2"], basis) == (0, "")
+    # the element commands resolve their words on the root datum, on E8 as on A2
+    for family, rank, omega in [("A", 2, "0,1"), ("E", 8, "0,0,0,0,0,0,0,1")]:
+        ones = ",".join(["1"] * rank)
+        for command, *rest in (
+            ["demchar", "--mu", omega],
+            ["topchar", "--lambda", ones],
+            ["euler", "--w", "1,2", "--mu", omega, "--format", "json"],
+            ["bruhat", "--w", "1", "--tau", "w0"],
+        ):
+            assert run_in_process([command, "--type", family, "--rank", str(rank), *rest]) == (0, ""), command
 
 
 @pytest.mark.parametrize("rank,positive_roots,order", [(7, 63, 2903040), (8, 120, 696729600)])
@@ -808,6 +841,17 @@ def test_verify_kernel_passes_on_a_guard_refusal(monkeypatch):
     code, err = run_in_process(["verify-kernel", "--type", "A", "--rank", "2", "--grid", "2"])
     assert code == 2
     assert err.startswith("error:") and "MAX_GUARD_TERMS = 1" in err
+
+
+@pytest.mark.parametrize("rank,mu", [("1", "1000000000"), ("2", "10000,10000")])
+def test_an_oversized_character_is_refused_at_once(rank, mu):
+    # D_w0(e^mu) is ch V(mu), of dimension 10^9 + 1 on A1 and about 10^12 on A2
+    start = time.perf_counter()
+    r = run_cli("demchar", "--type", "A", "--rank", rank, "--mu", mu, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert_usage_error(r)
+    assert r.stdout == ""
+    assert "weight-string terms, above the bound MAX_GUARD_TERMS = 10000000" in r.stderr
 
 
 def test_decompose_rank_mismatch_reads_the_library_message():

@@ -62,6 +62,23 @@ def test_step_index_validation():
         demazure_step(d, 3, monomial((1, 1)))
 
 
+def test_step_guard_admits_exactly_its_bound(monkeypatch):
+    # on A2, e^(3,0) under s_1 is a string of 4 weights, with pairings 0..3 against alpha_2^vee,
+    # so the step of letter 2 then expands 1 + 2 + 3 + 4 = 10 weight-string terms
+    from demchar import demazure
+
+    d = build_datum("A", 2)
+    v = monomial((3, 0))
+    expected = oracles.tuple_word(d, (2, 1), v)
+    monkeypatch.setattr(demazure, "MAX_GUARD_TERMS", 10)
+    assert demazure_word(d, (2, 1), v) == expected
+    monkeypatch.setattr(demazure, "MAX_GUARD_TERMS", 9)
+    with pytest.raises(ValueError, match="step of letter 2 would expand 10 weight-string terms.*= 9$"):
+        demazure_word(d, (2, 1), v)
+    with pytest.raises(ValueError, match="step of letter 1 would expand 10 weight-string terms.*= 9$"):
+        demazure_word(d, (1,), monomial((9, 0)))
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
 def test_numerator_identity_random(family, rank):
     d = build_datum(family, rank)
@@ -130,18 +147,18 @@ def test_reduced_word_independence(family, rank):
 
 def test_demazure_char_examples():
     g1 = oracles.group("A", 1)
-    assert demazure_char(g1, g1.identity, (5,)) == monomial((5,))
-    assert demazure_char(g1, g1.longest, (2,)) == CharElement(
+    assert demazure_char(g1.datum, g1.word(g1.identity), (5,)) == monomial((5,))
+    assert demazure_char(g1.datum, g1.word(g1.longest), (2,)) == CharElement(
         1, {(2,): 1, (0,): 1, (-2,): 1}
     )
     g2 = oracles.group("A", 2)
-    assert demazure_char(g2, g2.longest, (1, 1)).dimension() == 8
+    assert demazure_char(g2.datum, g2.word(g2.longest), (1, 1)).dimension() == 8
 
 
 def test_demazure_char_rejects_non_dominant():
     g = oracles.group("A", 2)
     with pytest.raises(ValueError):
-        demazure_char(g, g.longest, (-1, 2))
+        demazure_char(g.datum, g.word(g.longest), (-1, 2))
 
 
 @pytest.mark.parametrize(
@@ -152,7 +169,7 @@ def test_full_demazure_char_matches_weyl_dimension(family, rank):
     rng = random.Random(37)
     for _ in range(10):
         lam = tuple(rng.randint(0, 4) for _ in range(rank))
-        assert demazure_char(g, g.longest, lam).dimension() == oracles.weyl_dimension(
+        assert demazure_char(g.datum, g.word(g.longest), lam).dimension() == oracles.weyl_dimension(
             g.datum, lam
         )
 
@@ -169,39 +186,39 @@ def test_full_demazure_char_matches_weyl_dimension(family, rank):
 def test_full_demazure_char_matches_freudenthal(family, rank, mu):
     # the w0 row against multiplicities that no Demazure step computes
     g = oracles.group(family, rank)
-    assert demazure_char(g, g.longest, mu) == oracles.freudenthal_char(g, mu)
+    assert demazure_char(g.datum, g.word(g.longest), mu) == oracles.freudenthal_char(g, mu)
 
 
 def test_fundamental_dimensions_pin_cartan_convention():
     gb = oracles.group("B", 2)
-    dims_b = {demazure_char(gb, gb.longest, lam).dimension() for lam in [(1, 0), (0, 1)]}
+    dims_b = {demazure_char(gb.datum, gb.word(gb.longest), lam).dimension() for lam in [(1, 0), (0, 1)]}
     assert dims_b == {4, 5}
     gg = oracles.group("G", 2)
-    dims_g = {demazure_char(gg, gg.longest, lam).dimension() for lam in [(1, 0), (0, 1)]}
+    dims_g = {demazure_char(gg.datum, gg.word(gg.longest), lam).dimension() for lam in [(1, 0), (0, 1)]}
     assert dims_g == {7, 14}
 
 
 def test_euler_char_examples():
     g = oracles.group("A", 1)
     s = g.longest
-    assert euler_char(g, g.identity, (-7,)) == monomial((-7,))
-    assert euler_char(g, s, (-1,)).is_zero()
-    assert euler_char(g, s, (-2,)) == CharElement(1, {(0,): -1})
+    assert euler_char(g.datum, g.word(g.identity), (-7,)) == monomial((-7,))
+    assert euler_char(g.datum, g.word(s), (-1,)).is_zero()
+    assert euler_char(g.datum, g.word(s), (-2,)) == CharElement(1, {(0,): -1})
 
 
 def test_top_cohomology_examples():
     g = oracles.group("A", 1)
     s = g.longest
-    assert top_cohomology_char(g, g.identity, (3,)) == monomial((-3,))
-    assert top_cohomology_char(g, s, (2,)) == monomial((0,))
-    assert top_cohomology_char(g, s, (1,)).is_zero()
+    assert top_cohomology_char(g.datum, g.word(g.identity), (3,)) == monomial((-3,))
+    assert top_cohomology_char(g.datum, g.word(s), (2,)) == monomial((0,))
+    assert top_cohomology_char(g.datum, g.word(s), (1,)).is_zero()
 
 
 def test_top_cohomology_rejects_non_regular():
     g = oracles.group("A", 2)
     for bad in [(0, 1), (2, 0), (-1, 3)]:
         with pytest.raises(ValueError):
-            top_cohomology_char(g, g.longest, bad)
+            top_cohomology_char(g.datum, g.word(g.longest), bad)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2)])
@@ -210,7 +227,7 @@ def test_nonvanishing_and_highest_weight_at_two_rho(family, rank):
     d = g.datum
     lam = tuple(2 * c for c in d.rho)
     for w in range(g.order):
-        v = top_cohomology_char(g, w, lam)
+        v = top_cohomology_char(g.datum, g.word(w), lam)
         assert not v.is_zero()
         expected = weight_sub(g.act(w, weight_sub(d.rho, lam)), d.rho)
         assert extreme_weight(d, v, "highest") == expected
@@ -232,7 +249,7 @@ def test_weight_length_must_match_rank(weight):
     g = oracles.group("A", 2)
     for fn in (demazure_char, euler_char, top_cohomology_char):
         with pytest.raises(ValueError, match="coordinates"):
-            fn(g, g.longest, weight)
+            fn(g.datum, g.word(g.longest), weight)
 
 
 @pytest.mark.parametrize(
@@ -310,4 +327,4 @@ def test_packed_radix_widens_for_large_coordinates(data):
     assert demazure_step(d, word[0], v) == oracles.tuple_word(d, word[:1], v)
     assert demazure_word(d, word, v) == oracles.tuple_word(d, word, v)
     w = element_by_word(g, word)
-    assert euler_char(g, w, mu) == oracles.tuple_word(d, g.word(w), monomial(mu))
+    assert euler_char(d, word, mu) == oracles.tuple_word(d, g.word(w), monomial(mu))

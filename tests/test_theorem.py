@@ -47,7 +47,7 @@ def test_rhs_frozen_examples(request):
     request.getfixturevalue("sections_of_lam")
     for g, tau, lam, rhs in cases:
         r = verify_theorem(g, tau, lam)
-        assert r.sides == (rhs, demazure_char(g, tau, lam).shift(g.datum.rho))
+        assert r.sides == (rhs, demazure_char(g.datum, g.word(tau), lam).shift(g.datum.rho))
 
 
 def test_verify_examples(request):
@@ -72,9 +72,11 @@ def test_verify_exhaustive_a2():
 
 def test_precondition_regular_dominant():
     g = oracles.group("A", 2)
-    for fn in (verify_theorem, verify_lemma31, epsilon_char):
+    for fn in (verify_theorem, verify_lemma31):
         with pytest.raises(ValueError):
             fn(g, g.longest, (0, 1))
+    with pytest.raises(ValueError):
+        epsilon_char(g.datum, g.word(g.longest), (0, 1))
     for fn in (sweep_verify_theorem, sweep_verify_lemma31):
         with pytest.raises(ValueError):
             fn(g, (0, 1))
@@ -83,9 +85,11 @@ def test_precondition_regular_dominant():
 def test_weight_length_must_match_rank():
     g = oracles.group("A", 2)
     for lam in [(1,), (1, 1, 5)]:
-        for fn in (verify_theorem, verify_lemma31, epsilon_char):
+        for fn in (verify_theorem, verify_lemma31):
             with pytest.raises(ValueError, match="coordinates"):
                 fn(g, g.longest, lam)
+        with pytest.raises(ValueError, match="coordinates"):
+            epsilon_char(g.datum, g.word(g.longest), lam)
         for fn in (sweep_verify_theorem, sweep_verify_lemma31):
             with pytest.raises(ValueError, match="coordinates"):
                 fn(g, lam)
@@ -116,7 +120,7 @@ def test_report_json_schema_and_per_w(request):
     assert data["difference_terms"] == (r.sides[0] - r.sides[1]).to_json_dict()["terms"]
     total = CharElement.zero(2)
     for w in lower_interval(g, tau):
-        total = total + top_cohomology_char(g, w, (2, 1)).star()
+        total = total + top_cohomology_char(g.datum, g.word(w), (2, 1)).star()
     assert total == r.sides[0]
 
 
@@ -137,11 +141,11 @@ def test_passing_report_json_builds_no_character(monkeypatch):
 def test_epsilon_frozen_examples():
     g = oracles.group("A", 1)
     s = g.longest
-    assert epsilon_char(g, g.identity, (2,)) == monomial((1,))
-    assert epsilon_char(g, s, (2,)) == monomial((-1,))
+    assert epsilon_char(g.datum, g.word(g.identity), (2,)) == monomial((1,))
+    assert epsilon_char(g.datum, g.word(s), (2,)) == monomial((-1,))
     g2 = oracles.group("A", 2)
     for lam in [(1, 1), (3, 2)]:
-        assert epsilon_char(g2, g2.identity, lam) == monomial(weight_sub(lam, (1, 1)))
+        assert epsilon_char(g2.datum, g2.word(g2.identity), lam) == monomial(weight_sub(lam, (1, 1)))
 
 
 def test_lemma_examples(request):
@@ -165,7 +169,7 @@ def test_epsilon_nonnegative_with_expected_lowest_weight(family, rank):
     d = g.datum
     for lam in itertools.product((1, 2), repeat=rank):
         for w in range(g.order):
-            eps = epsilon_char(g, w, lam)
+            eps = epsilon_char(g.datum, g.word(w), lam)
             assert all(c > 0 for c in eps.terms.values())
             if not eps.is_zero():
                 low = g.act(w, weight_sub(lam, d.rho))
@@ -178,7 +182,7 @@ def test_starred_top_lowest_weight():
     d = g.datum
     lam = (2, 3)
     for w in range(g.order):
-        v = top_cohomology_char(g, w, lam).star()
+        v = top_cohomology_char(g.datum, g.word(w), lam).star()
         if v.is_zero():
             continue
         expected = tuple(a + b for a, b in zip(g.act(w, weight_sub(lam, d.rho)), d.rho))
@@ -189,8 +193,8 @@ def test_dimension_bookkeeping():
     g = oracles.group("A", 2)
     lam = (2, 2)
     for tau in range(g.order):
-        total = sum(epsilon_char(g, w, lam).dimension() for w in lower_interval(g, tau))
-        assert total == demazure_char(g, tau, weight_sub(lam, g.datum.rho)).dimension()
+        total = sum(epsilon_char(g.datum, g.word(w), lam).dimension() for w in lower_interval(g, tau))
+        assert total == demazure_char(g.datum, g.word(tau), weight_sub(lam, g.datum.rho)).dimension()
 
 
 def test_psi_character_forced_cases():
@@ -247,7 +251,7 @@ def test_both_identities_match_reference(family, rank, request):
             lhs, rhs = oracles.theorem_sides(g, tau, lam)
             assert lhs == rhs, (family, g.word(tau), lam)
             t, l = sweep_t[tau], sweep_l[tau]
-            section = demazure_char(g, tau, lam)
+            section = demazure_char(g.datum, g.word(tau), lam)
             assert t.sides == (lhs, section.shift(rho))
             assert l.sides == (minus_rho * lhs, section)
             assert t.interval_size == l.interval_size == len(oracles.subword_lower_set(g, tau))

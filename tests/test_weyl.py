@@ -20,6 +20,7 @@ from demchar.weyl import (
     lower_covers,
     lower_interval,
     peel,
+    word_key,
 )
 
 import oracles
@@ -152,8 +153,8 @@ def test_largest_covers_grow_each_interval_by_its_increment(family, rank):
     assert g.largest_covers[g.identity] == (None, (g.identity,))
     for tau in range(1, g.order):
         c, increment = g.largest_covers[tau]
-        # the lower covers by the table-free bruhat_leq and the lengths alone
-        covers = [w for w in by_length[g.length[tau] - 1] if bruhat_leq(g, w, tau)]
+        # the lower covers by the table-free index walk and the lengths alone
+        covers = [w for w in by_length[g.length[tau] - 1] if oracles.bruhat_leq_index(g, w, tau)]
         assert c in covers
         assert rows[c].bit_count() == max(rows[w].bit_count() for w in covers)
         assert all(rows[w].bit_count() < rows[c].bit_count() for w in covers if w < c)
@@ -220,6 +221,19 @@ def test_canonical_word_from_the_image_of_rho_matches_the_group(family, rank):
         assert canonical_word(d, oracles.act(g, k, d.rho)) == g.word(k)
 
 
+@pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
+def test_word_key_names_the_element_by_word(family, rank):
+    # random words, mostly not reduced, resolved on the datum alone and in the generated group
+    g = oracles.group(family, rank)
+    d = g.datum
+    rng = random.Random(f"word-key-{family}{rank}")
+    for _ in range(200):
+        word = [rng.randint(1, rank) for _ in range(rng.randint(0, 2 * len(d.positive_roots)))]
+        k = element_by_word(g, word)
+        assert word_key(d, word) == g.act(k, d.rho)
+        assert canonical_word(d, word_key(d, iter(word))) == g.word(k)
+
+
 def test_canonical_word_of_minus_rho_is_the_longest_word_on_e6():
     g = oracles.group("E", 6)
     assert canonical_word(g.datum, weight_neg(g.datum.rho)) == g.word(g.longest)
@@ -236,34 +250,39 @@ def test_canonical_word_refuses_a_weight_outside_the_orbit_of_rho():
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2)])
 def test_bruhat_agrees_with_subword_oracle(family, rank):
     g = oracles.group(family, rank)
+    words = [g.word(k) for k in range(g.order)]
     for tau in range(g.order):
         reachable = oracles.subword_lower_set(g, tau)
         for w in range(g.order):
-            assert bruhat_leq(g, w, tau) == (w in reachable)
+            assert bruhat_leq(g.datum, words[w], words[tau]) == (w in reachable)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
 def test_bruhat_leq_walk_matches_the_table(family, rank):
+    # the lifting property on the keys w(rho), and the index walk of the tests, against the table
     g = oracles.group(family, rank)
+    words = [g.word(k) for k in range(g.order)]
     for tau in range(g.order):
         row = g.bruhat_rows[tau]
         for w in range(g.order):
-            assert bruhat_leq(g, w, tau) == bool((row >> w) & 1)
+            expected = bool((row >> w) & 1)
+            assert bruhat_leq(g.datum, words[w], words[tau]) == oracles.bruhat_leq_index(g, w, tau) == expected
 
 
 def test_bruhat_basics():
+    d = build_datum("A", 2)
     g = oracles.group("A", 2)
-    e = g.identity
-    s1 = element_by_word(g, (1,))
-    s2 = element_by_word(g, (2,))
-    s12 = element_by_word(g, (1, 2))
-    s21 = element_by_word(g, (2, 1))
-    for tau in range(g.order):
-        assert bruhat_leq(g, e, tau)
-        assert bruhat_leq(g, tau, tau)
-    assert bruhat_leq(g, s1, s12)
-    assert not bruhat_leq(g, s12, s21) and not bruhat_leq(g, s21, s12)
-    assert bruhat_leq(g, s2, s21)
+    for k in range(g.order):
+        tau = g.word(k)
+        assert bruhat_leq(d, (), tau)
+        assert bruhat_leq(d, tau, tau)
+    assert bruhat_leq(d, (1,), (1, 2))
+    assert not bruhat_leq(d, (1, 2), (2, 1)) and not bruhat_leq(d, (2, 1), (1, 2))
+    assert bruhat_leq(d, (2,), (2, 1))
+    # words need not be reduced: s1*s1 = e, and s1*s2*s1*s2 = s2*s1
+    assert bruhat_leq(d, (1, 1), ()) and not bruhat_leq(d, (1,), (2, 2))
+    assert bruhat_leq(d, (1, 2, 1, 2), (2, 1)) and bruhat_leq(d, (2, 1), (1, 2, 1, 2))
+    assert not bruhat_leq(d, (1, 2, 1, 2), (1, 2))
 
 
 def test_bruhat_refined_by_length():
@@ -331,8 +350,10 @@ def test_peel_holds_at_most_two_lengths_of_values(family, rank):
 @pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4)])
 def test_peel_within_a_union_of_lower_intervals(family, rank):
     g = oracles.group(family, rank)
-    # the intervals by the table-free bruhat_leq, so the check does not read the walk's own output
-    intervals = [frozenset(w for w in range(g.order) if bruhat_leq(g, w, tau)) for tau in range(g.order)]
+    # the intervals by the table-free index walk, so the check does not read the walk's own output
+    intervals = [
+        frozenset(w for w in range(g.order) if oracles.bruhat_leq_index(g, w, tau)) for tau in range(g.order)
+    ]
     lift = lambda tau, i, sigma, below: below[sigma] | {g.left_mult[w * rank + i] for w in below[sigma]}
     rng = random.Random(15)
     for _ in range(6):
@@ -408,23 +429,38 @@ def test_too_large_group_is_refused_before_generation():
 
 def test_element_indices_out_of_range_are_refused():
     # an element is an index 0..|W|-1: -1 would otherwise read as the longest element or fail inside a walk
-    from demchar.demazure import demazure_char, euler_char, top_cohomology_char
-    from demchar.theorem import epsilon_char, verify_lemma31, verify_theorem
+    from demchar.theorem import verify_lemma31, verify_theorem
 
     g = oracles.group("A", 2)
-    with_weight = (demazure_char, euler_char, top_cohomology_char, epsilon_char, verify_theorem, verify_lemma31)
     calls = [
         lambda k: g.word(k),
         lambda k: g.act(k, (1, 0)),
-        lambda k: bruhat_leq(g, k, g.longest),
-        lambda k: bruhat_leq(g, g.identity, k),
         lambda k: lower_interval(g, k),
-        *(lambda k, fn=fn: fn(g, k, (1, 1)) for fn in with_weight),
+        *(lambda k, fn=fn: fn(g, k, (1, 1)) for fn in (verify_theorem, verify_lemma31)),
     ]
     for call in calls:
         for k in (-1, g.order):
             with pytest.raises(ValueError, match=rf"element index {k} is out of range 0\.\.5"):
                 call(k)
+
+
+def test_word_letters_out_of_range_are_refused():
+    # an element named by a word is checked letter by letter, as element_by_word checks it
+    from demchar.demazure import demazure_char, euler_char, top_cohomology_char
+    from demchar.theorem import epsilon_char
+
+    d = build_datum("A", 2)
+    with_weight = (demazure_char, euler_char, top_cohomology_char, epsilon_char)
+    calls = [
+        lambda word: word_key(d, word),
+        lambda word: bruhat_leq(d, word, (1, 2, 1)),
+        lambda word: bruhat_leq(d, (), word),
+        *(lambda word, fn=fn: fn(d, word, (1, 1)) for fn in with_weight),
+    ]
+    for call in calls:
+        for i in (0, 3):
+            with pytest.raises(ValueError, match=rf"word letter {i} out of range 1\.\.2"):
+                call((1, i, 2))
 
 
 def test_element_by_word_validates_letters():
