@@ -50,11 +50,7 @@ def demazure_step(d: RootDatum, i: int, v: CharElement) -> CharElement:
 
 
 def demazure_word(d: RootDatum, word, v: CharElement) -> CharElement:
-    """Compose Demazure steps along a word; the last letter acts first.
-
-    Raises ValueError before a step whose weight strings would hold more than
-    ``MAX_GUARD_TERMS`` terms.
-    """
+    """Compose Demazure steps along a word; the last letter acts first.  A step above ``MAX_GUARD_TERMS`` is refused."""
     check_char_rank(d, v)
     letters = tuple(reversed(tuple(word)))
     for i in letters:
@@ -89,11 +85,7 @@ def demazure_char(d: RootDatum, word, lam: Weight) -> CharElement:
 
 
 def euler_char(d: RootDatum, word, mu: Weight) -> CharElement:
-    """Alternating sum of cohomology characters over the cell closure of w, for any weight mu.
-
-    w is the product along ``word``, and the operator string runs along its
-    canonical reduced word.
-    """
+    """Alternating sum of cohomology characters over the cell closure of w, the product along ``word``, for any mu."""
     check_weight_rank(d, mu)
     return demazure_word(d, canonical_word(d, word_key(d, word)), CharElement.monomial(mu))
 
