@@ -27,18 +27,16 @@ the emitter ``charring.json_text`` (the bytes of ``json.dumps(obj,
 indent=2, sort_keys=True)``); a character is handed to it as a CharElement,
 and a block or a report rendered ahead as a ``charring.Fragment``.
 
-``info``, ``decompose``, ``demchar``, ``topchar``, ``euler`` and ``bruhat``
-generate no group and take no ``--max-group-order``: an element named on
-the command line is a word, resolved on the root datum to its canonical
-reduced word (``_resolve_element``).  ``weyl``, ``verify-theorem`` and
-``verify-lemma31`` read the Bruhat table; a type whose table exceeds
-``weyl.MAX_BRUHAT_TABLE_BYTES``, or a sweep grid of more than
-``MAX_GRID_WEIGHTS`` weights, is refused before its group is generated.
+Only ``weyl``, ``verify-theorem`` and ``verify-lemma31`` generate the group,
+to read its Bruhat table, and a table above ``weyl.MAX_BRUHAT_TABLE_BYTES`` is
+refused before that; the others build the root datum alone and name an
+element by a word (``_resolve_element``).  A grid of more than
+``MAX_GRID_WEIGHTS`` weights, or a ``verify-kernel`` grid whose largest walk
+exceeds ``weyl.MAX_ELEMENTS``, is refused before any sweep or walk runs.
 ``demchar``, ``topchar`` and ``euler`` refuse a Demazure step that would
-expand more than ``MAX_GUARD_TERMS`` weight-string terms.  ``decompose``
-refuses an element whose membership guard would expand more than that, and
-``verify-kernel`` passes that refusal on (exit 2) instead of counting it as
-a failed round trip.
+expand more than ``MAX_GUARD_TERMS`` weight-string terms, and ``decompose``
+an element whose membership guard would; ``verify-kernel`` passes that
+refusal on (exit 2) instead of counting it as a failed round trip.
 """
 
 from __future__ import annotations
@@ -66,15 +64,14 @@ from .kernel import (
 from .rootsys import RootDatum, Weight, build_datum, weight_neg, weight_sub, weyl_dimension
 from .theorem import sweep_verify_lemma31, sweep_verify_theorem
 from .weyl import (
-    DEFAULT_MAX_GROUP_ORDER,
     WeylGroup,
+    act,
     bruhat_leq,
     canonical_word,
     check_bruhat_table,
     classified_order,
     generate,
     lower_covers,
-    word_key,
 )
 
 EXIT_OK = 0
@@ -115,15 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--type", required=True, dest="family", help="family letter A-G")
     common.add_argument("--rank", required=True, type=int)
     common.add_argument("--format", default="plain", choices=("plain", "json"), dest="fmt")
-    # the commands that generate W
-    grouped = argparse.ArgumentParser(add_help=False, parents=[common])
-    grouped.add_argument("--max-group-order", type=int, default=DEFAULT_MAX_GROUP_ORDER)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("info", parents=[common], help="group order, roots, Cartan matrix")
 
-    p = sub.add_parser("weyl", parents=[grouped], help="dump elements and Bruhat table")
+    p = sub.add_parser("weyl", parents=[common], help="dump elements and Bruhat table")
     p.add_argument("--dot", action="store_true", help="emit the Bruhat Hasse diagram as DOT")
 
     # the character commands share the dests element and weight, so one cmd_char serves
@@ -147,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, type=_parse_ints, dest="weight", metavar="MU")
 
     for name in ("verify-theorem", "verify-lemma31", "verify-kernel"):
-        p = sub.add_parser(name, parents=[grouped], help=f"batch verification sweep ({name})")
+        p = sub.add_parser(name, parents=[common], help=f"batch verification sweep ({name})")
         p.add_argument("--grid", type=int, default=2, help="sweep weights with coordinates in [1, grid]")
         if name != "verify-kernel":
             p.add_argument("--parallel", action="store_true", help="parallelize sweeps over weights")
@@ -162,25 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_group(args: argparse.Namespace, table: bool = False, grid: int | None = None) -> WeylGroup:
-    """The Weyl group of the requested type; sweep workers receive this same group.
-
-    A command that reads the Bruhat table passes ``table``, and a sweep its
-    ``grid``, so that a type whose table is too large, or a grid of more than
-    ``MAX_GRID_WEIGHTS`` weights, is refused before the group is generated.
-    """
-    d = build_datum(args.family, args.rank)
-    if table:
-        check_bruhat_table(d)
-    if grid is not None:
-        if grid < 1:
-            raise ValueError("grid bound must be at least 1")
-        if grid**d.rank > MAX_GRID_WEIGHTS:
-            raise ValueError(
-                f"grid {grid} on {d.family}{d.rank} holds {grid**d.rank} weights, "
-                f"above the bound MAX_GRID_WEIGHTS = {MAX_GRID_WEIGHTS}"
-            )
-    return generate(d, args.max_group_order)
+def load_group(d: RootDatum) -> WeylGroup:
+    """The Weyl group of d, refused up front if its Bruhat table is too large; sweep workers receive this group."""
+    check_bruhat_table(d)
+    return generate(d)
 
 
 def _resolve_element(d: RootDatum, selector: str) -> tuple[int, ...]:
@@ -189,15 +168,22 @@ def _resolve_element(d: RootDatum, selector: str) -> tuple[int, ...]:
         return ()
     if selector == "w0":
         return canonical_word(d, weight_neg(d.rho))
-    return canonical_word(d, word_key(d, _parse_ints(selector)))
+    return canonical_word(d, act(d, _parse_ints(selector), d.rho))
 
 
 def _dump_json(obj) -> None:
     print(json_text(obj))
 
 
-def _lambda_grid(rank: int, bound: int) -> list[Weight]:
-    return [tuple(c) for c in itertools.product(range(1, bound + 1), repeat=rank)]
+def _lambda_grid(d: RootDatum, grid: int) -> list[Weight]:
+    if grid < 1:
+        raise ValueError("grid bound must be at least 1")
+    if grid**d.rank > MAX_GRID_WEIGHTS:
+        raise ValueError(
+            f"grid {grid} on {d.family}{d.rank} holds {grid**d.rank} weights, "
+            f"above the bound MAX_GRID_WEIGHTS = {MAX_GRID_WEIGHTS}"
+        )
+    return [tuple(c) for c in itertools.product(range(1, grid + 1), repeat=d.rank)]
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -229,7 +215,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_weyl(args: argparse.Namespace) -> int:
-    g = load_group(args, table=True)
+    g = load_group(build_datum(args.family, args.rank))
     if args.dot:
         print("digraph bruhat {")
         print("  rankdir=BT;")
@@ -385,9 +371,9 @@ def _emit_sweep(args: argparse.Namespace, g: WeylGroup, blocks: list[_Block]) ->
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = load_group(args, table=True, grid=args.grid)
-    d = g.datum
-    lams = _lambda_grid(d.rank, args.grid)
+    d = build_datum(args.family, args.rank)
+    lams = _lambda_grid(d, args.grid)
+    g = load_group(d)
     # the largest predicted work, dim V(lam - rho), first, so that no long lambda starts last;
     # sorted() is stable, so ties keep grid order
     order = sorted(range(len(lams)), key=lambda k: -weyl_dimension(d, weight_sub(lams[k], d.rho)))
@@ -430,17 +416,17 @@ def _decomposes_to(d: RootDatum, v: CharElement, expected: dict) -> bool:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    g = load_group(args, grid=args.grid)
-    d = g.datum
+    d = build_datum(args.family, args.rank)
     rho = d.rho
-    lams = _lambda_grid(d.rank, args.grid)
-    dual = lambda mu: weight_neg(g.act(g.longest, mu))
+    lams = _lambda_grid(d, args.grid)
+    longest = canonical_word(d, weight_neg(rho))
+    dual = lambda mu: weight_neg(act(d, longest, mu))
+    # the last weight has the largest walk, so a grid too large is refused before any other walk runs
+    basis = {lam: kernel_basis_element(d, lam) for lam in reversed(lams)}
 
     per_lambda = []
-    basis = {}
     for lam in lams:
-        v = kernel_basis_element(g, lam)
-        basis[lam] = v
+        v = basis[lam]
         member = in_kernel(d, v)
         per_lambda.append(
             {

@@ -13,13 +13,13 @@ evaluated along reduced words with the last letter acting first.
 
 Inside a computation each weight is one packed int (``rootsys.Packing``),
 so a weight string is an integer range whose step is the packed simple
-root.  ``packing_for`` chooses the radix once per word or per walk over the
-group (``weyl.peel``) before the first step; no step tests a coordinate.
+root.  ``packing_for`` chooses the radix once per word or per walk over W
+before the first step; no step tests a coordinate.
 Tuples stay at every public boundary: CharElement and JSON.
 
 An element of W is named by a word, and the characters act along its
-canonical reduced word (``weyl.word_key``, ``weyl.canonical_word``), read
-from the root datum alone.  A step whose weight strings would hold more
+canonical reduced word (``weyl.act`` on rho, ``weyl.canonical_word``),
+read from the root datum alone.  A step whose weight strings would hold more
 than ``MAX_GUARD_TERMS`` terms is refused before it expands anything.  Each
 string has at most ``bias`` terms, so while the terms times ``bias`` stay
 under the bound no string is measured; above it, the step sums |t| + 1
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .charring import CharElement
 from .rootsys import RootDatum, Weight, check_regular_dominant, check_weight_rank, is_dominant, packing_for, weight_neg
-from .weyl import canonical_word, word_key
+from .weyl import act, canonical_word
 
 # A Demazure step, or ``kernel.decompose``'s membership guard, that would expand
 # more weight-string terms than this is refused; at the bound it takes a few
@@ -87,7 +87,7 @@ def demazure_char(d: RootDatum, word, lam: Weight) -> CharElement:
 def euler_char(d: RootDatum, word, mu: Weight) -> CharElement:
     """Alternating sum of cohomology characters over the cell closure of w, the product along ``word``, for any mu."""
     check_weight_rank(d, mu)
-    return demazure_word(d, canonical_word(d, word_key(d, word)), CharElement.monomial(mu))
+    return demazure_word(d, canonical_word(d, act(d, word, d.rho)), CharElement.monomial(mu))
 
 
 def top_cohomology_char(d: RootDatum, word, lam: Weight) -> CharElement:
@@ -97,6 +97,6 @@ def top_cohomology_char(d: RootDatum, word, lam: Weight) -> CharElement:
     l(w); the character is then the Euler characteristic up to sign.
     """
     check_regular_dominant(d, lam)
-    word = canonical_word(d, word_key(d, word))
+    word = canonical_word(d, act(d, word, d.rho))
     v = euler_char(d, word, weight_neg(lam))
     return -v if len(word) % 2 else v

@@ -1,7 +1,8 @@
-"""The joint kernel N of all Demazure operators: membership, the e^rho-twist
-characterization, basis elements summed over one peeling walk of W, and
-the decomposition into the full-group section-character basis, read off by
-folding each weight into the dominant chamber (Weyl's character formula).
+"""The joint kernel N of all Demazure operators on the root datum alone:
+membership, the e^rho-twist characterization, basis elements summed over one
+pruned peeling walk of W, and the decomposition into the full-group
+section-character basis, read off by folding each weight into the dominant
+chamber (Weyl's character formula).
 
 Every layer works on packed weight keys (``rootsys.Packing``).  The
 decomposition packs e^rho * v once and uses those keys for its W-invariance
@@ -16,8 +17,9 @@ from itertools import chain
 
 from .charring import CharElement
 from .demazure import MAX_GUARD_TERMS, check_char_rank
-from .rootsys import RootDatum, Weight, check_regular_dominant, packing_for, weight_add, weight_neg
-from .weyl import WeylGroup, peel
+from .rootsys import RootDatum, Weight, check_regular_dominant, orbit_size, packing_for
+from .rootsys import weight_add, weight_neg, weight_sub
+from .weyl import MAX_ELEMENTS, walk
 
 DECOMPOSITION_SCHEMA = {
     "type": "object",
@@ -64,23 +66,29 @@ def is_demazure_invariant(d: RootDatum, v: CharElement) -> bool:
     return all(image == terms for image in images)
 
 
-def kernel_basis_element(g: WeylGroup, lam: Weight) -> CharElement:
-    """Sum over the whole group of the top-cohomology characters of -lam.
+def kernel_basis_element(d: RootDatum, lam: Weight) -> CharElement:
+    """Sum over W of the top-cohomology characters of -lam, (-1)^l(w) * D_w(e^-lam).
 
-    The character on w is (-1)^l(w) * D_w(e^-lam).  The packed images stream
-    from ``weyl.peel``, which keeps two lengths of them, and are added with
-    those signs as they come; the sum is unpacked once.
+    The packed images stream from ``weyl.walk``, each one ``Packing.step`` from its
+    parent's, and are added with those signs as they come.  An empty image is pruned with
+    everything below it, so the walk visits the |W * (lam - rho)| elements whose image is
+    not 0 (``rootsys.orbit_size``); above ``MAX_ELEMENTS`` it is refused before it starts.
     """
-    check_regular_dominant(g.datum, lam)
-    packing = packing_for(g.datum, [lam])
+    check_regular_dominant(d, lam)
+    size = orbit_size(d, weight_sub(lam, d.rho))
+    if size > MAX_ELEMENTS:
+        raise ValueError(
+            f"the kernel basis element of {list(lam)} on {d.family}{d.rank} sums over {size} elements, "
+            f"above the bound MAX_ELEMENTS = {MAX_ELEMENTS}"
+        )
+    packing = packing_for(d, [lam])
     total: dict[int, int] = {}
-    get, length = total.get, g.length
-    advance = lambda w, i, sigma, below: packing.step(i, below[sigma])
-    for w, p in peel(g, {packing.pack(weight_neg(lam)): 1}, advance):
-        sign = -1 if length[w] % 2 else 1
+    get = total.get
+    for length, p in walk(d, {packing.pack(weight_neg(lam)): 1}, packing.step):
+        sign = -1 if length % 2 else 1
         for k, c in p.items():
             total[k] = get(k, 0) + sign * c
-    return CharElement.adopt(g.datum.rank, packing.unpack_terms(total))
+    return CharElement.adopt(d.rank, packing.unpack_terms(total))
 
 
 def verify_characterization(d: RootDatum, v: CharElement) -> bool:

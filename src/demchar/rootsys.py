@@ -231,6 +231,22 @@ def weyl_dimension(d: RootDatum, lam: Weight) -> int:
     return num // den
 
 
+def orbit_size(d: RootDatum, nu: Weight) -> int:
+    """|W * nu| for dominant nu, by Macdonald's product (Math. Ann. 199, 1972); ValueError unless nu is dominant.
+
+    prod (ht(beta^vee) + 1) / ht(beta^vee) over the positive coroots is |W|, and over
+    those with <nu, beta^vee> = 0 it is the order of nu's stabilizer, so the rest give |W * nu|.
+    """
+    if not is_dominant(d, nu):
+        raise ValueError(f"weight {list(nu)} is not dominant")
+    num = den = 1
+    for coroot in d.positive_coroots:
+        if sum(c * a for c, a in zip(nu, coroot)):
+            num *= sum(coroot) + 1
+            den *= sum(coroot)
+    return num // den
+
+
 class Packing:
     """Weights of one rank with coordinates in [-2^(bits-1), 2^(bits-1)) as packed ints."""
 

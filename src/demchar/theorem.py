@@ -62,21 +62,20 @@ class VerificationReport:
         }
 
 
-def _interval_reports(g: WeylGroup, lam: Weight, taus: Sequence[int], frame: Weight) -> list[VerificationReport]:
-    """Check sum_{w <= tau} eps_w = D_tau(e^(lam - rho)) per tau index, both sides read in e^frame.
+def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[VerificationReport]:
+    """Check sum_{w <= tau} eps_w = D_tau(e^(lam - rho)) for every tau, both sides read in e^frame.
 
-    One ``weyl.peel`` walk over the union of the taus' lower intervals.  At
-    each tau one operator step from sigma = s*tau's entries gives D_tau(e^-lam)
-    and the section D_tau(e^(lam - rho)), and one star and sign per key turn
-    the first into lemma 3.1's eps_tau = e^-rho * ch(H^l(tau)(X(tau), L_-lam))^*.
+    One ``weyl.peel`` walk over W.  At each tau one operator step from
+    sigma = s*tau's entries gives D_tau(e^-lam) and the section
+    D_tau(e^(lam - rho)), and one star and sign per key turn the first into
+    lemma 3.1's eps_tau = e^-rho * ch(H^l(tau)(X(tau), L_-lam))^*.
     L(tau) is not grown from sigma but from c, the lower cover of tau with the
     largest interval (``WeylGroup.largest_covers``): [e, c] lies in [e, tau]
     (Bjorner-Brenti, GTM 231, section 2.2), so L(tau) is a copy of L(c) plus
     eps_w over the increment, the bits of rows[tau] & ~rows[c].  Both c and the
     increment depend on tau alone, so they are read from the group, not
     derived per lam; c is one letter shorter than tau, so L(c) is in the
-    walk's window.  A tau that was asked for is compared at once, so a single
-    tau costs in proportion to its interval.
+    walk's window.  Each tau is compared as soon as it is reached.
 
     The walk keeps two lengths of images and L; every eps_w stays, since a
     later tau may add any w.  Both sides share one packing and are compared
@@ -87,16 +86,12 @@ def _interval_reports(g: WeylGroup, lam: Weight, taus: Sequence[int], frame: Wei
     rho = g.datum.rho
     rows = g.bruhat_rows
     covers = g.largest_covers
-    needed = 0
-    for tau in taus:
-        needed |= rows[tau]
-    asked = set(taus)
     length = g.length
     packing = packing_for(g.datum, [lam], rho)
     step, m = packing.step, packing.star_key(weight_neg(rho))
     read = lambda terms: CharElement.adopt(g.datum.rank, packing.unpack_terms(terms, frame))
     epsilon: list[dict[int, int] | None] = [None] * g.order
-    reports: dict[int, VerificationReport] = {}
+    reports = []
 
     def entries(k, image, section, acc, new):  # (D_k(e^-lam), D_k(e^(lam - rho)), L(k)), storing eps_k
         epsilon[k] = {m - key: -c if length[k] % 2 else c for key, c in image.items()}
@@ -114,30 +109,31 @@ def _interval_reports(g: WeylGroup, lam: Weight, taus: Sequence[int], frame: Wei
 
     e = g.identity
     seed = entries(e, {packing.pack(weight_neg(lam)): 1}, {packing.pack(weight_sub(lam, rho)): 1}, {}, covers[e][1])
-    for k, (_, section, acc) in peel(g, seed, advance, needed):
-        if k in asked:
-            lhs = {mu: c for mu, c in acc.items() if c} if 0 in acc.values() else acc
-            passed = lhs == section
-            dim = sum(section.values())
-            reports[k] = VerificationReport(
+    for k, (_, section, acc) in peel(g, seed, advance):
+        lhs = {mu: c for mu, c in acc.items() if c} if 0 in acc.values() else acc
+        passed = lhs == section
+        dim = sum(section.values())
+        reports.append(
+            VerificationReport(
                 passed=passed,
                 dim_lhs=dim if passed else sum(lhs.values()),
                 dim_rhs=dim,
                 interval_size=rows[k].bit_count(),
                 sides=None if passed else (read(lhs), read(section)),
             )
-    return [reports[tau] for tau in taus]
+        )
+    return reports
 
 
 def verify_theorem(g: WeylGroup, tau: int, lam: Weight) -> VerificationReport:
-    """Check the summed-dual-characters identity for one (element tau, lam)."""
+    """Check the summed-dual-characters identity for one (element tau, lam): the sweep's report for tau."""
     check_element(g, tau)
-    return _interval_reports(g, lam, [tau], g.datum.rho)[0]
+    return sweep_verify_theorem(g, lam)[tau]
 
 
 def sweep_verify_theorem(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
     """Reports of ``verify_theorem`` for every tau at one lam, indexed by element."""
-    return _interval_reports(g, lam, range(g.order), g.datum.rho)
+    return _interval_reports(g, lam, g.datum.rho)
 
 
 def epsilon_char(d: RootDatum, word, lam: Weight) -> CharElement:
@@ -152,12 +148,12 @@ def verify_lemma31(g: WeylGroup, tau: int, lam: Weight) -> VerificationReport:
     """Check that the kernel characters over the interval sum to the section character.
 
     This is the main identity multiplied by e^-rho, computed from the same
-    tables, so it is not independent evidence for the theorem.
+    tables, so it is not independent evidence for the theorem: the sweep's report for tau.
     """
     check_element(g, tau)
-    return _interval_reports(g, lam, [tau], (0,) * g.datum.rank)[0]
+    return sweep_verify_lemma31(g, lam)[tau]
 
 
 def sweep_verify_lemma31(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
     """Reports of ``verify_lemma31`` for every tau at one lam, indexed by element."""
-    return _interval_reports(g, lam, range(g.order), (0,) * g.datum.rank)
+    return _interval_reports(g, lam, (0,) * g.datum.rank)

@@ -10,12 +10,12 @@ kept as compact tables, in the manner of Casselman (Invent. Math. 116,
 1994) and Stembridge (MSJ Memoirs 11, 2001): a flat ``array('i')``
 left-multiplication table and byte arrays of lengths and first letters,
 down which an element's word is read.  An element of a generated group is
-its index and nothing else: ``WeylGroup.act`` applies it to a weight along
-its word.  The Bruhat table is built on first read.
+its index and nothing else.  The Bruhat table is built on first read.
 
-No group is needed to name one element: ``word_key`` sends a word to w(rho),
-``canonical_word`` reads w's canonical word back from that key, and
-``bruhat_leq`` compares two words by the lifting property on their keys.
+No group is needed to name one element: ``act(d, word, d.rho)`` is w(rho),
+``canonical_word`` reads w's canonical word back from that key,
+``bruhat_leq`` compares two words by the lifting property on their keys, and
+``walk`` runs down the peeling tree on the keys alone.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from typing import Iterable
 
 from .rootsys import RootDatum, Weight, check_weight_rank, packing_for, simple_reflection
 
-DEFAULT_MAX_GROUP_ORDER = 1_000_000
+# The most elements that ``generate`` lists, or a walk over W is asked to visit, unless told otherwise.
+MAX_ELEMENTS = 1_000_000
 
 # The Bruhat table holds about |W|^2 / 8 bytes.  This bound admits A6 (5,040
 # elements, 3.2 MB) and B5 (3,840), and refuses D6 (23,040, 66 MB), E6 and
@@ -83,19 +84,37 @@ def canonical_word(d: RootDatum, key: Weight) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def word_key(d: RootDatum, letters: Iterable[int]) -> Weight:
-    """w(rho) for the product w of simple reflections along a (not necessarily reduced) word.
+def act(d: RootDatum, letters: Iterable[int], lam: Weight) -> Weight:
+    """w(lam) for the product w of simple reflections along a (not necessarily reduced) word.
 
     The reflections act from the word's right end, as in ``element_by_word``,
     and a letter outside 1..rank is refused with the same message; so
-    ``canonical_word(d, word_key(d, letters))`` names w without generating W.
+    ``canonical_word(d, act(d, letters, d.rho))`` names w without generating W.
     """
-    key, rank = d.rho, d.rank
+    check_weight_rank(d, lam)
     for i in reversed(tuple(letters)):
-        if not 1 <= i <= rank:
-            raise ValueError(f"word letter {i} out of range 1..{rank}")
-        key = simple_reflection(d, i, key)
-    return key
+        if not 1 <= i <= d.rank:
+            raise ValueError(f"word letter {i} out of range 1..{d.rank}")
+        lam = simple_reflection(d, i, lam)
+    return tuple(lam)
+
+
+def walk(d: RootDatum, seed, advance):
+    """Yield (l(w), value) for w in W, depth first down the peeling tree on the keys w(rho).
+
+    The value at e is ``seed``.  The children of w are the s_i*w with <w(rho), alpha_i^vee> > 0
+    whose smallest left descent is i, so each canonical word is i followed by its parent's.  A
+    child's value is ``advance(i - 1, value)``, and a falsy one prunes the child's subtree.
+    """
+    stack = [(d.rho, 0, seed)]
+    while stack:
+        key, length, value = stack.pop()
+        yield length, value
+        for i, t in enumerate(key, 1):
+            if t > 0:
+                child = simple_reflection(d, i, key)
+                if _smallest_descent(child) == i and (image := advance(i - 1, value)):
+                    stack.append((child, length + 1, image))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,15 +163,6 @@ class WeylGroup:
             k = left_mult[k * rank + i - 1]
         return tuple(letters)
 
-    def act(self, k: int, lam: Weight) -> Weight:
-        """w_k(lam): the simple reflections of w_k's canonical word, last letter first."""
-        check_weight_rank(self.datum, lam)
-        simple_roots = self.datum.simple_roots
-        for i in reversed(self.word(k)):
-            t = lam[i - 1]
-            lam = tuple(x - t * a for x, a in zip(lam, simple_roots[i - 1]))
-        return tuple(lam)
-
     @cached_property
     def bruhat_rows(self) -> tuple[int, ...]:
         """``bruhat_rows[t]`` is a bitmask over the indices k with w_k <= w_t.
@@ -184,7 +194,7 @@ def check_element(g: WeylGroup, k: int) -> None:
         raise ValueError(f"element index {k} is out of range 0..{g.order - 1}")
 
 
-def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGroup:
+def generate(d: RootDatum, max_order: int = MAX_ELEMENTS) -> WeylGroup:
     """Generate the full Weyl group of a root datum as the orbit of rho.
 
     Letters ascending and, for each, the elements of one length in index
@@ -202,7 +212,7 @@ def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGrou
     if order > max_order:
         raise ValueError(
             f"Weyl group of {d.family}{d.rank} has {order} elements, which exceeds the bound "
-            f"{max_order}; raise max_order (--max-group-order on the command line)"
+            f"{max_order}; raise max_order"
         )
     rank = d.rank
     packing = packing_for(d, [d.rho])
@@ -234,21 +244,20 @@ def generate(d: RootDatum, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> WeylGrou
     return WeylGroup(datum=d, left_mult=left_mult, length=bytes(length), first=bytes(first))
 
 
-def peel(g: WeylGroup, seed, advance, within: int | None = None):
-    """Yield (tau, value) in index order for each index in the bitmask ``within`` (all of W if None).
+def peel(g: WeylGroup, seed, advance):
+    """Yield (tau, value) for every index tau of W, in index order.
 
     With i the 0-based first letter of tau's canonical word and sigma = s_i*tau,
     one letter shorter, [e, tau] = [e, sigma] u s_i[e, sigma] (lifting property,
     Bjorner-Brenti, GTM 231, Prop. 2.2.7).  The value at e is ``seed`` and any
     other is ``advance(tau, i, sigma, below)``, where ``below`` maps every
-    index of length l(tau) - 1 in ``within`` to its value, so sigma's value is
-    ``below[sigma]``.  ``within`` must be closed under this peeling, as a
-    union of lower intervals is.  Index order is length order; a value is
-    kept only while the walk is at its length or the next.
+    index of length l(tau) - 1 to its value, so sigma's value is
+    ``below[sigma]``.  Index order is length order; a value is kept only
+    while the walk is at its length or the next.
     """
     lengths, first, left_mult, rank = g.length, g.first, g.left_mult, g.datum.rank
     shorter, current, length = {}, {}, 0
-    for tau in range(g.order) if within is None else bit_indices(within):
+    for tau in range(g.order):
         if lengths[tau] > length:
             shorter, current, length = current, {}, lengths[tau]
         if length:
@@ -317,7 +326,7 @@ def bruhat_leq(d: RootDatum, w: Iterable[int], tau: Iterable[int]) -> bool:
     min(w, s*w) <= s*tau.  The walk takes l(tau) steps and ends at tau = e;
     no group is generated and no table is read.
     """
-    x, y = word_key(d, w), word_key(d, tau)
+    x, y = act(d, w, d.rho), act(d, tau, d.rho)
     while i := _smallest_descent(y):
         if x[i - 1] < 0:
             x = simple_reflection(d, i, x)

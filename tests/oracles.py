@@ -11,8 +11,10 @@ generator that the compact tables replaced), the theorem references
 evaluate one operator string per interval element, the decomposition
 references subtract one full section character per peeled weight or fold
 weight tuples by ``simple_reflection``, the operator reference steps weights
-as tuples instead of packed ints, and the full section character is rebuilt
-by Freudenthal's multiplicity formula with no Demazure operator at all.
+as tuples instead of packed ints, the kernel basis element is one string of
+1 - D_i along w0's word (Norton's 0-Hecke identity) with no walk over W, and
+the full section character is rebuilt by Freudenthal's multiplicity formula
+with no Demazure operator at all.
 
 The helpers that the library does not need live here too: the dominance
 order and height on the integer adjugate det(C) * C^-1, extreme weights in
@@ -38,8 +40,8 @@ from demchar import build_datum, generate
 from demchar.charring import CharElement
 from demchar.demazure import check_char_rank, demazure_char, top_cohomology_char
 from demchar.kernel import in_kernel
-from demchar.rootsys import RootDatum, Weight, simple_reflection, weight_add, weight_sub
-from demchar.weyl import WeylGroup, check_element, classified_order, lower_interval
+from demchar.rootsys import RootDatum, Weight, simple_reflection, weight_add, weight_neg, weight_sub
+from demchar.weyl import WeylGroup, canonical_word, check_element, classified_order, lower_interval
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
@@ -621,3 +623,18 @@ def tuple_word(d: RootDatum, word, v: CharElement) -> CharElement:
     for i in reversed(tuple(word)):
         terms = tuple_step_terms(d.simple_roots[i - 1], i - 1, terms)
     return CharElement(v.rank, terms)
+
+
+def norton_kernel_element(d: RootDatum, lam: Weight) -> CharElement:
+    """Reference for ``kernel_basis_element``: sum_w (-1)^l(w) D_w(e^-lam) without a walk over W.
+
+    With pi_w = D_w = sum_{v <= w} pibar_v and pibar_i = D_i - 1 (Norton,
+    J. Austral. Math. Soc. A 27, 1979), sum_w (-1)^l(w) pi_w is
+    sum_v pibar_v sum_{w >= v} (-1)^l(w), and the inner sum vanishes unless
+    v = w0, where it is (-1)^N.  So the sum is (-1)^N pibar_w0, the product of
+    the 1 - D_i along any reduced word of w0: N steps of ``tuple_word``.
+    """
+    v = CharElement.monomial(weight_neg(lam))
+    for i in reversed(canonical_word(d, weight_neg(d.rho))):
+        v = v - tuple_word(d, (i,), v)
+    return v

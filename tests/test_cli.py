@@ -144,7 +144,7 @@ def test_malformed_weight_is_usage_error():
 
 def test_decompose_command_round_trip():
     g = oracles.group("A", 1)
-    v = kernel_basis_element(g, (3,))
+    v = kernel_basis_element(g.datum, (3,))
     r = run_cli(
         "decompose",
         "--type",
@@ -271,24 +271,16 @@ def test_parsed_namespace_round_trip():
             "--format",
             "json",
             "--parallel",
-            "--max-group-order",
-            "5000",
         ]
     )
     assert (args.command, args.family, args.rank, args.grid) == ("verify-theorem", "B", 3, 2)
-    assert (args.fmt, args.parallel, args.max_group_order) == ("json", True, 5000)
+    assert (args.fmt, args.parallel) == ("json", True)
     assert not hasattr(args, "weight")
     args2 = build_parser().parse_args(["demchar", "--type", "A", "--rank", "2", "--mu", "1,2"])
     assert (args2.element, args2.weight) == ("w0", (1, 2))
     # the three character commands share the dests element and weight
     args3 = build_parser().parse_args(["topchar", "--type", "A", "--rank", "2", "--w", "1", "--lambda", "3,4"])
     assert (args3.element, args3.weight) == ("1", (3, 4))
-
-
-def test_max_group_order_flag():
-    r = run_cli("verify-kernel", "--type", "A", "--rank", "3", "--grid", "1", "--max-group-order", "10")
-    assert r.returncode == 2
-    assert "exceeds the bound" in r.stderr
 
 
 # the commands that generate no group, with their required options
@@ -299,6 +291,7 @@ WITHOUT_A_GROUP = {
     "topchar": ["--lambda", "1,1"],
     "euler": ["--mu", "1,1"],
     "bruhat": ["--w", "1", "--tau", "w0"],
+    "verify-kernel": [],
 }
 
 
@@ -306,6 +299,14 @@ WITHOUT_A_GROUP = {
 def test_commands_without_a_group_reject_max_group_order(command):
     argv = [command, "--type", "A", "--rank", "2", *WITHOUT_A_GROUP[command], "--max-group-order", "10"]
     code, err = run_in_process(argv)
+    assert code == 2
+    assert "unrecognized arguments: --max-group-order" in err
+
+
+@pytest.mark.parametrize("command", ["weyl", "verify-theorem", "verify-lemma31"])
+def test_commands_with_a_group_reject_max_group_order(command):
+    # their group is bounded by its Bruhat table, which is refused far below any order worth raising
+    code, err = run_in_process([command, "--type", "A", "--rank", "2", "--max-group-order", "10"])
     assert code == 2
     assert "unrecognized arguments: --max-group-order" in err
 
@@ -485,17 +486,39 @@ def test_deeply_nested_json_is_usage_error():
     assert "nested too deeply" in r.stderr
 
 
-def test_too_large_group_is_refused_up_front():
-    r = run_cli("verify-kernel", "--type", "E", "--rank", "7", "--grid", "1", timeout=60)
-    assert_usage_error(r)
-    assert "--max-group-order" in r.stderr
+def test_too_large_group_is_refused_up_front(monkeypatch):
+    # grid 2 holds lam = 2 rho, whose walk would visit all of W; it is refused before any walk runs
+    from demchar import kernel
+
+    def refuse(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(kernel, "walk", refuse)
+    for rank, order in [(7, 2903040), (8, 696729600)]:
+        code, err = run_in_process(["verify-kernel", "--type", "E", "--rank", str(rank), "--grid", "2"])
+        assert code == 2
+        assert err == (
+            f"error: the kernel basis element of {[2] * rank} on E{rank} sums over {order} elements, "
+            "above the bound MAX_ELEMENTS = 1000000\n"
+        )
 
 
-def test_commands_that_generate_the_group_refuse_e7_by_default():
-    # weyl and the two theorem sweeps are refused earlier, for their Bruhat table
-    code, err = run_in_process(["verify-kernel", "--type", "E", "--rank", "7", "--grid", "1"])
-    assert code == 2
-    assert "has 2903040 elements, which exceeds the bound 1000000" in err and err.count("\n") == 1
+def test_verify_kernel_passes_on_e7_and_e8_at_grid_1_without_the_group(monkeypatch, capsys):
+    from demchar import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the group was generated")
+
+    monkeypatch.setattr(cli, "generate", refuse)
+    for rank in (7, 8):
+        assert main(["verify-kernel", "--type", "E", "--rank", str(rank), "--grid", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "PASS" and err == ""
+        if rank == 7:
+            # what E7 printed when it generated the group
+            assert hashlib.sha256(out.encode()).hexdigest() == (
+                "4522b0a41a9a938ee35c7b2ea916a019091f9feb89099a33f28b790832b55694"
+            )
 
 
 OMEGA_7 = (0, 0, 0, 0, 0, 0, 1)
@@ -525,11 +548,12 @@ def test_info_and_decompose_generate_no_group(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the group was generated")
 
-    basis = json.dumps(kernel_basis_element(oracles.group("A", 2), (2, 1)).to_json_dict())
+    basis = json.dumps(kernel_basis_element(build_datum("A", 2), (2, 1)).to_json_dict())
     monkeypatch.setattr(cli, "generate", refuse)
     assert run_in_process(["info", "--type", "A", "--rank", "2"]) == (0, "")
     assert run_in_process(["info", "--type", "A", "--rank", "2", "--format", "json"]) == (0, "")
     assert run_in_process(["decompose", "--type", "A", "--rank", "2"], basis) == (0, "")
+    assert run_in_process(["verify-kernel", "--type", "A", "--rank", "2", "--format", "json"]) == (0, "")
     # the element commands resolve their words on the root datum, on E8 as on A2
     for family, rank, omega in [("A", 2, "0,1"), ("E", 8, "0,0,0,0,0,0,0,1")]:
         ones = ",".join(["1"] * rank)
@@ -708,7 +732,7 @@ def test_cli_fuzz_decompose_json(family_rank, body):
 
 @pytest.mark.parametrize("family,rank", FUZZ_TYPES)
 def test_cli_decompose_in_process_accepts_kernel_members(family, rank):
-    v = kernel_basis_element(oracles.group(family, int(rank)), (2,) * int(rank))
+    v = kernel_basis_element(build_datum(family, int(rank)), (2,) * int(rank))
     assert run_in_process(["decompose", "--type", family, "--rank", rank], json.dumps(v.to_json_dict())) == (0, "")
 
 
@@ -726,7 +750,7 @@ def test_only_bruhat_commands_build_the_table(monkeypatch, tmp_path):
         return real(g)
 
     basis = tmp_path / "basis.json"
-    basis.write_text(json.dumps(kernel_basis_element(oracles.group("A", 3), (1, 2, 1)).to_json_dict()))
+    basis.write_text(json.dumps(kernel_basis_element(build_datum("A", 3), (1, 2, 1)).to_json_dict()))
     monkeypatch.setattr(weyl, "_bruhat_table", refuse)
     common = ["--type", "A", "--rank", "3"]
     for command, *rest in (
@@ -767,7 +791,7 @@ def test_verify_kernel_reports_a_basis_element_outside_n_as_mismatch(monkeypatch
     from demchar import cli
 
     real = cli.kernel_basis_element
-    monkeypatch.setattr(cli, "kernel_basis_element", lambda g, lam: real(g, lam) + CharElement.monomial((1, 0)))
+    monkeypatch.setattr(cli, "kernel_basis_element", lambda d, lam: real(d, lam) + CharElement.monomial((1, 0)))
     assert main(["verify-kernel", "--type", "A", "--rank", "2", "--grid", "1"]) == 1
     out, err = capsys.readouterr()
     assert "member=False" in out and "roundtrip=False" in out
@@ -791,7 +815,7 @@ def test_parallel_sweep_hands_workers_the_built_table(inline_pool, capsys):
 
 
 def test_decompose_fold_past_its_bound_exits_three(freeze_reflections):
-    v = kernel_basis_element(oracles.group("A", 2), (2, 3))
+    v = kernel_basis_element(build_datum("A", 2), (2, 3))
     freeze_reflections()
     code, err = run_in_process(["decompose", "--type", "A", "--rank", "2"], json.dumps(v.to_json_dict()))
     assert code == 3
@@ -801,7 +825,7 @@ def test_decompose_fold_past_its_bound_exits_three(freeze_reflections):
 def test_decompose_invariant_element_outside_the_kernel_exits_three(monkeypatch):
     from demchar import kernel
 
-    v = kernel_basis_element(oracles.group("A", 2), (2, 1))
+    v = kernel_basis_element(build_datum("A", 2), (2, 1))
     monkeypatch.setattr(kernel, "in_kernel", lambda d, v: False)
     code, err = run_in_process(["decompose", "--type", "A", "--rank", "2"], json.dumps(v.to_json_dict()))
     assert code == 3
@@ -887,7 +911,7 @@ def assert_stdlib_bytes(out: str) -> None:
 
 
 ZERO_CHAR = json.dumps({"rank": 1, "terms": []})
-A2_BASIS = json.dumps(kernel_basis_element(oracles.group("A", 2), (2, 1)).to_json_dict())
+A2_BASIS = json.dumps(kernel_basis_element(build_datum("A", 2), (2, 1)).to_json_dict())
 
 
 @pytest.mark.parametrize(

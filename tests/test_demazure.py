@@ -13,7 +13,7 @@ from demchar.demazure import (
     top_cohomology_char,
 )
 from demchar.rootsys import build_datum, packing_for, simple_reflection, weight_neg, weight_sub
-from demchar.weyl import element_by_word, peel
+from demchar.weyl import act, element_by_word, peel
 
 import oracles
 from oracles import alternative_reduced_words, extreme_weight, w_apply
@@ -229,7 +229,7 @@ def test_nonvanishing_and_highest_weight_at_two_rho(family, rank):
     for w in range(g.order):
         v = top_cohomology_char(g.datum, g.word(w), lam)
         assert not v.is_zero()
-        expected = weight_sub(g.act(w, weight_sub(d.rho, lam)), d.rho)
+        expected = weight_sub(act(g.datum, g.word(w), weight_sub(d.rho, lam)), d.rho)
         assert extreme_weight(d, v, "highest") == expected
         assert v.coeff(expected) == 1
 

@@ -19,8 +19,8 @@ from demchar.kernel import (
     kernel_basis_element,
     verify_characterization,
 )
-from demchar.rootsys import Packing, build_datum, weight_neg, weight_sub
-from demchar.weyl import classified_order
+from demchar.rootsys import Packing, build_datum, orbit_size, weight_neg, weight_sub
+from demchar.weyl import act, canonical_word, classified_order
 
 import oracles
 from oracles import dominance_leq, w_apply
@@ -31,7 +31,7 @@ monomial, zero = CharElement.monomial, CharElement.zero
 def dual_label(g, lam):
     """Index of the basis element recovered from kernel_basis_element(lam):
     -w0(lam - rho), which is lam - rho itself whenever -w0 is the identity."""
-    return weight_neg(g.act(g.longest, weight_sub(lam, g.datum.rho)))
+    return weight_neg(act(g.datum, g.word(g.longest), weight_sub(lam, g.datum.rho)))
 
 
 # every type whose group has at most 1152 elements (F4 the largest)
@@ -70,17 +70,15 @@ def test_is_demazure_invariant_examples():
 
 
 def test_kernel_basis_element_frozen():
-    g1 = oracles.group("A", 1)
-    assert kernel_basis_element(g1, (2,)) == monomial((-2,)) + monomial((0,))
-    assert kernel_basis_element(g1, (1,)) == monomial((-1,))
-    g2 = oracles.group("A", 2)
-    assert kernel_basis_element(g2, (1, 1)) == monomial((-1, -1))
+    a1 = build_datum("A", 1)
+    assert kernel_basis_element(a1, (2,)) == monomial((-2,)) + monomial((0,))
+    assert kernel_basis_element(a1, (1,)) == monomial((-1,))
+    assert kernel_basis_element(build_datum("A", 2), (1, 1)) == monomial((-1, -1))
 
 
 def test_kernel_basis_element_rejects_non_regular():
-    g = oracles.group("A", 2)
-    with pytest.raises(ValueError):
-        kernel_basis_element(g, (1, 0))
+    with pytest.raises(ValueError, match="not regular dominant"):
+        kernel_basis_element(build_datum("A", 2), (1, 0))
 
 
 def test_characterization_examples():
@@ -119,7 +117,7 @@ def test_decompose_rejects_non_members():
 def test_decompose_round_trips_basis_elements(family, rank):
     g = oracles.group(family, rank)
     for lam in itertools.product((1, 2, 3), repeat=rank):
-        v = kernel_basis_element(g, lam)
+        v = kernel_basis_element(g.datum, lam)
         assert in_kernel(g.datum, v)
         assert decompose(g.datum, v) == {dual_label(g, lam): 1}
 
@@ -128,7 +126,7 @@ def test_decompose_round_trips_basis_elements(family, rank):
 def test_decompose_round_trips_integer_combinations(family, rank):
     g = oracles.group(family, rank)
     grid = list(itertools.product((1, 2, 3), repeat=rank))
-    basis = {lam: kernel_basis_element(g, lam) for lam in grid}
+    basis = {lam: kernel_basis_element(g.datum, lam) for lam in grid}
     rng = random.Random(53)
     for _ in range(25):
         chosen = rng.sample(grid, rng.randint(1, min(3, len(grid))))
@@ -142,7 +140,7 @@ def test_decompose_round_trips_integer_combinations(family, rank):
 
 def test_decompose_round_count_bounded_by_support():
     g = oracles.group("A", 2)
-    v = kernel_basis_element(g, (2, 2)) - 2 * kernel_basis_element(g, (1, 1))
+    v = kernel_basis_element(g.datum, (2, 2)) - 2 * kernel_basis_element(g.datum, (1, 1))
     twisted_support = len((monomial(g.datum.rho) * v).terms)
     coeffs, rounds = oracles.peel_decompose(g, v, with_stats=True)
     assert rounds <= twisted_support
@@ -154,7 +152,7 @@ def test_decompose_round_count_bounded_by_support():
 
 def test_decompose_is_deterministic():
     g = oracles.group("B", 2)
-    v = kernel_basis_element(g, (2, 1)) + kernel_basis_element(g, (1, 2))
+    v = kernel_basis_element(g.datum, (2, 1)) + kernel_basis_element(g.datum, (1, 2))
     assert decompose(g.datum, v) == decompose(g.datum, v)
 
 
@@ -167,7 +165,7 @@ def test_dual_label_is_identity_when_minus_w0_is():
 
 def test_decomposition_json_schema():
     g = oracles.group("A", 2)
-    v = kernel_basis_element(g, (2, 1))
+    v = kernel_basis_element(g.datum, (2, 1))
     payload = decomposition_to_json(g.datum, decompose(g.datum, v))
     jsonschema.validate(payload, DECOMPOSITION_SCHEMA)
     (entry,) = payload["coefficients"]
@@ -189,7 +187,7 @@ def test_character_rank_must_match_rank(fn):
 @pytest.mark.parametrize("lam", [(1,), (1, 1, 5)])
 def test_kernel_basis_element_weight_length_must_match_rank(lam):
     with pytest.raises(ValueError, match="coordinates"):
-        kernel_basis_element(oracles.group("A", 2), lam)
+        kernel_basis_element(build_datum("A", 2), lam)
 
 
 @pytest.mark.parametrize("family,rank,lam", [("A", 2, (2, 1)), ("B", 2, (1, 2)), ("G", 2, (2, 2)), ("B", 3, (1, 2, 1))])
@@ -198,12 +196,106 @@ def test_kernel_basis_element_is_the_sum_of_top_characters(family, rank, lam):
     total = zero(rank)
     for w in range(g.order):
         total = total + top_cohomology_char(g.datum, g.word(w), lam)
-    assert kernel_basis_element(g, lam) == total
+    assert kernel_basis_element(g.datum, lam) == total
+
+
+def rho_plus(rank, *omegas):
+    """rho plus the fundamental weights omega_i, i in omegas (1-based, each at most once)."""
+    return tuple(2 if j in omegas else 1 for j in range(1, rank + 1))
+
+
+@pytest.mark.parametrize("family,rank", [t for t in oracles.ALL_TYPES if classified_order(build_datum(*t)) <= 384])
+def test_kernel_basis_element_matches_nortons_product_at_grid_2(family, rank):
+    d = build_datum(family, rank)
+    for lam in itertools.product((1, 2), repeat=rank):
+        assert kernel_basis_element(d, lam) == oracles.norton_kernel_element(d, lam), lam
+
+
+@pytest.mark.parametrize(
+    "family,rank,omegas", [("F", 4, (1, 4)), ("E", 6, (4,)), ("E", 7, (7,)), ("E", 8, (8,)), ("E", 8, (1,))]
+)
+def test_kernel_basis_element_matches_nortons_product_on_exceptional_types(family, rank, omegas):
+    d = build_datum(family, rank)
+    lam = rho_plus(rank, *omegas)
+    assert kernel_basis_element(d, lam) == oracles.norton_kernel_element(d, lam)
+
+
+@pytest.mark.parametrize("family,rank,lam", [("A", 3, (1, 2, 1)), ("B", 3, (2, 1, 2)), ("G", 2, (2, 2))])
+def test_a_walk_that_drops_one_nonempty_image_fails_nortons_product(monkeypatch, family, rank, lam):
+    from demchar import kernel
+
+    d = build_datum(family, rank)
+    real = kernel.walk
+    images = 0
+
+    def dropping(d, seed, advance):
+        def drop_the_third(i, value):
+            nonlocal images
+            image = advance(i, value)
+            images += bool(image)
+            return {} if image and images == 3 else image
+
+        return real(d, seed, drop_the_third)
+
+    monkeypatch.setattr(kernel, "walk", dropping)
+    assert kernel_basis_element(d, lam) != oracles.norton_kernel_element(d, lam)
+    assert images >= 3
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 4), ("D", 4), ("G", 2), ("F", 4), ("D", 5)])
+def test_the_walk_visits_one_element_per_weight_of_the_orbit_of_lam_minus_rho(monkeypatch, family, rank):
+    from demchar import kernel
+
+    d = build_datum(family, rank)
+    real = kernel.walk
+    visits = []
+
+    def counted(d, seed, advance):
+        for item in real(d, seed, advance):
+            visits.append(item)
+            yield item
+
+    monkeypatch.setattr(kernel, "walk", counted)
+    for lam in itertools.product((1, 2), repeat=rank):
+        visits.clear()
+        kernel_basis_element(d, lam)
+        assert len(visits) == orbit_size(d, weight_sub(lam, d.rho)), lam
+        assert all(value for _, value in visits)
+
+
+def test_kernel_basis_element_refuses_a_walk_above_the_bound_before_walking(monkeypatch):
+    from demchar import kernel
+
+    def refuse(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(kernel, "walk", refuse)
+    with pytest.raises(ValueError, match=r"E7 sums over 2903040 elements, above the bound MAX_ELEMENTS = 1000000$"):
+        kernel_basis_element(build_datum("E", 7), (2,) * 7)
+    with pytest.raises(ValueError, match="E8 sums over 696729600 elements"):
+        kernel_basis_element(build_datum("E", 8), (2,) * 8)
+    monkeypatch.setattr(kernel, "MAX_ELEMENTS", 23)
+    with pytest.raises(ValueError, match="A3 sums over 24 elements, above the bound MAX_ELEMENTS = 23"):
+        kernel_basis_element(build_datum("A", 3), (2, 2, 2))
+
+
+@pytest.mark.parametrize("omega,terms", [(8, 241), (1, 2401)])
+def test_e8_kernel_basis_elements_are_members_and_decompose_to_their_weight(omega, terms):
+    d = build_datum("E", 8)
+    lam = rho_plus(8, omega)
+    v = kernel_basis_element(d, lam)
+    assert len(v.terms) == terms
+    assert in_kernel(d, v)
+    mu = weight_sub(lam, d.rho)
+    dual = weight_neg(act(d, canonical_word(d, weight_neg(d.rho)), mu))
+    assert dual == mu  # w0 = -1 on E8
+    assert decompose(d, v) == {dual: 1}
 
 
 def test_decompose_takes_incomparable_weights_in_one_round():
     g = oracles.group("A", 2)
-    v = kernel_basis_element(g, (4, 1)) + kernel_basis_element(g, (1, 4)) - 2 * kernel_basis_element(g, (2, 2))
+    basis = lambda lam: kernel_basis_element(g.datum, lam)
+    v = basis((4, 1)) + basis((1, 4)) - 2 * basis((2, 2))
     coeffs, rounds = oracles.peel_decompose(g, v, with_stats=True)
     assert coeffs == {(0, 3): 1, (3, 0): 1, (1, 1): -2}
     assert not dominance_leq(g.datum, (0, 3), (3, 0)) and not dominance_leq(g.datum, (3, 0), (0, 3))
@@ -218,7 +310,7 @@ def test_decompose_takes_incomparable_weights_in_one_round():
 def test_decomposition_reconstructs_the_twisted_element(family, rank):
     g = oracles.group(family, rank)
     grid = list(itertools.product((1, 2), repeat=rank))
-    basis = {lam: kernel_basis_element(g, lam) for lam in grid}
+    basis = {lam: kernel_basis_element(g.datum, lam) for lam in grid}
     rng = random.Random(59)
     for _ in range(6):
         v = zero(rank)
@@ -245,7 +337,7 @@ def test_decompose_f4():
 def test_fold_matches_peel_on_seeded_combinations(family, rank, n):
     g = oracles.group(family, rank)
     grid = list(itertools.product((1, 2, 3) if rank <= 2 else (1, 2), repeat=rank))
-    basis = {lam: kernel_basis_element(g, lam) for lam in grid}
+    basis = {lam: kernel_basis_element(g.datum, lam) for lam in grid}
     rng = random.Random(61)
     for _ in range(n):
         v = zero(rank)
@@ -290,7 +382,7 @@ def test_fold_matches_peel_on_symmetrized_characters(fr, terms):
 
 def test_fold_past_its_bound_is_an_internal_error(freeze_reflections):
     g = oracles.group("A", 2)
-    v = kernel_basis_element(g, (2, 3))
+    v = kernel_basis_element(g.datum, (2, 3))
     freeze_reflections()
     with pytest.raises(RuntimeError, match="more than 3 reflections"):
         decompose(g.datum, v)
@@ -312,7 +404,7 @@ def test_invariant_element_outside_the_kernel_is_an_internal_error(monkeypatch):
     from demchar import kernel
 
     g = oracles.group("A", 2)
-    v = kernel_basis_element(g, (2, 1))
+    v = kernel_basis_element(g.datum, (2, 1))
     monkeypatch.setattr(kernel, "in_kernel", lambda d, v: False)
     with pytest.raises(RuntimeError, match="kernel membership and invariance disagree"):
         decompose(g.datum, v)
@@ -322,7 +414,7 @@ def test_invariant_element_outside_the_kernel_is_an_internal_error(monkeypatch):
 def test_packed_decompose_matches_the_tuple_reference_on_every_basis_element(family, rank):
     g = oracles.group(family, rank)
     for lam in itertools.product((1, 2), repeat=rank):
-        coefficients, _ = assert_matches_the_tuple_reference(g.datum, kernel_basis_element(g, lam))
+        coefficients, _ = assert_matches_the_tuple_reference(g.datum, kernel_basis_element(g.datum, lam))
         assert coefficients == [(dual_label(g, lam), 1)]
 
 
@@ -330,7 +422,7 @@ def test_packed_decompose_matches_the_tuple_reference_on_every_basis_element(fam
 def test_packed_decompose_matches_the_tuple_reference_on_non_members(family, rank):
     g = oracles.group(family, rank)
     rng = random.Random(71)
-    basis = kernel_basis_element(g, (2,) * rank)
+    basis = kernel_basis_element(g.datum, (2,) * rank)
     candidates = [oracles.random_char(rng, rank) for _ in range(20)]
     candidates += [basis + monomial(oracles.random_weight(rng, rank)) for _ in range(5)]
     candidates += [CharElement(rank + 1, {(1,) * (rank + 1): 1})]
@@ -349,7 +441,7 @@ def test_packed_decompose_matches_the_tuple_reference_at_a_twelve_digit_coordina
     g = oracles.group(family, rank)
     orbit = zero(rank)
     for w in range(g.order):
-        orbit = orbit + monomial(g.act(w, lam))
+        orbit = orbit + monomial(act(g.datum, g.word(w), lam))
     v = orbit.shift(weight_neg(g.datum.rho))
     with pytest.raises(GuardBoundError):
         decompose(g.datum, v)
@@ -401,7 +493,7 @@ def test_guard_bound_sums_the_strings_of_the_guard(monkeypatch):
     monkeypatch.setattr(Packing, "step", step)
     for family, rank, lam in [("A", 2, (2, 3)), ("B", 3, (1, 2, 1)), ("G", 2, (3, 1))]:
         g = oracles.group(family, rank)
-        v = kernel_basis_element(g, lam)
+        v = kernel_basis_element(g.datum, lam)
         counted.clear()
         assert in_kernel(g.datum, v)
         u = v.shift(g.datum.rho)

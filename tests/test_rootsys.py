@@ -9,6 +9,7 @@ from demchar.rootsys import (
     build_datum,
     check_regular_dominant,
     is_dominant,
+    orbit_size,
     packing_for,
     pairing,
     simple_reflection,
@@ -16,6 +17,7 @@ from demchar.rootsys import (
     weight_sub,
     weyl_dimension,
 )
+from demchar.weyl import act, classified_order
 
 import oracles
 from oracles import dominance_leq, height
@@ -142,7 +144,7 @@ def test_dominance_flags():
     [
         lambda g, lam: simple_reflection(g.datum, 1, lam),
         lambda g, lam: is_dominant(g.datum, lam),
-        lambda g, lam: g.act(g.longest, lam),
+        lambda g, lam: act(g.datum, g.word(g.longest), lam),
     ],
     ids=["simple_reflection", "is_dominant", "act"],
 )
@@ -228,6 +230,33 @@ def test_integer_weyl_dimension_matches_the_fraction_reference(family, rank):
     assert weyl_dimension(d, (0,) * rank) == 1
     # dim V(rho) = 2^|Phi+|
     assert weyl_dimension(d, d.rho) == 2 ** len(d.positive_roots)
+
+
+@pytest.mark.parametrize("family,rank", [t for t in oracles.ALL_TYPES if classified_order(build_datum(*t)) <= 1920])
+def test_orbit_size_counts_the_orbit(family, rank):
+    # the orbit of 0, rho, each omega_i and a few random dominant weights, counted element by element
+    g = oracles.group(family, rank)
+    d = g.datum
+    rng = random.Random(f"orbit-{family}{rank}")
+    weights = [(0,) * rank, d.rho, *(tuple(int(j == i) for j in range(rank)) for i in range(rank))]
+    weights += [tuple(rng.choice((0, 0, 1, 3)) for _ in range(rank)) for _ in range(3)]
+    for nu in weights:
+        assert orbit_size(d, nu) == len({oracles.act(g, k, nu) for k in range(g.order)}), nu
+
+
+@pytest.mark.parametrize("family,rank", oracles.ALL_TYPES)
+def test_orbit_size_of_rho_is_the_group_order(family, rank):
+    d = build_datum(family, rank)
+    assert orbit_size(d, d.rho) == classified_order(d) == oracles.classical_weyl_order(family, rank)
+    assert orbit_size(d, (0,) * rank) == 1
+
+
+def test_orbit_size_refuses_a_non_dominant_weight():
+    d = build_datum("B", 3)
+    with pytest.raises(ValueError, match=r"weight \[1, -1, 0\] is not dominant"):
+        orbit_size(d, (1, -1, 0))
+    with pytest.raises(ValueError, match="has 2 coordinates"):
+        orbit_size(d, (1, 1))
 
 
 @pytest.mark.parametrize("family,rank", [t for t in TEST_MATRIX if t != ("E", 6)])

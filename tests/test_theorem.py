@@ -6,7 +6,7 @@ import pytest
 
 from demchar.charring import CharElement
 from demchar.demazure import demazure_char, top_cohomology_char
-from demchar.rootsys import Packing, weight_neg, weight_sub
+from demchar.rootsys import weight_neg, weight_sub
 from demchar.theorem import (
     VERIFICATION_REPORT_SCHEMA,
     epsilon_char,
@@ -15,7 +15,7 @@ from demchar.theorem import (
     verify_lemma31,
     verify_theorem,
 )
-from demchar.weyl import element_by_word, lower_interval
+from demchar.weyl import act, element_by_word, lower_interval
 
 import oracles
 from oracles import extreme_weight, psi_character
@@ -172,7 +172,7 @@ def test_epsilon_nonnegative_with_expected_lowest_weight(family, rank):
             eps = epsilon_char(g.datum, g.word(w), lam)
             assert all(c > 0 for c in eps.terms.values())
             if not eps.is_zero():
-                low = g.act(w, weight_sub(lam, d.rho))
+                low = act(g.datum, g.word(w), weight_sub(lam, d.rho))
                 assert extreme_weight(d, eps, "lowest") == low
                 assert eps.coeff(low) == 1
 
@@ -185,7 +185,7 @@ def test_starred_top_lowest_weight():
         v = top_cohomology_char(g.datum, g.word(w), lam).star()
         if v.is_zero():
             continue
-        expected = tuple(a + b for a, b in zip(g.act(w, weight_sub(lam, d.rho)), d.rho))
+        expected = tuple(a + b for a, b in zip(act(g.datum, g.word(w), weight_sub(lam, d.rho)), d.rho))
         assert extreme_weight(d, v, "lowest") == expected
 
 
@@ -215,7 +215,7 @@ def test_psi_character_arithmetic_identity():
         chi = oracles.random_weight(rng, 2, -5, 5)
         w = rng.randrange(g.order)
         lhs = weight_sub(psi_character(g, w, chi), rho)
-        rhs = weight_sub(g.act(w, rho), g.act(w, chi))
+        rhs = weight_sub(act(g.datum, g.word(w), rho), act(g.datum, g.word(w), chi))
         assert lhs == rhs
 
 
@@ -255,28 +255,6 @@ def test_both_identities_match_reference(family, rank, request):
             assert t.sides == (lhs, section.shift(rho))
             assert l.sides == (minus_rho * lhs, section)
             assert t.interval_size == l.interval_size == len(oracles.subword_lower_set(g, tau))
-
-
-def test_single_tau_tables_cover_only_its_interval(monkeypatch):
-    g = oracles.group("B", 3)
-    tau = element_by_word(g, (1, 2))
-    real = Packing.step
-    steps = []
-
-    def counting(self, pos, terms):
-        steps.append(pos)
-        return real(self, pos, terms)
-
-    monkeypatch.setattr(Packing, "step", counting)
-    per_table = len(lower_interval(g, tau)) - 1
-    assert verify_theorem(g, tau, (1, 2, 1)).passed
-    assert len(steps) == 2 * per_table
-    assert verify_lemma31(g, tau, (1, 2, 1)).passed
-    assert len(steps) == 4 * per_table
-    del steps[:]
-    for lam in [(1, 1, 1), (2, 1, 3)]:
-        assert all(r.passed for r in sweep_verify_theorem(g, lam))
-    assert len(steps) == 2 * 2 * (g.order - 1)
 
 
 @pytest.mark.usefixtures("sections_of_lam")

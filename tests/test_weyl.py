@@ -19,8 +19,9 @@ from demchar.weyl import (
     generate,
     lower_covers,
     lower_interval,
+    act,
     peel,
-    word_key,
+    walk,
 )
 
 import oracles
@@ -140,7 +141,7 @@ def test_orbit_generation_matches_matrix_reference(family, rank):
     for k, m in enumerate(ref.matrices):
         lam = oracles.random_weight(rng, rank, -6, 6)
         image = tuple(sum(a * x for a, x in zip(row, lam)) for row in m)
-        assert g.act(k, lam) == oracles.act(g, k, lam) == image
+        assert act(g.datum, g.word(k), lam) == oracles.act(g, k, lam) == image
 
 
 @pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
@@ -191,9 +192,7 @@ def test_bruhat_rows_built_on_first_read_and_pickled():
         for name in ("left_mult", "length", "first", "identity", "longest"):
             assert getattr(other, name) == getattr(g, name)
         assert [other.word(k) for k in range(other.order)] == [g.word(k) for k in range(g.order)]
-        assert [other.act(k, other.datum.rho) for k in range(other.order)] == [
-            g.act(k, g.datum.rho) for k in range(g.order)
-        ]
+        assert other.datum == g.datum
     assert bare.bruhat_rows == rows
 
 
@@ -223,15 +222,26 @@ def test_canonical_word_from_the_image_of_rho_matches_the_group(family, rank):
 
 @pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
 def test_word_key_names_the_element_by_word(family, rank):
-    # random words, mostly not reduced, resolved on the datum alone and in the generated group
+    # random words, mostly not reduced, keyed by act(d, word, rho) on the datum alone and in the generated group
     g = oracles.group(family, rank)
     d = g.datum
     rng = random.Random(f"word-key-{family}{rank}")
     for _ in range(200):
         word = [rng.randint(1, rank) for _ in range(rng.randint(0, 2 * len(d.positive_roots)))]
         k = element_by_word(g, word)
-        assert word_key(d, word) == g.act(k, d.rho)
-        assert canonical_word(d, word_key(d, iter(word))) == g.word(k)
+        assert act(d, word, d.rho) == oracles.act(g, k, d.rho)
+        assert canonical_word(d, act(d, iter(word), d.rho)) == g.word(k)
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
+def test_walk_that_never_prunes_visits_each_element_once_by_its_canonical_word(family, rank):
+    # the value of each node is the word peeled down to it, so the walk's tree is peel's
+    g = oracles.group(family, rank)
+    visited = list(walk(g.datum, (), lambda i, word: (i + 1,) + word))
+    assert len(visited) == g.order
+    assert Counter(length for length, _ in visited) == Counter(g.length)
+    assert all(length == len(word) for length, word in visited)
+    assert sorted(word for _, word in visited) == sorted(g.word(k) for k in range(g.order))
 
 
 def test_canonical_word_of_minus_rho_is_the_longest_word_on_e6():
@@ -347,24 +357,6 @@ def test_peel_holds_at_most_two_lengths_of_values(family, rank):
     assert seen == list(range(g.order))
 
 
-@pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4)])
-def test_peel_within_a_union_of_lower_intervals(family, rank):
-    g = oracles.group(family, rank)
-    # the intervals by the table-free index walk, so the check does not read the walk's own output
-    intervals = [
-        frozenset(w for w in range(g.order) if oracles.bruhat_leq_index(g, w, tau)) for tau in range(g.order)
-    ]
-    lift = lambda tau, i, sigma, below: below[sigma] | {g.left_mult[w * rank + i] for w in below[sigma]}
-    rng = random.Random(15)
-    for _ in range(6):
-        taus = rng.sample(range(g.order), rng.randint(1, 3))
-        union = frozenset().union(*(intervals[t] for t in taus))
-        walk = list(peel(g, frozenset([g.identity]), lift, sum(1 << k for k in union)))
-        assert [tau for tau, _ in walk] == sorted(union)
-        for tau, below in walk:
-            assert below == intervals[tau]
-
-
 def test_alternative_reduced_words_examples():
     g2 = oracles.group("A", 2)
     assert sorted(alternative_reduced_words(g2, g2.longest)) == [(1, 2, 1), (2, 1, 2)]
@@ -375,11 +367,11 @@ def test_alternative_reduced_words_examples():
 
 
 def test_apply_examples():
-    g = oracles.group("A", 1)
-    s = g.longest
-    assert g.act(s, (3,)) == (-3,)
-    assert g.act(g.identity, (3,)) == (3,)
-    assert g.act(s, (0,)) == (0,)
+    d = build_datum("A", 1)
+    assert act(d, (1,), (3,)) == (-3,)
+    assert act(d, (), (3,)) == (3,)
+    assert act(d, (1,), (0,)) == (0,)
+    assert act(d, (1, 1), [3]) == (3,)
 
 
 def test_longest_sends_dominant_to_antidominant():
@@ -388,7 +380,7 @@ def test_longest_sends_dominant_to_antidominant():
         g = oracles.group(family, rank)
         for _ in range(20):
             lam = tuple(rng.randint(0, 5) for _ in range(rank))
-            assert all(c <= 0 for c in g.act(g.longest, lam))
+            assert all(c <= 0 for c in act(g.datum, g.word(g.longest), lam))
 
 
 def test_length_subadditive():
@@ -411,7 +403,7 @@ def test_simple_multiplication_changes_length_by_one():
 
 
 def test_max_order_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="A3 has 24 elements, which exceeds the bound 10; raise max_order$"):
         generate(build_datum("A", 3), max_order=10)
     assert generate(build_datum("A", 2), max_order=6).order == 6
 
@@ -423,7 +415,7 @@ def test_classified_order(family, rank):
 
 def test_too_large_group_is_refused_before_generation():
     # generating E7 element by element up to the default bound takes minutes
-    with pytest.raises(ValueError, match="2903040 elements.*--max-group-order"):
+    with pytest.raises(ValueError, match="2903040 elements, which exceeds the bound 1000000; raise max_order$"):
         generate(build_datum("E", 7))
 
 
@@ -434,7 +426,6 @@ def test_element_indices_out_of_range_are_refused():
     g = oracles.group("A", 2)
     calls = [
         lambda k: g.word(k),
-        lambda k: g.act(k, (1, 0)),
         lambda k: lower_interval(g, k),
         *(lambda k, fn=fn: fn(g, k, (1, 1)) for fn in (verify_theorem, verify_lemma31)),
     ]
@@ -452,7 +443,7 @@ def test_word_letters_out_of_range_are_refused():
     d = build_datum("A", 2)
     with_weight = (demazure_char, euler_char, top_cohomology_char, epsilon_char)
     calls = [
-        lambda word: word_key(d, word),
+        lambda word: act(d, word, d.rho),
         lambda word: bruhat_leq(d, word, (1, 2, 1)),
         lambda word: bruhat_leq(d, (), word),
         *(lambda word, fn=fn: fn(d, word, (1, 1)) for fn in with_weight),
