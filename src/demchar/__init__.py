@@ -3,7 +3,6 @@
 from .charring import CharElement
 from .demazure import (
     demazure_char,
-    demazure_step,
     demazure_word,
     euler_char,
     top_cohomology_char,
@@ -26,15 +25,13 @@ from .rootsys import (
 from .theorem import (
     VerificationReport,
     epsilon_char,
-    verify_lemma31,
-    verify_theorem,
+    sweep_verify_lemma31,
+    sweep_verify_theorem,
 )
 from .weyl import (
     WeylGroup,
     bruhat_leq,
-    element_by_word,
     generate,
-    lower_interval,
 )
 
 __version__ = "0.1.0"

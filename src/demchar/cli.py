@@ -33,10 +33,10 @@ refused before that; the others build the root datum alone and name an
 element by a word (``_resolve_element``).  A grid of more than
 ``MAX_GRID_WEIGHTS`` weights, or a ``verify-kernel`` grid whose largest walk
 exceeds ``weyl.MAX_ELEMENTS``, is refused before any sweep or walk runs.
-``demchar``, ``topchar`` and ``euler`` refuse a Demazure step that would
-expand more than ``MAX_GUARD_TERMS`` weight-string terms, and ``decompose``
-an element whose membership guard would; ``verify-kernel`` passes that
-refusal on (exit 2) instead of counting it as a failed round trip.
+Every command that takes a Demazure step refuses one that would expand
+more than ``rootsys.MAX_GUARD_TERMS`` weight-string terms (exit 2);
+``verify-kernel`` passes that refusal on instead of counting it as a
+failed round trip.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from typing import NamedTuple
 from .charring import CharElement, Fragment, json_text
 from .demazure import demazure_char, euler_char, top_cohomology_char
 from .kernel import (
-    GuardBoundError,
     decompose,
     decomposition_to_json,
     in_kernel,
@@ -61,7 +60,7 @@ from .kernel import (
     kernel_basis_element,
     verify_characterization,
 )
-from .rootsys import RootDatum, Weight, build_datum, weight_neg, weight_sub, weyl_dimension
+from .rootsys import GuardBoundError, RootDatum, Weight, build_datum, weight_neg, weight_sub, weyl_dimension
 from .theorem import sweep_verify_lemma31, sweep_verify_theorem
 from .weyl import (
     WeylGroup,

@@ -19,11 +19,9 @@ Tuples stay at every public boundary: CharElement and JSON.
 
 An element of W is named by a word, and the characters act along its
 canonical reduced word (``weyl.act`` on rho, ``weyl.canonical_word``),
-read from the root datum alone.  A step whose weight strings would hold more
-than ``MAX_GUARD_TERMS`` terms is refused before it expands anything.  Each
-string has at most ``bias`` terms, so while the terms times ``bias`` stay
-under the bound no string is measured; above it, the step sums |t| + 1
-over its terms first.
+read from the root datum alone.  Each step is bounded where it runs: above
+``rootsys.MAX_GUARD_TERMS`` weight-string terms ``Packing.step`` refuses it
+before it expands anything.
 """
 
 from __future__ import annotations
@@ -32,11 +30,6 @@ from .charring import CharElement
 from .rootsys import RootDatum, Weight, check_regular_dominant, check_weight_rank, is_dominant, packing_for, weight_neg
 from .weyl import act, canonical_word
 
-# A Demazure step, or ``kernel.decompose``'s membership guard, that would expand
-# more weight-string terms than this is refused; at the bound it takes a few
-# seconds and a few hundred MB.
-MAX_GUARD_TERMS = 10**7
-
 
 def check_char_rank(d: RootDatum, v: CharElement) -> None:
     """Raise ValueError unless v is a character of d's rank."""
@@ -44,30 +37,16 @@ def check_char_rank(d: RootDatum, v: CharElement) -> None:
         raise ValueError(f"character of rank {v.rank} given; {d.family}{d.rank} needs rank {d.rank}")
 
 
-def demazure_step(d: RootDatum, i: int, v: CharElement) -> CharElement:
-    """Apply the Demazure operator of the i-th simple root (1-based)."""
-    return demazure_word(d, (i,), v)
-
-
 def demazure_word(d: RootDatum, word, v: CharElement) -> CharElement:
-    """Compose Demazure steps along a word; the last letter acts first.  A step above ``MAX_GUARD_TERMS`` is refused."""
+    """Compose Demazure steps along a word; the last letter acts first.  A one-letter word is one step."""
     check_char_rank(d, v)
     letters = tuple(reversed(tuple(word)))
     for i in letters:
         if not 1 <= i <= d.rank:
             raise ValueError(f"word letter {i} out of range 1..{d.rank}")
     packing = packing_for(d, v.terms)
-    bits, mask, bias = packing.bits, packing.mask, packing.bias
     terms = packing.pack_terms(v.terms)
     for i in letters:
-        if len(terms) * bias > MAX_GUARD_TERMS:
-            shift = bits * (i - 1)
-            size = sum(abs(((k >> shift) & mask) - bias) + 1 for k in terms)
-            if size > MAX_GUARD_TERMS:
-                raise ValueError(
-                    f"the Demazure step of letter {i} would expand {size} weight-string terms, "
-                    f"above the bound MAX_GUARD_TERMS = {MAX_GUARD_TERMS}"
-                )
         terms = packing.step(i - 1, terms)
     return CharElement.adopt(v.rank, packing.unpack_terms(terms))
 

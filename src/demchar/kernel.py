@@ -4,11 +4,12 @@ pruned peeling walk of W, and the decomposition into the full-group
 section-character basis, read off by folding each weight into the dominant
 chamber (Weyl's character formula).
 
-Every layer works on packed weight keys (``rootsys.Packing``).  The
-decomposition packs e^rho * v once and uses those keys for its W-invariance
-lookup, for the size of its membership guard, which is refused above
-``MAX_GUARD_TERMS`` before anything is expanded, and for the fold; only the
-resulting weights are unpacked.
+Every layer works on packed weight keys (``rootsys.Packing``), and every
+Demazure step it takes, in the walk and in membership alike, is refused by
+``Packing.step`` above ``rootsys.MAX_GUARD_TERMS`` with ``GuardBoundError``.
+The decomposition packs e^rho * v once and uses those keys for its
+W-invariance lookup and for the fold; only the resulting weights are
+unpacked.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .charring import CharElement
-from .demazure import MAX_GUARD_TERMS, check_char_rank
+from .demazure import check_char_rank
 from .rootsys import RootDatum, Weight, check_regular_dominant, orbit_size, packing_for
 from .rootsys import weight_add, weight_neg, weight_sub
 from .weyl import MAX_ELEMENTS, walk
@@ -41,9 +42,6 @@ DECOMPOSITION_SCHEMA = {
     },
     "additionalProperties": False,
 }
-
-class GuardBoundError(ValueError):
-    """``decompose`` refused a W-invariant element whose guard would exceed ``MAX_GUARD_TERMS``."""
 
 
 def _packed_steps(d: RootDatum, v: CharElement):
@@ -104,11 +102,10 @@ def decompose(d: RootDatum, v: CharElement, with_stats: bool = False):
     nu in its support, and everything below works on those keys.  For each
     letter i in ascending order, u[s_i(nu)] is looked up as u[k - t * a_i],
     t = <nu, alpha_i^vee> read by one shift and mask; the first reflection
-    that moves u is named in a ValueError.  The same t predicts the work of
-    the ``in_kernel`` guard, which runs next: its weight strings hold
-    sum |t| terms over letters and support, and above ``MAX_GUARD_TERMS``
-    the call is refused with ``GuardBoundError`` (a ValueError) before any
-    string is expanded.
+    that moves u is named in a ValueError.  ``in_kernel`` runs next, as a
+    guard that the two agree; its steps are bounded like every step, so an
+    element too large for it is refused with ``GuardBoundError`` (a
+    ValueError).
 
     By Weyl's character formula A_rho * chi(mu) = A_{mu+rho} (Humphreys,
     GTM 9, section 24), the coefficient of chi(mu) is
@@ -128,9 +125,7 @@ def decompose(d: RootDatum, v: CharElement, with_stats: bool = False):
     bits, mask, bias, origin = packing.bits, packing.mask, packing.bias, packing.origin
     u = packing.pack_terms(v.terms, d.rho)
     get = u.get
-    # s_i permutes the weights, so u[s_i(nu)] == u[nu] for all nu is s_i(u) == u; and the
-    # guard's step i on e^(nu - rho), whose pairing is t - 1, expands a string of |t| weights
-    guard_terms = 0
+    # s_i permutes the weights, so u[s_i(nu)] == u[nu] for all nu is s_i(u) == u
     for pos, a in enumerate(packing.roots):
         shift = bits * pos
         for k, c in u.items():
@@ -139,12 +134,6 @@ def decompose(d: RootDatum, v: CharElement, with_stats: bool = False):
                 raise ValueError(
                     f"element is not in the joint Demazure kernel: simple reflection {pos + 1} moves e^rho * v"
                 )
-            guard_terms += t if t > 0 else -t
-    if guard_terms > MAX_GUARD_TERMS:
-        raise GuardBoundError(
-            f"e^rho * v is W-invariant, but checking kernel membership would expand {guard_terms} "
-            f"weight-string terms, above the bound MAX_GUARD_TERMS = {MAX_GUARD_TERMS}"
-        )
     if not in_kernel(d, v):
         raise RuntimeError(
             "e^rho * v is W-invariant but v is not in the joint Demazure kernel; "

@@ -23,7 +23,8 @@ the segment from nu to s_i(nu), so every weight of D_w(e^nu), and every
 weight of the orbit W*nu, lies in the convex hull of W*nu, and each of its
 coordinates is at most max |<nu, beta^vee>| <= ht(theta^vee) * max_j |nu_j|
 in absolute value, theta^vee the highest coroot.  ``packing_for`` chooses b
-from that bound, plus any shift to be folded in.
+from that bound, plus any shift to be folded in.  ``Packing.step`` is the
+program's only Demazure step, and it holds the bound on each step's work.
 """
 
 from __future__ import annotations
@@ -39,6 +40,14 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 # Construction refuses larger ranks: Weyl groups beyond this are no longer
 # desk-scale, and the rank arrives from outside the program.
 MAX_RANK = 8
+
+# A Demazure step that would expand more weight-string terms than this is
+# refused; at the bound it takes a few seconds and a few hundred MB.
+MAX_GUARD_TERMS = 10**7
+
+
+class GuardBoundError(ValueError):
+    """A Demazure step would expand more than ``MAX_GUARD_TERMS`` weight-string terms."""
 
 
 @dataclass(frozen=True)
@@ -283,8 +292,20 @@ class Packing:
         return dict(zip(zip(*columns), terms.values()))
 
     def step(self, pos: int, terms: dict[int, int]) -> dict[int, int]:
-        """The operator of simple root pos + 1 (0-based pos) on packed terms."""
+        """The operator of simple root pos + 1 (0-based pos) on packed terms.
+
+        Raises ``GuardBoundError`` before expanding anything if the weight strings would
+        hold more than ``MAX_GUARD_TERMS`` terms.  Each string has at most ``bias`` terms,
+        so they are measured, |t| + 1 per term, only when the terms times ``bias`` exceed it.
+        """
         shift, mask, bias, a = self.bits * pos, self.mask, self.bias, self.roots[pos]
+        if len(terms) * bias > MAX_GUARD_TERMS:
+            size = sum(abs(((k >> shift) & mask) - bias) + 1 for k in terms)
+            if size > MAX_GUARD_TERMS:
+                raise GuardBoundError(
+                    f"the Demazure step of letter {pos + 1} would expand {size} weight-string terms, "
+                    f"above the bound MAX_GUARD_TERMS = {MAX_GUARD_TERMS}"
+                )
         out: dict[int, int] = {}
         get = out.get
         for k, c in terms.items():

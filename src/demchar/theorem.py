@@ -16,7 +16,7 @@ from typing import Sequence
 from .charring import CHAR_ELEMENT_SCHEMA, CharElement
 from .demazure import top_cohomology_char
 from .rootsys import RootDatum, Weight, check_regular_dominant, packing_for, weight_neg, weight_sub
-from .weyl import WeylGroup, check_element, peel
+from .weyl import WeylGroup, peel
 
 VERIFICATION_REPORT_SCHEMA = {
     "type": "object",
@@ -125,14 +125,8 @@ def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[Verifica
     return reports
 
 
-def verify_theorem(g: WeylGroup, tau: int, lam: Weight) -> VerificationReport:
-    """Check the summed-dual-characters identity for one (element tau, lam): the sweep's report for tau."""
-    check_element(g, tau)
-    return sweep_verify_theorem(g, lam)[tau]
-
-
 def sweep_verify_theorem(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
-    """Reports of ``verify_theorem`` for every tau at one lam, indexed by element."""
+    """Check the summed-dual-characters identity at lam for every tau; the reports are indexed by element."""
     return _interval_reports(g, lam, g.datum.rho)
 
 
@@ -144,16 +138,11 @@ def epsilon_char(d: RootDatum, word, lam: Weight) -> CharElement:
     return top_cohomology_char(d, word, lam).star().shift(weight_neg(d.rho))
 
 
-def verify_lemma31(g: WeylGroup, tau: int, lam: Weight) -> VerificationReport:
-    """Check that the kernel characters over the interval sum to the section character.
+def sweep_verify_lemma31(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
+    """Check at lam, for every tau, that the kernel characters over [e, tau] sum to the section character.
 
     This is the main identity multiplied by e^-rho, computed from the same
-    tables, so it is not independent evidence for the theorem: the sweep's report for tau.
+    tables, so it is not independent evidence for the theorem.  The reports
+    are indexed by element.
     """
-    check_element(g, tau)
-    return sweep_verify_lemma31(g, lam)[tau]
-
-
-def sweep_verify_lemma31(g: WeylGroup, lam: Weight) -> list[VerificationReport]:
-    """Reports of ``verify_lemma31`` for every tau at one lam, indexed by element."""
     return _interval_reports(g, lam, (0,) * g.datum.rank)

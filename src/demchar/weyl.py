@@ -87,8 +87,8 @@ def canonical_word(d: RootDatum, key: Weight) -> tuple[int, ...]:
 def act(d: RootDatum, letters: Iterable[int], lam: Weight) -> Weight:
     """w(lam) for the product w of simple reflections along a (not necessarily reduced) word.
 
-    The reflections act from the word's right end, as in ``element_by_word``,
-    and a letter outside 1..rank is refused with the same message; so
+    The reflections act from the word's right end, and a letter outside
+    1..rank is refused with a ValueError; so
     ``canonical_word(d, act(d, letters, d.rho))`` names w without generating W.
     """
     check_weight_rank(d, lam)
@@ -335,31 +335,10 @@ def bruhat_leq(d: RootDatum, w: Iterable[int], tau: Iterable[int]) -> bool:
 
 
 def bit_indices(mask: int) -> list[int]:
-    """Positions of the set bits of a Bruhat row (or any mask), ascending.
-
-    ``lower_interval`` keeps its own scan of the row, so tests that compare
-    the sweep with it do not share this code.
-    """
+    """Positions of the set bits of a Bruhat row (or any mask), ascending."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def lower_interval(g: WeylGroup, tau: int) -> list[int]:
-    """The indices of all w <= tau, ascending: by length, then canonical word."""
-    check_element(g, tau)
-    row = g.bruhat_rows[tau]
-    return [k for k in range(g.order) if (row >> k) & 1]
-
-
-def element_by_word(g: WeylGroup, letters: Iterable[int]) -> int:
-    """The index of the product of simple reflections along a (not necessarily reduced) word, from its right end."""
-    idx, rank = g.identity, g.datum.rank
-    for i in reversed(tuple(letters)):
-        if not 1 <= i <= rank:
-            raise ValueError(f"word letter {i} out of range 1..{rank}")
-        idx = g.left_mult[idx * rank + i - 1]
-    return idx

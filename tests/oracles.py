@@ -16,12 +16,13 @@ as tuples instead of packed ints, the kernel basis element is one string of
 the full section character is rebuilt by Freudenthal's multiplicity formula
 with no Demazure operator at all.
 
-The helpers that the library does not need live here too: the dominance
-order and height on the integer adjugate det(C) * C^-1, extreme weights in
-that order, a Weyl-group element acting on a weight (``simple_reflection``
-letter by letter, not ``WeylGroup.act``) and on a character, inversion
-counts, every reduced word of an element by descent search, and the
-Serre-twist weight rho + w(rho) - w(chi').
+The helpers that the library does not need live here too: the element of a
+generated group named by a word, the lower interval of an element read bit
+by bit from its Bruhat row, the dominance order and height on the integer
+adjugate det(C) * C^-1, extreme weights in that order, a Weyl-group element
+acting on a weight (``simple_reflection`` letter by letter) and on a
+character, inversion counts, every reduced word of an element by descent
+search, and the Serre-twist weight rho + w(rho) - w(chi').
 
 ``json_reference`` is the standard library's encoder, the reference for the
 command line's JSON emitter.
@@ -41,7 +42,7 @@ from demchar.charring import CharElement
 from demchar.demazure import check_char_rank, demazure_char, top_cohomology_char
 from demchar.kernel import in_kernel
 from demchar.rootsys import RootDatum, Weight, simple_reflection, weight_add, weight_neg, weight_sub
-from demchar.weyl import WeylGroup, canonical_word, check_element, classified_order, lower_interval
+from demchar.weyl import WeylGroup, canonical_word, check_element, classified_order
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
@@ -303,6 +304,23 @@ def freudenthal_char(g: WeylGroup, mu: Weight) -> CharElement:
     return CharElement(d.rank, terms)
 
 
+def element_by_word(g: WeylGroup, letters) -> int:
+    """The index of the product of simple reflections along a (not necessarily reduced) word, from its right end."""
+    idx, rank = g.identity, g.datum.rank
+    for i in reversed(tuple(letters)):
+        if not 1 <= i <= rank:
+            raise ValueError(f"word letter {i} out of range 1..{rank}")
+        idx = g.left_mult[idx * rank + i - 1]
+    return idx
+
+
+def lower_interval(g: WeylGroup, tau: int) -> list[int]:
+    """The indices of all w <= tau, ascending, read bit by bit from the Bruhat row (not ``weyl.bit_indices``)."""
+    check_element(g, tau)
+    row = g.bruhat_rows[tau]
+    return [k for k in range(g.order) if (row >> k) & 1]
+
+
 def subword_lower_set(g: WeylGroup, tau: int) -> set[int]:
     """Indices of all subword products of element tau's fixed canonical reduced word."""
     word = g.word(tau)
@@ -561,10 +579,10 @@ def tuple_decompose(d: RootDatum, v: CharElement, with_stats: bool = False):
     """Reference for ``kernel.decompose``: the same fold, on weight tuples.
 
     The W-invariance check looks up u[s_i(nu)] by ``simple_reflection`` of
-    a tuple, ``in_kernel`` runs as a guard with no bound on its work, and
-    each x = nu + rho is reflected by ``simple_reflection`` at its first
-    negative coordinate until it is dominant.  Same results, stats and
-    errors as the packed version, below its guard bound.
+    a tuple, ``in_kernel`` runs as the same guard, with the same bound on
+    its steps, and each x = nu + rho is reflected by ``simple_reflection``
+    at its first negative coordinate until it is dominant.  Same results,
+    stats and errors as the packed version.
     """
     check_char_rank(d, v)
     u = v.shift(d.rho)

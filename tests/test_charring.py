@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from demchar.charring import CHAR_ELEMENT_SCHEMA, CharElement, Fragment, json_text
 from demchar.rootsys import build_datum
-from demchar.weyl import element_by_word
 
 import oracles
-from oracles import extreme_weight, w_apply
+from oracles import element_by_word, extreme_weight, w_apply
 
 monomial, zero = CharElement.monomial, CharElement.zero
 

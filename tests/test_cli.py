@@ -846,7 +846,7 @@ def spread_element(n: int) -> str:
 
 
 def test_decompose_refuses_an_oversized_guard_at_once():
-    # the guard would expand 2 * 10^7 weight-string terms, above kernel.MAX_GUARD_TERMS
+    # the guard's step of letter 1 would expand 2 * 10^7 + 2 weight-string terms, above rootsys.MAX_GUARD_TERMS
     start = time.perf_counter()
     r = run_cli("decompose", "--type", "A", "--rank", "1", stdin=spread_element(10**7), timeout=30)
     assert time.perf_counter() - start < 5
@@ -858,13 +858,42 @@ def test_decompose_refuses_an_oversized_guard_at_once():
 
 
 def test_verify_kernel_passes_on_a_guard_refusal(monkeypatch):
-    # a refusal for size is not a failed round trip, so it is exit 2 and not a mismatch
-    from demchar import kernel
+    # a refusal for size in a round trip is not a failed round trip, so it is exit 2 and not a mismatch
+    from demchar import cli
+    from demchar.rootsys import GuardBoundError
 
-    monkeypatch.setattr(kernel, "MAX_GUARD_TERMS", 1)
+    def refuse(d, v):
+        raise GuardBoundError("the Demazure step of letter 1 would expand 2 weight-string terms, above the bound")
+
+    monkeypatch.setattr(cli, "decompose", refuse)
     code, err = run_in_process(["verify-kernel", "--type", "A", "--rank", "2", "--grid", "2"])
     assert code == 2
-    assert err.startswith("error:") and "MAX_GUARD_TERMS = 1" in err
+    assert err.startswith("error: the Demazure step of letter 1") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-theorem", "--type", "A", "--rank", "2", "--grid", "2"],
+        ["verify-theorem", "--type", "A", "--rank", "2", "--grid", "2", "--parallel"],
+        ["verify-lemma31", "--type", "A", "--rank", "2", "--grid", "2"],
+        ["verify-lemma31", "--type", "A", "--rank", "2", "--grid", "2", "--parallel"],
+        ["verify-kernel", "--type", "A", "--rank", "2", "--grid", "2"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[7:]),
+)
+@pytest.mark.usefixtures("inline_pool")
+def test_the_step_bound_reaches_every_step(monkeypatch, argv):
+    # the sweeps' walk over W and verify-kernel's walk, membership and round trips all step through
+    # Packing.step, so a lowered bound refuses each of them as a usage error, never as a mismatch;
+    # the largest step of the A2 sweeps at grid 2 expands 10 weight-string terms
+    from demchar import rootsys
+
+    monkeypatch.setattr(rootsys, "MAX_GUARD_TERMS", 9)
+    code, err = run_in_process(argv)
+    assert code == 2, err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: the Demazure step of letter") and err.endswith("MAX_GUARD_TERMS = 9\n")
 
 
 @pytest.mark.parametrize("rank,mu", [("1", "1000000000"), ("2", "10000,10000")])

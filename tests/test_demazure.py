@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 from demchar.charring import CharElement
 from demchar.demazure import (
     demazure_char,
-    demazure_step,
     demazure_word,
     euler_char,
     top_cohomology_char,
 )
 from demchar.rootsys import build_datum, packing_for, simple_reflection, weight_neg, weight_sub
-from demchar.weyl import act, element_by_word, peel
+from demchar.weyl import act, peel
 
 import oracles
-from oracles import alternative_reduced_words, extreme_weight, w_apply
+from oracles import alternative_reduced_words, element_by_word, extreme_weight, w_apply
 
 monomial = CharElement.monomial
 
@@ -31,18 +30,18 @@ def unpacked_images(g, v):
 def numerator_identity_holds(d, i, lam):
     """(1 - e^{-alpha}) * D_i(e^lam) == e^lam - e^{s_i(lam) - alpha}, exactly."""
     alpha = d.simple_roots[i - 1]
-    lhs = (monomial((0,) * d.rank) - monomial(weight_neg(alpha))) * demazure_step(d, i, monomial(lam))
+    lhs = (monomial((0,) * d.rank) - monomial(weight_neg(alpha))) * demazure_word(d, (i,), monomial(lam))
     rhs = monomial(lam) - monomial(weight_sub(simple_reflection(d, i, lam), alpha))
     return lhs == rhs
 
 
 def test_step_frozen_a1():
     d = build_datum("A", 1)
-    assert demazure_step(d, 1, monomial((3,))) == CharElement(
+    assert demazure_word(d, (1,), monomial((3,))) == CharElement(
         1, {(3,): 1, (1,): 1, (-1,): 1, (-3,): 1}
     )
-    assert demazure_step(d, 1, monomial((-1,))).is_zero()
-    assert demazure_step(d, 1, monomial((-2,))) == CharElement(1, {(0,): -1})
+    assert demazure_word(d, (1,), monomial((-1,))).is_zero()
+    assert demazure_word(d, (1,), monomial((-2,))) == CharElement(1, {(0,): -1})
     for t in range(-6, 7):
         assert numerator_identity_holds(d, 1, (t,))
 
@@ -51,28 +50,28 @@ def test_step_linear():
     d = build_datum("A", 2)
     u = monomial((1, 0))
     v = monomial((-2, 3))
-    assert demazure_step(d, 1, u + 2 * v) == demazure_step(d, 1, u) + 2 * demazure_step(d, 1, v)
+    assert demazure_word(d, (1,), u + 2 * v) == demazure_word(d, (1,), u) + 2 * demazure_word(d, (1,), v)
 
 
 def test_step_index_validation():
     d = build_datum("A", 2)
     with pytest.raises(ValueError):
-        demazure_step(d, 0, monomial((1, 1)))
+        demazure_word(d, (0,), monomial((1, 1)))
     with pytest.raises(ValueError):
-        demazure_step(d, 3, monomial((1, 1)))
+        demazure_word(d, (3,), monomial((1, 1)))
 
 
 def test_step_guard_admits_exactly_its_bound(monkeypatch):
     # on A2, e^(3,0) under s_1 is a string of 4 weights, with pairings 0..3 against alpha_2^vee,
     # so the step of letter 2 then expands 1 + 2 + 3 + 4 = 10 weight-string terms
-    from demchar import demazure
+    from demchar import rootsys
 
     d = build_datum("A", 2)
     v = monomial((3, 0))
     expected = oracles.tuple_word(d, (2, 1), v)
-    monkeypatch.setattr(demazure, "MAX_GUARD_TERMS", 10)
+    monkeypatch.setattr(rootsys, "MAX_GUARD_TERMS", 10)
     assert demazure_word(d, (2, 1), v) == expected
-    monkeypatch.setattr(demazure, "MAX_GUARD_TERMS", 9)
+    monkeypatch.setattr(rootsys, "MAX_GUARD_TERMS", 9)
     with pytest.raises(ValueError, match="step of letter 2 would expand 10 weight-string terms.*= 9$"):
         demazure_word(d, (2, 1), v)
     with pytest.raises(ValueError, match="step of letter 1 would expand 10 weight-string terms.*= 9$"):
@@ -96,8 +95,8 @@ def test_step_idempotent(family, rank):
     for _ in range(100):
         v = oracles.random_char(rng, rank)
         for i in range(1, rank + 1):
-            once = demazure_step(d, i, v)
-            assert demazure_step(d, i, once) == once
+            once = demazure_word(d, (i,), v)
+            assert demazure_word(d, (i,), once) == once
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])
@@ -110,8 +109,8 @@ def test_fixed_points_are_reflection_invariants(family, rank):
         for i in range(1, rank + 1):
             s_i = element_by_word(g, (i,))
             symmetric = v + w_apply(g, s_i, v)
-            assert demazure_step(d, i, symmetric) == symmetric
-            assert (demazure_step(d, i, v) == v) == (w_apply(g, s_i, v) == v)
+            assert demazure_word(d, (i,), symmetric) == symmetric
+            assert (demazure_word(d, (i,), v) == v) == (w_apply(g, s_i, v) == v)
 
 
 def test_word_examples():
@@ -127,7 +126,7 @@ def test_word_examples():
 def test_word_composition_order_last_letter_first():
     d = build_datum("A", 2)
     v = monomial((-2, 1))
-    by_hand = demazure_step(d, 1, demazure_step(d, 2, v))
+    by_hand = demazure_word(d, (1,), demazure_word(d, (2,), v))
     assert demazure_word(d, (1, 2), v) == by_hand
 
 
@@ -255,10 +254,10 @@ def test_weight_length_must_match_rank(weight):
 @pytest.mark.parametrize(
     "apply",
     [
-        lambda g, v: demazure_step(g.datum, 1, v),
+        lambda g, v: demazure_word(g.datum, (1,), v),
         lambda g, v: demazure_word(g.datum, (1, 2), v),
     ],
-    ids=["demazure_step", "demazure_word"],
+    ids=["one_letter", "demazure_word"],
 )
 def test_character_rank_must_match_rank(apply):
     g = oracles.group("A", 2)
@@ -277,7 +276,7 @@ def test_packed_operators_match_tuple_reference(family, rank):
     for _ in range(6):
         v = oracles.random_char(rng, rank)
         for i in range(1, rank + 1):
-            assert demazure_step(d, i, v) == oracles.tuple_word(d, (i,), v)
+            assert demazure_word(d, (i,), v) == oracles.tuple_word(d, (i,), v)
         word = [rng.randint(1, rank) for _ in range(rng.randint(0, 6))]
         assert demazure_word(d, word, v) == oracles.tuple_word(d, word, v)
     v = oracles.random_char(rng, rank, lo=-2, hi=2)
@@ -308,7 +307,7 @@ BOUNDARY = [2**15 - 1, 2**15, 10**6, 10**12]
 def test_long_strings_at_the_radix_boundary(x):
     d = build_datum("B", 2)
     v = CharElement(2, {(x, 10**12): 3, (1, -(10**12)): -2})
-    assert demazure_step(d, 1, v) == oracles.tuple_word(d, (1,), v)
+    assert demazure_word(d, (1,), v) == oracles.tuple_word(d, (1,), v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,7 +323,7 @@ def test_packed_radix_widens_for_large_coordinates(data):
     mu = tuple(data.draw(st.integers(-3, 3) if p in stepped else large) for p in range(rank))
     word = data.draw(st.lists(st.sampled_from([p + 1 for p in stepped]), min_size=1, max_size=4))
     v = CharElement(rank, {mu: data.draw(st.integers(1, 5))})
-    assert demazure_step(d, word[0], v) == oracles.tuple_word(d, word[:1], v)
+    assert demazure_word(d, (word[0],), v) == oracles.tuple_word(d, word[:1], v)
     assert demazure_word(d, word, v) == oracles.tuple_word(d, word, v)
     w = element_by_word(g, word)
     assert euler_char(d, word, mu) == oracles.tuple_word(d, g.word(w), monomial(mu))

@@ -10,8 +10,6 @@ from demchar.charring import CharElement
 from demchar.demazure import demazure_char, top_cohomology_char
 from demchar.kernel import (
     DECOMPOSITION_SCHEMA,
-    MAX_GUARD_TERMS,
-    GuardBoundError,
     decompose,
     decomposition_to_json,
     in_kernel,
@@ -19,7 +17,8 @@ from demchar.kernel import (
     kernel_basis_element,
     verify_characterization,
 )
-from demchar.rootsys import Packing, build_datum, orbit_size, weight_neg, weight_sub
+from demchar.rootsys import MAX_GUARD_TERMS, GuardBoundError, Packing, build_datum, orbit_size, simple_reflection
+from demchar.rootsys import weight_add, weight_neg, weight_sub
 from demchar.weyl import act, canonical_word, classified_order
 
 import oracles
@@ -380,6 +379,53 @@ def test_fold_matches_peel_on_symmetrized_characters(fr, terms):
     assert rebuilt == sym
 
 
+def orbit_sum(d, nu):
+    """m_nu, the sum of e^mu over the W-orbit of nu, closed under ``simple_reflection``; no group is generated."""
+    orbit, todo = {nu}, [nu]
+    while todo:
+        mu = todo.pop()
+        for i in range(1, d.rank + 1):
+            if (x := simple_reflection(d, i, mu)) not in orbit:
+                orbit.add(x)
+                todo.append(x)
+    return CharElement(d.rank, dict.fromkeys(orbit, 1))
+
+
+FUNDAMENTAL = lambda rank, *i: tuple(int(j + 1 in i) for j in range(rank))
+
+
+@pytest.mark.parametrize(
+    "family,rank,nu",
+    [
+        ("B", 4, (1, 1, 0, 1)),
+        ("F", 4, (0, 1, 0, 1)),
+        ("D", 5, FUNDAMENTAL(5, 4)),
+        ("E", 6, FUNDAMENTAL(6, 1)),
+        ("E", 6, FUNDAMENTAL(6, 2, 6)),
+        ("E", 7, FUNDAMENTAL(7, 7)),
+        ("E", 8, FUNDAMENTAL(8, 7)),
+        ("E", 8, FUNDAMENTAL(8, 1)),
+    ],
+    ids=["B4-1101", "F4-0101", "D5-w4", "E6-w1", "E6-w2+w6", "E7-w7", "E8-w7", "E8-w1"],
+)
+def test_the_kernel_basis_spans_e_minus_rho_times_an_orbit_sum(family, rank, nu):
+    # the paper's basis claim, checked on an element of N built without the basis: v = e^-rho * m_nu is in N
+    # by the characterization, and the basis elements at -w0(mu) + rho, weighted by decompose's
+    # coefficients, rebuild v term by term; the coefficients are unitriangular (1 at nu, every other mu below)
+    d = build_datum(family, rank)
+    m = orbit_sum(d, nu)
+    assert len(m.terms) == orbit_size(d, nu)
+    v = m.shift(weight_neg(d.rho))
+    coefficients = decompose(d, v)
+    assert coefficients[nu] == 1
+    assert all(oracles.dominance_leq(d, mu, nu) for mu in coefficients)
+    longest = canonical_word(d, weight_neg(d.rho))
+    rebuilt = zero(rank)
+    for mu, c in coefficients.items():
+        rebuilt = rebuilt + c * kernel_basis_element(d, weight_add(weight_neg(act(d, longest, mu)), d.rho))
+    assert rebuilt == v
+
+
 def test_fold_past_its_bound_is_an_internal_error(freeze_reflections):
     g = oracles.group("A", 2)
     v = kernel_basis_element(g.datum, (2, 3))
@@ -434,8 +480,8 @@ def test_packed_decompose_matches_the_tuple_reference_on_non_members(family, ran
 
 @pytest.mark.parametrize("family,rank,lam", [("A", 1, (10**12,)), ("A", 2, (10**12, 0)), ("G", 2, (10**12, 7))])
 def test_packed_decompose_matches_the_tuple_reference_at_a_twelve_digit_coordinate(monkeypatch, family, rank, lam):
-    # e^-rho times a W-orbit sum is in N; its guard would expand about 10^12 terms, so both
-    # guards answer True (which is right) and the bound is lifted, leaving the lookup and the fold
+    # e^-rho times a W-orbit sum is in N; its guard's first step would expand about 10^12 terms and
+    # is refused, so both guards are made to answer True (which is right), leaving the lookup and the fold
     from demchar import kernel
 
     g = oracles.group(family, rank)
@@ -447,7 +493,6 @@ def test_packed_decompose_matches_the_tuple_reference_at_a_twelve_digit_coordina
         decompose(g.datum, v)
     monkeypatch.setattr(kernel, "in_kernel", lambda d, v: True)
     monkeypatch.setattr(oracles, "in_kernel", lambda d, v: True)
-    monkeypatch.setattr(kernel, "MAX_GUARD_TERMS", 10**14)
     coefficients, _ = assert_matches_the_tuple_reference(g.datum, v)
     # the sum over W holds each orbit weight |W_lam| times, and so holds chi(lam) that often
     assert (lam, g.order // len(orbit.terms)) in coefficients
@@ -455,31 +500,29 @@ def test_packed_decompose_matches_the_tuple_reference_at_a_twelve_digit_coordina
     assert assert_matches_the_tuple_reference(g.datum, moved)[0] is ValueError
 
 
-def test_guard_bound_refuses_a_large_invariant_element_before_the_guard(monkeypatch):
-    # u = e^rho * v = e^N + e^-N: the guard's strings would hold 2N terms
-    from demchar import kernel
+def test_guard_bound_refuses_a_large_invariant_element_at_the_guards_first_step(monkeypatch):
+    # v = e^(N-1) + e^(-N-1) is in N; the membership guard's step of letter 1 would expand
+    # strings of N and N + 2 weights, measured as (N - 1) + 1 and (N + 1) + 1
+    from demchar import rootsys
 
     d = build_datum("A", 1)
     spread = lambda n: CharElement(1, {(n - 1,): 1, (-n - 1,): 1})
     assert decompose(d, spread(1000)) == {(998,): -1, (1000,): 1}
-
-    def guard(d, v):
-        raise AssertionError("the guard ran")
-
-    monkeypatch.setattr(kernel, "in_kernel", guard)
-    expected = f"would expand 20000000 weight-string terms, above the bound MAX_GUARD_TERMS = {MAX_GUARD_TERMS}"
+    expected = (
+        "the Demazure step of letter 1 would expand 20000002 weight-string terms, "
+        f"above the bound MAX_GUARD_TERMS = {MAX_GUARD_TERMS}$"
+    )
     with pytest.raises(GuardBoundError, match=expected):
         decompose(d, spread(10**7))
-    monkeypatch.setattr(kernel, "MAX_GUARD_TERMS", 2000)
-    with pytest.raises(AssertionError, match="the guard ran"):
-        decompose(d, spread(1000))
-    monkeypatch.setattr(kernel, "MAX_GUARD_TERMS", 1999)
-    with pytest.raises(GuardBoundError, match="2000 weight-string terms"):
+    monkeypatch.setattr(rootsys, "MAX_GUARD_TERMS", 2002)
+    assert decompose(d, spread(1000)) == {(998,): -1, (1000,): 1}
+    monkeypatch.setattr(rootsys, "MAX_GUARD_TERMS", 2001)
+    with pytest.raises(GuardBoundError, match="2002 weight-string terms"):
         decompose(d, spread(1000))
 
 
 def test_guard_bound_sums_the_strings_of_the_guard(monkeypatch):
-    # the predicted total is the number of weights the guard's Demazure steps expand
+    # the membership guard's Demazure steps on v expand sum |t| weights over letters and the support of e^rho * v
     counted = []
     real = Packing.step
 

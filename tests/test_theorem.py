@@ -12,13 +12,11 @@ from demchar.theorem import (
     epsilon_char,
     sweep_verify_lemma31,
     sweep_verify_theorem,
-    verify_lemma31,
-    verify_theorem,
 )
-from demchar.weyl import act, element_by_word, lower_interval
+from demchar.weyl import act
 
 import oracles
-from oracles import extreme_weight, psi_character
+from oracles import element_by_word, extreme_weight, lower_interval, psi_character
 
 monomial = CharElement.monomial
 
@@ -27,11 +25,11 @@ monomial = CharElement.monomial
 def test_lhs_frozen_examples():
     g1 = oracles.group("A", 1)
     s = g1.longest
-    assert verify_theorem(g1, s, (2,)).sides[0] == monomial((2,)) + monomial((0,))
-    assert verify_theorem(g1, g1.identity, (3,)).sides[0] == monomial((3,))
+    assert sweep_verify_theorem(g1, (2,))[s].sides[0] == monomial((2,)) + monomial((0,))
+    assert sweep_verify_theorem(g1, (3,))[g1.identity].sides[0] == monomial((3,))
     g2 = oracles.group("A", 2)
     s1 = element_by_word(g2, (1,))
-    assert verify_theorem(g2, s1, (2, 1)).sides[0] == monomial((2, 1)) + monomial((0, 2))
+    assert sweep_verify_theorem(g2, (2, 1))[s1].sides[0] == monomial((2, 1)) + monomial((0, 2))
 
 
 def test_rhs_frozen_examples(request):
@@ -43,38 +41,34 @@ def test_rhs_frozen_examples(request):
         (g2, g2.longest, (1, 1), monomial((1, 1))),
     ]
     # a pass makes rhs equal to lhs, which the seeded run keeps
-    assert all(verify_theorem(g, tau, lam).passed for g, tau, lam, _ in cases)
+    assert all(sweep_verify_theorem(g, lam)[tau].passed for g, tau, lam, _ in cases)
     request.getfixturevalue("sections_of_lam")
     for g, tau, lam, rhs in cases:
-        r = verify_theorem(g, tau, lam)
+        r = sweep_verify_theorem(g, lam)[tau]
         assert r.sides == (rhs, demazure_char(g.datum, g.word(tau), lam).shift(g.datum.rho))
 
 
 def test_verify_examples(request):
     g1 = oracles.group("A", 1)
-    r = verify_theorem(g1, g1.longest, (2,))
+    r = sweep_verify_theorem(g1, (2,))[g1.longest]
     assert r.passed and r.sides is None
     g2 = oracles.group("A", 2)
-    r = verify_theorem(g2, g2.longest, (1, 1))
+    r = sweep_verify_theorem(g2, (1, 1))[g2.longest]
     assert r.passed
     assert r.interval_size == 6
     request.getfixturevalue("sections_of_lam")
-    assert verify_theorem(g2, g2.longest, (1, 1)).sides[0] == monomial((1, 1))
+    assert sweep_verify_theorem(g2, (1, 1))[g2.longest].sides[0] == monomial((1, 1))
 
 
 def test_verify_exhaustive_a2():
     g = oracles.group("A", 2)
-    for tau in range(g.order):
-        r = verify_theorem(g, tau, (2, 2))
+    for r in sweep_verify_theorem(g, (2, 2)):
         assert r.passed
         assert r.dim_lhs == r.dim_rhs
 
 
 def test_precondition_regular_dominant():
     g = oracles.group("A", 2)
-    for fn in (verify_theorem, verify_lemma31):
-        with pytest.raises(ValueError):
-            fn(g, g.longest, (0, 1))
     with pytest.raises(ValueError):
         epsilon_char(g.datum, g.word(g.longest), (0, 1))
     for fn in (sweep_verify_theorem, sweep_verify_lemma31):
@@ -85,9 +79,6 @@ def test_precondition_regular_dominant():
 def test_weight_length_must_match_rank():
     g = oracles.group("A", 2)
     for lam in [(1,), (1, 1, 5)]:
-        for fn in (verify_theorem, verify_lemma31):
-            with pytest.raises(ValueError, match="coordinates"):
-                fn(g, g.longest, lam)
         with pytest.raises(ValueError, match="coordinates"):
             epsilon_char(g.datum, g.word(g.longest), lam)
         for fn in (sweep_verify_theorem, sweep_verify_lemma31):
@@ -97,23 +88,23 @@ def test_weight_length_must_match_rank():
 
 def test_report_passed_iff_difference_zero(request):
     g = oracles.group("A", 1)
-    r = verify_theorem(g, g.longest, (3,))
+    r = sweep_verify_theorem(g, (3,))[g.longest]
     assert r.passed and r.sides is None
     request.getfixturevalue("sections_of_lam")
-    r = verify_theorem(g, g.longest, (3,))
+    r = sweep_verify_theorem(g, (3,))[g.longest]
     assert not r.passed and not (r.sides[0] - r.sides[1]).is_zero()
 
 
 def test_report_json_schema_and_per_w(request):
     g = oracles.group("A", 2)
     tau = g.longest
-    r = verify_theorem(g, tau, (2, 1))
+    r = sweep_verify_theorem(g, (2, 1))[tau]
     data = r.to_json_dict(g.word(tau), (2, 1))
     jsonschema.validate(data, VERIFICATION_REPORT_SCHEMA)
     assert data["passed"] is True
     assert data["difference_terms"] == []
     request.getfixturevalue("sections_of_lam")
-    r = verify_theorem(g, tau, (2, 1))
+    r = sweep_verify_theorem(g, (2, 1))[tau]
     data = r.to_json_dict(g.word(tau), (2, 1))
     jsonschema.validate(data, VERIFICATION_REPORT_SCHEMA)
     assert data["passed"] is False
@@ -151,16 +142,15 @@ def test_epsilon_frozen_examples():
 def test_lemma_examples(request):
     g = oracles.group("A", 1)
     s = g.longest
-    assert verify_lemma31(g, s, (2,)).passed
-    assert verify_lemma31(g, g.identity, (4,)).passed
+    assert sweep_verify_lemma31(g, (2,))[s].passed
+    assert sweep_verify_lemma31(g, (4,))[g.identity].passed
     request.getfixturevalue("sections_of_lam")
-    assert verify_lemma31(g, s, (2,)).sides[0] == monomial((1,)) + monomial((-1,))
+    assert sweep_verify_lemma31(g, (2,))[s].sides[0] == monomial((1,)) + monomial((-1,))
 
 
 def test_lemma_exhaustive_b2():
     g = oracles.group("B", 2)
-    for tau in range(g.order):
-        assert verify_lemma31(g, tau, (2, 2)).passed
+    assert all(r.passed for r in sweep_verify_lemma31(g, (2, 2)))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
@@ -217,21 +207,6 @@ def test_psi_character_arithmetic_identity():
         lhs = weight_sub(psi_character(g, w, chi), rho)
         rhs = weight_sub(act(g.datum, g.word(w), rho), act(g.datum, g.word(w), chi))
         assert lhs == rhs
-
-
-def test_sweeps_match_pairwise_verification(request):
-    cases = [("B", 2, (2, 1)), ("G", 2, (1, 2))]
-    for seeded in (False, True):  # passing reports, then failing ones that keep their sides
-        if seeded:
-            request.getfixturevalue("sections_of_lam")
-        for family, rank, lam in cases:
-            g = oracles.group(family, rank)
-            sweep_t = sweep_verify_theorem(g, lam)
-            sweep_l = sweep_verify_lemma31(g, lam)
-            for tau in range(g.order):
-                assert verify_theorem(g, tau, lam) == sweep_t[tau]
-                assert verify_lemma31(g, tau, lam) == sweep_l[tau]
-                assert (sweep_t[tau].sides is None) != seeded
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])

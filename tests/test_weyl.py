@@ -15,17 +15,15 @@ from demchar.weyl import (
     canonical_word,
     check_bruhat_table,
     classified_order,
-    element_by_word,
     generate,
     lower_covers,
-    lower_interval,
     act,
     peel,
     walk,
 )
 
 import oracles
-from oracles import alternative_reduced_words, inversions
+from oracles import alternative_reduced_words, element_by_word, inversions, lower_interval
 
 
 @pytest.mark.parametrize(
@@ -420,23 +418,15 @@ def test_too_large_group_is_refused_before_generation():
 
 
 def test_element_indices_out_of_range_are_refused():
-    # an element is an index 0..|W|-1: -1 would otherwise read as the longest element or fail inside a walk
-    from demchar.theorem import verify_lemma31, verify_theorem
-
+    # an element is an index 0..|W|-1: -1 would otherwise read as the longest element
     g = oracles.group("A", 2)
-    calls = [
-        lambda k: g.word(k),
-        lambda k: lower_interval(g, k),
-        *(lambda k, fn=fn: fn(g, k, (1, 1)) for fn in (verify_theorem, verify_lemma31)),
-    ]
-    for call in calls:
-        for k in (-1, g.order):
-            with pytest.raises(ValueError, match=rf"element index {k} is out of range 0\.\.5"):
-                call(k)
+    for k in (-1, g.order):
+        with pytest.raises(ValueError, match=rf"element index {k} is out of range 0\.\.5"):
+            g.word(k)
 
 
 def test_word_letters_out_of_range_are_refused():
-    # an element named by a word is checked letter by letter, as element_by_word checks it
+    # an element named by a word is checked letter by letter
     from demchar.demazure import demazure_char, euler_char, top_cohomology_char
     from demchar.theorem import epsilon_char
 
