@@ -60,7 +60,7 @@ from .kernel import (
     kernel_basis_element,
     verify_characterization,
 )
-from .rootsys import GuardBoundError, RootDatum, Weight, build_datum, weight_neg, weight_sub, weyl_dimension
+from .rootsys import GuardBoundError, RootDatum, Weight, build_datum, orbit_size, weight_neg, weight_sub, weyl_dimension
 from .theorem import sweep_verify_lemma31, sweep_verify_theorem
 from .weyl import (
     WeylGroup,
@@ -68,7 +68,6 @@ from .weyl import (
     bruhat_leq,
     canonical_word,
     check_bruhat_table,
-    classified_order,
     generate,
     lower_covers,
 )
@@ -187,7 +186,7 @@ def _lambda_grid(d: RootDatum, grid: int) -> list[Weight]:
 
 def cmd_info(args: argparse.Namespace) -> int:
     d = build_datum(args.family, args.rank)
-    order = classified_order(d)
+    order = orbit_size(d, d.rho)
     longest_word = list(canonical_word(d, weight_neg(d.rho)))
     if args.fmt == "json":
         _dump_json(

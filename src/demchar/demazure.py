@@ -77,5 +77,5 @@ def top_cohomology_char(d: RootDatum, word, lam: Weight) -> CharElement:
     """
     check_regular_dominant(d, lam)
     word = canonical_word(d, act(d, word, d.rho))
-    v = euler_char(d, word, weight_neg(lam))
+    v = demazure_word(d, word, CharElement.monomial(weight_neg(lam)))
     return -v if len(word) % 2 else v

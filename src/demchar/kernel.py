@@ -4,12 +4,14 @@ pruned peeling walk of W, and the decomposition into the full-group
 section-character basis, read off by folding each weight into the dominant
 chamber (Weyl's character formula).
 
-Every layer works on packed weight keys (``rootsys.Packing``), and every
-Demazure step it takes, in the walk and in membership alike, is refused by
-``Packing.step`` above ``rootsys.MAX_GUARD_TERMS`` with ``GuardBoundError``.
-The decomposition packs e^rho * v once and uses those keys for its
-W-invariance lookup and for the fold; only the resulting weights are
-unpacked.
+Every layer works on packed weight keys (``rootsys.Packing``).  Membership
+is the definition of N and takes Demazure steps; every step it or the walk
+takes is refused by ``Packing.step`` above ``rootsys.MAX_GUARD_TERMS`` with
+``GuardBoundError``.  Invariance is read from the simple reflections, since
+D_i v = v iff s_i v = v (Demazure, Ann. Sci. ENS 7, 1974): one lookup per
+key and letter, which expands no weight string.  The decomposition packs
+e^rho * v once and uses those keys for that lookup and for the fold; only
+the resulting weights are unpacked.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import chain
 
 from .charring import CharElement
 from .demazure import check_char_rank
-from .rootsys import RootDatum, Weight, check_regular_dominant, orbit_size, packing_for
+from .rootsys import Packing, RootDatum, Weight, check_regular_dominant, orbit_size, packing_for
 from .rootsys import weight_add, weight_neg, weight_sub
 from .weyl import MAX_ELEMENTS, walk
 
@@ -44,24 +46,35 @@ DECOMPOSITION_SCHEMA = {
 }
 
 
-def _packed_steps(d: RootDatum, v: CharElement):
-    """v packed once, and a lazy stream of its images under each simple-root operator."""
-    check_char_rank(d, v)
-    packing = packing_for(d, v.terms)
-    terms = packing.pack_terms(v.terms)
-    return terms, (packing.step(pos, terms) for pos in range(d.rank))
+def _moving_letter(packing: Packing, u: dict[int, int]) -> int:
+    """The first letter i whose simple reflection moves the packed u, 1-based; 0 if u is W-invariant.
+
+    s_i permutes the weights, so s_i(u) == u iff u[k - t * a_i] == u[k] for every key k,
+    t = <nu, alpha_i^vee> read by one shift and mask.  The packing must hold the W-orbit of u.
+    """
+    bits, mask, bias, get = packing.bits, packing.mask, packing.bias, u.get
+    for pos, a in enumerate(packing.roots):
+        shift = bits * pos
+        for k, c in u.items():
+            t = ((k >> shift) & mask) - bias
+            if t and get(k - t * a) != c:
+                return pos + 1
+    return 0
 
 
 def in_kernel(d: RootDatum, v: CharElement) -> bool:
     """True iff every simple-root Demazure operator annihilates v."""
-    _, images = _packed_steps(d, v)
-    return not any(images)
+    check_char_rank(d, v)
+    packing = packing_for(d, v.terms)
+    terms = packing.pack_terms(v.terms)
+    return not any(packing.step(pos, terms) for pos in range(d.rank))
 
 
 def is_demazure_invariant(d: RootDatum, v: CharElement) -> bool:
-    """True iff every simple-root Demazure operator fixes v."""
-    terms, images = _packed_steps(d, v)
-    return all(image == terms for image in images)
+    """True iff every simple-root Demazure operator fixes v, that is iff every simple reflection does."""
+    check_char_rank(d, v)
+    packing = packing_for(d, v.terms)
+    return not _moving_letter(packing, packing.pack_terms(v.terms))
 
 
 def kernel_basis_element(d: RootDatum, lam: Weight) -> CharElement:
@@ -90,7 +103,7 @@ def kernel_basis_element(d: RootDatum, lam: Weight) -> CharElement:
 
 
 def verify_characterization(d: RootDatum, v: CharElement) -> bool:
-    """Check the biconditional: v is in N iff e^rho * v is Demazure-invariant."""
+    """Check the biconditional: v is in N (Demazure steps) iff e^rho * v is W-invariant (reflections)."""
     return in_kernel(d, v) == is_demazure_invariant(d, v.shift(d.rho))
 
 
@@ -99,13 +112,12 @@ def decompose(d: RootDatum, v: CharElement, with_stats: bool = False):
 
     Requires v in N, that is u = e^rho * v W-invariant.  u is packed once
     (``rootsys.Packing``), wide enough for the W-orbits of nu and nu + rho,
-    nu in its support, and everything below works on those keys.  For each
-    letter i in ascending order, u[s_i(nu)] is looked up as u[k - t * a_i],
-    t = <nu, alpha_i^vee> read by one shift and mask; the first reflection
-    that moves u is named in a ValueError.  ``in_kernel`` runs next, as a
-    guard that the two agree; its steps are bounded like every step, so an
-    element too large for it is refused with ``GuardBoundError`` (a
-    ValueError).
+    nu in its support, and everything below works on those keys.  The
+    invariance lookup of ``is_demazure_invariant`` runs on them, and the
+    first reflection that moves u is named in a ValueError.  ``in_kernel``
+    runs next, as a guard that the two agree; its steps are bounded like
+    every step, so an element too large for it is refused with
+    ``GuardBoundError`` (a ValueError).
 
     By Weyl's character formula A_rho * chi(mu) = A_{mu+rho} (Humphreys,
     GTM 9, section 24), the coefficient of chi(mu) is
@@ -124,16 +136,8 @@ def decompose(d: RootDatum, v: CharElement, with_stats: bool = False):
     packing = packing_for(d, [(max(map(abs, chain.from_iterable(v.terms)), default=0) + 2,)])
     bits, mask, bias, origin = packing.bits, packing.mask, packing.bias, packing.origin
     u = packing.pack_terms(v.terms, d.rho)
-    get = u.get
-    # s_i permutes the weights, so u[s_i(nu)] == u[nu] for all nu is s_i(u) == u
-    for pos, a in enumerate(packing.roots):
-        shift = bits * pos
-        for k, c in u.items():
-            t = ((k >> shift) & mask) - bias
-            if t and get(k - t * a) != c:
-                raise ValueError(
-                    f"element is not in the joint Demazure kernel: simple reflection {pos + 1} moves e^rho * v"
-                )
+    if moved := _moving_letter(packing, u):
+        raise ValueError(f"element is not in the joint Demazure kernel: simple reflection {moved} moves e^rho * v")
     if not in_kernel(d, v):
         raise RuntimeError(
             "e^rho * v is W-invariant but v is not in the joint Demazure kernel; "

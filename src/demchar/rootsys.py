@@ -30,7 +30,7 @@ program's only Demazure step, and it holds the bound on each step's work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import lshift
+from operator import lshift, mul
 from typing import Iterable, Mapping
 
 Weight = tuple[int, ...]
@@ -250,7 +250,7 @@ def orbit_size(d: RootDatum, nu: Weight) -> int:
         raise ValueError(f"weight {list(nu)} is not dominant")
     num = den = 1
     for coroot in d.positive_coroots:
-        if sum(c * a for c, a in zip(nu, coroot)):
+        if sum(map(mul, nu, coroot)):
             num *= sum(coroot) + 1
             den *= sum(coroot)
     return num // den
@@ -295,12 +295,12 @@ class Packing:
         """The operator of simple root pos + 1 (0-based pos) on packed terms.
 
         Raises ``GuardBoundError`` before expanding anything if the weight strings would
-        hold more than ``MAX_GUARD_TERMS`` terms.  Each string has at most ``bias`` terms,
-        so they are measured, |t| + 1 per term, only when the terms times ``bias`` exceed it.
+        hold more than ``MAX_GUARD_TERMS`` terms.  A string holds |t + 1| terms, at most
+        ``bias``, so they are measured only when the terms times ``bias`` exceed the bound.
         """
         shift, mask, bias, a = self.bits * pos, self.mask, self.bias, self.roots[pos]
         if len(terms) * bias > MAX_GUARD_TERMS:
-            size = sum(abs(((k >> shift) & mask) - bias) + 1 for k in terms)
+            size = sum(abs(((k >> shift) & mask) + 1 - bias) for k in terms)
             if size > MAX_GUARD_TERMS:
                 raise GuardBoundError(
                     f"the Demazure step of letter {pos + 1} would expand {size} weight-string terms, "

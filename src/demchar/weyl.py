@@ -10,7 +10,9 @@ kept as compact tables, in the manner of Casselman (Invent. Math. 116,
 1994) and Stembridge (MSJ Memoirs 11, 2001): a flat ``array('i')``
 left-multiplication table and byte arrays of lengths and first letters,
 down which an element's word is read.  An element of a generated group is
-its index and nothing else.  The Bruhat table is built on first read.
+its index and nothing else.  |W| is Macdonald's product ``orbit_size(d,
+d.rho)``, known before any element is generated.  The Bruhat table is built
+on first read.
 
 No group is needed to name one element: ``act(d, word, d.rho)`` is w(rho),
 ``canonical_word`` reads w's canonical word back from that key,
@@ -23,10 +25,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
 from typing import Iterable
 
-from .rootsys import RootDatum, Weight, check_weight_rank, packing_for, simple_reflection
+from .rootsys import RootDatum, Weight, check_weight_rank, orbit_size, packing_for, simple_reflection
 
 # The most elements that ``generate`` lists, or a walk over W is asked to visit, unless told otherwise.
 MAX_ELEMENTS = 1_000_000
@@ -36,24 +37,12 @@ MAX_ELEMENTS = 1_000_000
 # every larger group before a single element is generated.
 MAX_BRUHAT_TABLE_BYTES = 1 << 24
 
-_EXCEPTIONAL_ORDER = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600, ("F", 4): 1152, ("G", 2): 12}
-
-
-def classified_order(d: RootDatum) -> int:
-    """|W| from the classification, known before any element is generated."""
-    n = d.rank
-    if d.family == "A":
-        return factorial(n + 1)
-    if d.family in ("B", "C"):
-        return 2**n * factorial(n)
-    if d.family == "D":
-        return 2 ** (n - 1) * factorial(n)
-    return _EXCEPTIONAL_ORDER[d.family, n]
-
-
 def check_bruhat_table(d: RootDatum) -> None:
-    """Raise ValueError, before anything is built, if d's Bruhat table exceeds ``MAX_BRUHAT_TABLE_BYTES``."""
-    order = classified_order(d)
+    """Raise ValueError, before anything is built, if d's Bruhat table exceeds ``MAX_BRUHAT_TABLE_BYTES``.
+
+    |W| is ``orbit_size(d, d.rho)``, so no element is generated to count it.
+    """
+    order = orbit_size(d, d.rho)
     size = order * order // 8
     if size > MAX_BRUHAT_TABLE_BYTES:
         raise ValueError(
@@ -205,10 +194,10 @@ def generate(d: RootDatum, max_order: int = MAX_ELEMENTS) -> WeylGroup:
     (length, first letter, parent index) order, which is (length, canonical
     word) order.  The search holds the keys of two lengths at a time and the
     tables are allocated at their final size up front: E7 takes about
-    126 MB.  Raises ValueError, before generating anything, if the group has
-    more than ``max_order`` elements.
+    126 MB.  |W| is ``orbit_size(d, d.rho)``, so a group of more than
+    ``max_order`` elements is refused with a ValueError before any is generated.
     """
-    order = classified_order(d)
+    order = orbit_size(d, d.rho)
     if order > max_order:
         raise ValueError(
             f"Weyl group of {d.family}{d.rank} has {order} elements, which exceeds the bound "

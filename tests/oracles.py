@@ -42,7 +42,7 @@ from demchar.charring import CharElement
 from demchar.demazure import check_char_rank, demazure_char, top_cohomology_char
 from demchar.kernel import in_kernel
 from demchar.rootsys import RootDatum, Weight, simple_reflection, weight_add, weight_neg, weight_sub
-from demchar.weyl import WeylGroup, canonical_word, check_element, classified_order
+from demchar.weyl import WeylGroup, canonical_word, check_element
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
@@ -165,7 +165,7 @@ def tuple_generate(d: RootDatum) -> TupleGroup:
                 words.append(words[p] + (i,))
             row.append(k)
         right_mult.append(tuple(row))
-    assert len(keys) == classified_order(d)
+    assert len(keys) == classical_weyl_order(d.family, d.rank)
     inv = []
     for word in words:
         k = 0

@@ -846,7 +846,7 @@ def spread_element(n: int) -> str:
 
 
 def test_decompose_refuses_an_oversized_guard_at_once():
-    # the guard's step of letter 1 would expand 2 * 10^7 + 2 weight-string terms, above rootsys.MAX_GUARD_TERMS
+    # the guard's step of letter 1 would expand 2 * 10^7 weight-string terms, above rootsys.MAX_GUARD_TERMS
     start = time.perf_counter()
     r = run_cli("decompose", "--type", "A", "--rank", "1", stdin=spread_element(10**7), timeout=30)
     assert time.perf_counter() - start < 5
@@ -886,14 +886,17 @@ def test_verify_kernel_passes_on_a_guard_refusal(monkeypatch):
 def test_the_step_bound_reaches_every_step(monkeypatch, argv):
     # the sweeps' walk over W and verify-kernel's walk, membership and round trips all step through
     # Packing.step, so a lowered bound refuses each of them as a usage error, never as a mismatch;
-    # the largest step of the A2 sweeps at grid 2 expands 10 weight-string terms
+    # the largest step of the A2 sweeps at grid 2 expands 8 weight-string terms, verify-kernel's 18
     from demchar import rootsys
 
-    monkeypatch.setattr(rootsys, "MAX_GUARD_TERMS", 9)
+    monkeypatch.setattr(rootsys, "MAX_GUARD_TERMS", 7)
     code, err = run_in_process(argv)
     assert code == 2, err
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: the Demazure step of letter") and err.endswith("MAX_GUARD_TERMS = 9\n")
+    assert err.startswith("error: the Demazure step of letter") and err.endswith("MAX_GUARD_TERMS = 7\n")
+    if argv[0] != "verify-kernel":
+        monkeypatch.setattr(rootsys, "MAX_GUARD_TERMS", 8)
+        assert run_in_process(argv)[0] == 0
 
 
 @pytest.mark.parametrize("rank,mu", [("1", "1000000000"), ("2", "10000,10000")])

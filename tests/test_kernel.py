@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import jsonschema
 import pytest
@@ -19,7 +20,7 @@ from demchar.kernel import (
 )
 from demchar.rootsys import MAX_GUARD_TERMS, GuardBoundError, Packing, build_datum, orbit_size, simple_reflection
 from demchar.rootsys import weight_add, weight_neg, weight_sub
-from demchar.weyl import act, canonical_word, classified_order
+from demchar.weyl import act, canonical_word
 
 import oracles
 from oracles import dominance_leq, w_apply
@@ -34,7 +35,7 @@ def dual_label(g, lam):
 
 
 # every type whose group has at most 1152 elements (F4 the largest)
-REFERENCE_TYPES = [t for t in oracles.ALL_TYPES if classified_order(build_datum(*t)) <= 1152]
+REFERENCE_TYPES = [t for t in oracles.ALL_TYPES if oracles.classical_weyl_order(*t) <= 1152]
 
 
 def outcome(fn, d, v):
@@ -203,7 +204,7 @@ def rho_plus(rank, *omegas):
     return tuple(2 if j in omegas else 1 for j in range(1, rank + 1))
 
 
-@pytest.mark.parametrize("family,rank", [t for t in oracles.ALL_TYPES if classified_order(build_datum(*t)) <= 384])
+@pytest.mark.parametrize("family,rank", [t for t in oracles.ALL_TYPES if oracles.classical_weyl_order(*t) <= 384])
 def test_kernel_basis_element_matches_nortons_product_at_grid_2(family, rank):
     d = build_datum(family, rank)
     for lam in itertools.product((1, 2), repeat=rank):
@@ -379,12 +380,15 @@ def test_fold_matches_peel_on_symmetrized_characters(fr, terms):
     assert rebuilt == sym
 
 
-def orbit_sum(d, nu):
-    """m_nu, the sum of e^mu over the W-orbit of nu, closed under ``simple_reflection``; no group is generated."""
+def orbit_sum(d, nu, letters=None):
+    """m_nu, the sum of e^mu over the W-orbit of nu, closed under ``simple_reflection``; no group is generated.
+
+    With ``letters``, the orbit of the subgroup those simple reflections generate.
+    """
     orbit, todo = {nu}, [nu]
     while todo:
         mu = todo.pop()
-        for i in range(1, d.rank + 1):
+        for i in range(1, d.rank + 1) if letters is None else letters:
             if (x := simple_reflection(d, i, mu)) not in orbit:
                 orbit.add(x)
                 todo.append(x)
@@ -445,6 +449,34 @@ def test_invariance_check_names_the_first_reflection_that_moves_u():
         decompose(g.datum, v)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)])
+def test_invariance_matches_one_tuple_demazure_step_per_letter(family, rank):
+    # D_i v = v iff s_i v = v, so the reflection lookup answers what the tuple reference's steps do, on random
+    # characters, on orbit sums of the subgroup generated by a random set of letters (fixed by those, the last
+    # letter among them or not), and on e^rho times kernel basis elements (fixed by every letter)
+    d = build_datum(family, rank)
+    rng = random.Random(f"invariance-{family}{rank}")
+    letters = range(1, rank + 1)
+    chars = [oracles.random_char(rng, rank) for _ in range(70)]
+    for _ in range(70):
+        subset = [i for i in letters if rng.random() < 0.6]
+        chars.append(rng.randint(1, 3) * orbit_sum(d, oracles.random_weight(rng, rank, -3, 3), subset))
+    chars += [kernel_basis_element(d, lam).shift(d.rho) for lam in itertools.product((1, 2, 3), repeat=rank)]
+    answers = [is_demazure_invariant(d, v) for v in chars]
+    assert answers == [all(oracles.tuple_word(d, (i,), v) == v for i in letters) for v in chars]
+    assert 0 < sum(answers) < len(chars)
+
+
+def test_invariance_of_a_twelve_digit_orbit_sum_expands_no_weight_string():
+    # one Demazure step on either element would expand about 2 * 10^12 weight-string terms, far above MAX_GUARD_TERMS
+    d = build_datum("A", 2)
+    m = orbit_sum(d, (10**12, 0))
+    for v, invariant in [(m, True), (m + monomial((10**12, 0)), False)]:
+        start = time.perf_counter()
+        assert is_demazure_invariant(d, v) is invariant
+        assert time.perf_counter() - start < 1
+
+
 def test_invariant_element_outside_the_kernel_is_an_internal_error(monkeypatch):
     # in_kernel runs after the invariance lookup, as a guard that the two agree
     from demchar import kernel
@@ -502,22 +534,22 @@ def test_packed_decompose_matches_the_tuple_reference_at_a_twelve_digit_coordina
 
 def test_guard_bound_refuses_a_large_invariant_element_at_the_guards_first_step(monkeypatch):
     # v = e^(N-1) + e^(-N-1) is in N; the membership guard's step of letter 1 would expand
-    # strings of N and N + 2 weights, measured as (N - 1) + 1 and (N + 1) + 1
+    # two strings of N weights each, measured as |t + 1| at t = N - 1 and t = -N - 1
     from demchar import rootsys
 
     d = build_datum("A", 1)
     spread = lambda n: CharElement(1, {(n - 1,): 1, (-n - 1,): 1})
     assert decompose(d, spread(1000)) == {(998,): -1, (1000,): 1}
     expected = (
-        "the Demazure step of letter 1 would expand 20000002 weight-string terms, "
+        "the Demazure step of letter 1 would expand 20000000 weight-string terms, "
         f"above the bound MAX_GUARD_TERMS = {MAX_GUARD_TERMS}$"
     )
     with pytest.raises(GuardBoundError, match=expected):
         decompose(d, spread(10**7))
-    monkeypatch.setattr(rootsys, "MAX_GUARD_TERMS", 2002)
+    monkeypatch.setattr(rootsys, "MAX_GUARD_TERMS", 2000)
     assert decompose(d, spread(1000)) == {(998,): -1, (1000,): 1}
-    monkeypatch.setattr(rootsys, "MAX_GUARD_TERMS", 2001)
-    with pytest.raises(GuardBoundError, match="2002 weight-string terms"):
+    monkeypatch.setattr(rootsys, "MAX_GUARD_TERMS", 1999)
+    with pytest.raises(GuardBoundError, match="2000 weight-string terms"):
         decompose(d, spread(1000))
 
 

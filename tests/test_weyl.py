@@ -7,14 +7,13 @@ from collections import Counter
 
 import pytest
 
-from demchar.rootsys import build_datum, weight_neg
+from demchar.rootsys import build_datum, orbit_size, weight_neg
 from demchar.weyl import (
     MAX_BRUHAT_TABLE_BYTES,
     bit_indices,
     bruhat_leq,
     canonical_word,
     check_bruhat_table,
-    classified_order,
     generate,
     lower_covers,
     act,
@@ -119,7 +118,7 @@ def test_bruhat_table_bound_admits_b5_and_refuses_e6_before_generation():
     for family, rank in [("D", 6), ("E", 6), ("E", 8)]:
         with pytest.raises(ValueError, match="weyl, verify-theorem and verify-lemma31 need it.*bruhat"):
             check_bruhat_table(build_datum(family, rank))
-    assert classified_order(build_datum("B", 5)) ** 2 // 8 <= MAX_BRUHAT_TABLE_BYTES
+    assert oracles.classical_weyl_order("B", 5) ** 2 // 8 <= MAX_BRUHAT_TABLE_BYTES
     g = generate(build_datum("E", 6))
     with pytest.raises(ValueError, match=f"bound {MAX_BRUHAT_TABLE_BYTES}"):
         g.bruhat_rows
@@ -210,7 +209,7 @@ def test_canonical_word_is_lex_smallest():
         assert all(len(word) == g.length[k] for word in words)
 
 
-@pytest.mark.parametrize("family,rank", [t for t in oracles.ALL_TYPES if classified_order(build_datum(*t)) <= 1920])
+@pytest.mark.parametrize("family,rank", [t for t in oracles.ALL_TYPES if oracles.classical_weyl_order(*t) <= 1920])
 def test_canonical_word_from_the_image_of_rho_matches_the_group(family, rank):
     g = oracles.group(family, rank)
     d = g.datum
@@ -408,7 +407,12 @@ def test_max_order_guard():
 
 @pytest.mark.parametrize("family,rank", oracles.ALL_TYPES)
 def test_classified_order(family, rank):
-    assert classified_order(build_datum(family, rank)) == oracles.classical_weyl_order(family, rank)
+    # |W| is Macdonald's product at rho, which generate reads, and names, before generating anything
+    d = build_datum(family, rank)
+    order = oracles.classical_weyl_order(family, rank)
+    assert orbit_size(d, d.rho) == order
+    with pytest.raises(ValueError, match=f"has {order} elements, which exceeds the bound {order - 1};"):
+        generate(d, max_order=order - 1)
 
 
 def test_too_large_group_is_refused_before_generation():
