@@ -5,10 +5,10 @@ A CharElement is a finitely supported map from weights to nonzero integers
 every operation returns a fresh element, so sharing across threads and
 parallel additive reductions are safe.
 
-``json_text`` writes every JSON document the command line prints, with the
-bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.  A part of a
-document can be rendered ahead, in another process, and handed in as a
-``Fragment``.
+``json_chunks`` writes every JSON document the command line prints, in
+pieces, with the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``;
+``json_text`` joins them.  A part of a document can be rendered ahead, in
+another process, and handed in as a ``Fragment``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from json.encoder import encode_basestring_ascii
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .rootsys import Weight, weight_add, weight_neg
 
@@ -214,11 +214,49 @@ def json_text(obj) -> str:
     tree, and Fragment, which stands for the value it was rendered from.
     Anything else (a float, a tuple, a non-str key) is a TypeError.
     """
-    return _json_text(obj, "\n")
+    return "".join(json_chunks(obj))
 
 
-def _json_text(obj, nl: str) -> str:
+# A character is written this many terms at a time: a chunk is 80-160 kB of text (rank 2 to 8),
+# so one write per chunk costs nothing against the formatting, and no more than one chunk of a
+# character's text is held at once (V(rho) of B5 is 52K terms and 6 MB).
+CHUNK_TERMS = 1000
+
+
+def json_chunks(obj) -> Iterator[str]:
+    """The text of ``json_text(obj)`` in pieces, none holding more than ``CHUNK_TERMS`` terms of a character.
+
+    A dict or a list is written one entry at a time, a character ``CHUNK_TERMS``
+    terms at a time, and any other value whole.
+    """
+    return _json_chunks(obj, "\n")
+
+
+def _json_chunks(obj, nl: str) -> Iterator[str]:
     # nl is a newline followed by the indent of the line obj starts on
+    inner = nl + "  "
+    if isinstance(obj, dict) and obj:
+        sep = "{" + inner
+        for key in sorted(obj):
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(obj[key], inner)
+            sep = "," + inner
+        yield nl + "}"
+    elif isinstance(obj, list) and obj and not all(type(x) is int for x in obj):
+        sep = "[" + inner
+        for x in obj:
+            yield sep
+            yield from _json_chunks(x, inner)
+            sep = "," + inner
+        yield nl + "]"
+    elif isinstance(obj, CharElement):
+        yield from _char_chunks(obj, nl)
+    else:
+        yield _json_value(obj, nl)
+
+
+def _json_value(obj, nl: str) -> str:
+    """The text of a value that is written whole: a scalar, an empty container, a list of ints or a Fragment."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -229,30 +267,19 @@ def _json_text(obj, nl: str) -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    inner = nl + "  "
     if isinstance(obj, list):
         if not obj:
             return "[]"
-        if all(type(x) is int for x in obj):
-            body = ("," + inner).join(map(int.__repr__, obj))
-        else:
-            body = ("," + inner).join([_json_text(x, inner) for x in obj])
-        return "[" + inner + body + nl + "]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = ("," + inner).join(
-            [encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj)]
-        )
-        return "{" + inner + body + nl + "}"
-    if isinstance(obj, CharElement):
-        return _char_json_text(obj, nl)
+        return "{}"
     if isinstance(obj, Fragment):
         return obj.text.replace("\n", nl)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _char_json_text(v: CharElement, nl: str) -> str:
+def _char_chunks(v: CharElement, nl: str) -> Iterator[str]:
     """The text of ``v.to_json_dict()``: one %-template per term, built once from the rank."""
     i1 = nl + "  "  # "rank" and "terms"
     i2 = i1 + "  "  # each term
@@ -260,8 +287,14 @@ def _char_json_text(v: CharElement, nl: str) -> str:
     i4 = i3 + "  "  # each coordinate
     head = "{" + i1 + '"rank": ' + int.__repr__(v.rank) + "," + i1 + '"terms": '
     if not v.terms:
-        return head + "[]" + nl + "}"
+        yield head + "[]" + nl + "}"
+        return
     weight = "[" + i4 + ("," + i4).join(["%d"] * v.rank) + i3 + "]" if v.rank else "[]"
     term = "{" + i3 + '"coeff": "%d",' + i3 + '"weight": ' + weight + i2 + "}"
-    body = ("," + i2).join([term % (c, *mu) for mu, c in sorted(v.terms.items())])
-    return head + "[" + i2 + body + i1 + "]" + nl + "}"
+    terms, sep = v.terms, "," + i2
+    order = sorted(terms)  # one linear pass when the terms are in weight order already, as unpacked ones are
+    yield head + "["
+    for start in range(0, len(order), CHUNK_TERMS):
+        chunk = sep.join([term % (terms[mu], *mu) for mu in order[start : start + CHUNK_TERMS]])
+        yield (sep if start else i2) + chunk
+    yield i1 + "]" + nl + "}"

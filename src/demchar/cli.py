@@ -23,9 +23,12 @@ exception escaped a command), 141 stdout closed early (the code a shell
 shows for SIGPIPE), with nothing on stderr.  Every error is one line on
 stderr.  Output is deterministic and byte-identical between serial and
 parallel runs.  Every JSON document is printed by ``_dump_json`` through
-the emitter ``charring.json_text`` (the bytes of ``json.dumps(obj,
-indent=2, sort_keys=True)``); a character is handed to it as a CharElement,
-and a block or a report rendered ahead as a ``charring.Fragment``.
+the emitter ``charring.json_chunks`` (the bytes of ``json.dumps(obj,
+indent=2, sort_keys=True)``), written chunk by chunk and never held whole;
+a character is handed to it as a CharElement, and a block or a report
+rendered ahead as a ``charring.Fragment``.  Every value in it is computed
+before the first chunk is written, so after that only a closed pipe stops
+the document (exit 141).
 
 Only ``weyl``, ``verify-theorem`` and ``verify-lemma31`` generate the group,
 to read its Bruhat table, and a table above ``weyl.MAX_BRUHAT_TABLE_BYTES`` is
@@ -50,7 +53,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .charring import CharElement, Fragment, json_text
+from .charring import CharElement, Fragment, json_chunks, json_text
 from .demazure import demazure_char, euler_char, top_cohomology_char
 from .kernel import (
     decompose,
@@ -170,7 +173,8 @@ def _resolve_element(d: RootDatum, selector: str) -> tuple[int, ...]:
 
 
 def _dump_json(obj) -> None:
-    print(json_text(obj))
+    sys.stdout.writelines(json_chunks(obj))
+    sys.stdout.write("\n")
 
 
 def _lambda_grid(d: RootDatum, grid: int) -> list[Weight]:

@@ -52,9 +52,8 @@ def _moving_letter(packing: Packing, u: dict[int, int]) -> int:
     s_i permutes the weights, so s_i(u) == u iff u[k - t * a_i] == u[k] for every key k,
     t = <nu, alpha_i^vee> read by one shift and mask.  The packing must hold the W-orbit of u.
     """
-    bits, mask, bias, get = packing.bits, packing.mask, packing.bias, u.get
-    for pos, a in enumerate(packing.roots):
-        shift = bits * pos
+    mask, bias, get = packing.mask, packing.bias, u.get
+    for pos, (a, shift) in enumerate(zip(packing.roots, packing.shifts)):
         for k, c in u.items():
             t = ((k >> shift) & mask) - bias
             if t and get(k - t * a) != c:
@@ -122,19 +121,22 @@ def decompose(d: RootDatum, v: CharElement, with_stats: bool = False):
     By Weyl's character formula A_rho * chi(mu) = A_{mu+rho} (Humphreys,
     GTM 9, section 24), the coefficient of chi(mu) is
     sum_w sign(w) u[w(mu+rho) - rho].  So each packed x = nu + rho is
-    reflected at its first negative coordinate, x -= t * a_i, until it is
+    reflected at its last negative coordinate, x -= t * a_i, until it is
     dominant, flipping the sign each time (Brauer-Klimyk, Racah-Speiser); a
     regular x adds to mu = x - rho, an x with a zero coordinate adds
-    nothing.  The fold needs no mask per coordinate: a coordinate is
-    negative iff the top bit of its field is clear, and the top bits are
-    the packing's origin.  Returns {mu -> coefficient} in weight order, and
+    nothing.  Each reflection turns one positive coroot from negative to
+    positive on x, so the order of the negative coordinates changes neither
+    the end nor the count.  The fold needs no mask per coordinate: a coordinate is negative
+    iff the top bit of its field is clear, and the top bits are the
+    packing's origin; the lowest set bit of that mask is the last negative
+    coordinate's.  Returns {mu -> coefficient} in weight order, and
     with ``with_stats`` also the number of reflections; the basis element
     of N recovered at mu is the one attached to the weight mu + rho.
     """
     check_char_rank(d, v)
     # nu + rho has coordinates of size at most max |mu_j| + 2, and so does its W-orbit up to ht(theta^vee)
     packing = packing_for(d, [(max(map(abs, chain.from_iterable(v.terms)), default=0) + 2,)])
-    bits, mask, bias, origin = packing.bits, packing.mask, packing.bias, packing.origin
+    mask, bias, origin = packing.mask, packing.bias, packing.origin
     u = packing.pack_terms(v.terms, d.rho)
     if moved := _moving_letter(packing, u):
         raise ValueError(f"element is not in the joint Demazure kernel: simple reflection {moved} moves e^rho * v")
@@ -147,7 +149,7 @@ def decompose(d: RootDatum, v: CharElement, with_stats: bool = False):
     bound = len(d.positive_roots)
     rho = packing.offset(d.rho)
     # the top bit of field i, as the lowest bit of a negative-coordinate mask -> (shift, packed root)
-    letter = {bias << (bits * pos): (bits * pos, a) for pos, a in enumerate(packing.roots)}
+    letter = {bias << shift: (shift, a) for shift, a in zip(packing.shifts, packing.roots)}
     totals: dict[int, int] = {}
     get_total = totals.get
     reflections = 0
@@ -168,7 +170,7 @@ def decompose(d: RootDatum, v: CharElement, with_stats: bool = False):
         # x is dominant; mu = x - rho is dominant too iff x is regular
         if not origin & ~mu:
             totals[mu] = get_total(mu, 0) + (-c if steps & 1 else c)
-    coefficients = dict(sorted(packing.unpack_terms({mu: c for mu, c in totals.items() if c}).items()))
+    coefficients = packing.unpack_terms({mu: c for mu, c in totals.items() if c})
     if with_stats:
         return coefficients, reflections
     return coefficients

@@ -8,15 +8,18 @@ integral: the positive roots come from closing the simple roots under
 simple reflections, so no linear system is solved.
 
 Where speed counts, a weight is one packed int (``Packing``): with b bits
-per coordinate and bias B = 2^(b-1), x packs to
-k = sum_i (x_i + B) * 2^(b*i).  Adding a weight adds its unbiased offset
-sum_i x_i * 2^(b*i), the pairing <x, alpha_i^vee> is
-((k >> b*(i-1)) & (2^b - 1)) - B, and so the simple reflection s_i is
-k - t * a_i with t that pairing and a_i the offset of alpha_i.  For the
-Demazure step a weight string is an integer range whose step is a_i:
-range(k, k - (t+1)*a, -a) for t >= 0 and range(k + a, k - t*a, a) for
-t <= -2.  Negating a weight and adding delta is one subtraction,
-(2*pack(0) + offset(delta)) - k.
+per coordinate, bias B = 2^(b-1) and coordinate i of n in the field at bit
+f_i = b*(n-i), x packs to k = sum_i (x_i + B) * 2^(f_i).  x_1 has the most
+significant field, so integer order on keys is lexicographic order on
+weights.  Adding a weight adds its unbiased offset sum_i x_i * 2^(f_i), the
+pairing <x, alpha_i^vee> is ((k >> f_i) & (2^b - 1)) - B, and so the
+simple reflection s_i is k - t * a_i with t that pairing and a_i the offset
+of alpha_i.  Only ``Packing`` knows the layout: every caller reads the field
+shifts from ``Packing.shifts``.  For the Demazure step a weight string is an
+integer range whose step is a_i: range(k, k - (t+1)*a, -a) for t >= 0 and
+range(k + a, k - t*a, a) for t <= -2; a string of one weight (t = 0 or
+t = -2) is one update.  Negating a weight and adding delta is one
+subtraction, (2*pack(0) + offset(delta)) - k.
 
 The radix is widened, never wrapped.  One Demazure step keeps D_i(e^nu) on
 the segment from nu to s_i(nu), so every weight of D_w(e^nu), and every
@@ -257,19 +260,23 @@ def orbit_size(d: RootDatum, nu: Weight) -> int:
 
 
 class Packing:
-    """Weights of one rank with coordinates in [-2^(bits-1), 2^(bits-1)) as packed ints."""
+    """Weights of one rank with coordinates in [-2^(bits-1), 2^(bits-1)) as packed ints.
+
+    Coordinate i (0-based) sits in the field at bit ``shifts[i]``; coordinate 0 has the
+    most significant field, so pack(mu) < pack(nu) iff mu < nu.
+    """
 
     def __init__(self, d: RootDatum, bits: int):
         self.rank = d.rank
-        self.bits = bits
+        self.shifts = tuple(range(bits * (d.rank - 1), -1, -bits))
         self.mask = (1 << bits) - 1
         self.bias = 1 << (bits - 1)
-        self.origin = sum(self.bias << (bits * i) for i in range(d.rank))
+        self.origin = sum(self.bias << s for s in self.shifts)
         self.roots = tuple(self.offset(alpha) for alpha in d.simple_roots)
 
     def offset(self, mu: Weight) -> int:
         """The unbiased image of mu: pack(nu) + offset(mu) == pack(nu + mu)."""
-        return sum(x << (self.bits * i) for i, x in enumerate(mu))
+        return sum(map(lshift, mu, self.shifts))
 
     def pack(self, mu: Weight) -> int:
         return self.origin + self.offset(mu)
@@ -280,16 +287,16 @@ class Packing:
 
     def pack_terms(self, terms: Mapping[Weight, int], shift: Weight = ()) -> dict[int, int]:
         """{pack(mu + shift): c}; the empty shift packs the weights as they are."""
-        origin, shifts = self.pack(shift), range(0, self.bits * self.rank, self.bits)
+        origin, shifts = self.pack(shift), self.shifts
         return {origin + sum(map(lshift, mu, shifts)): c for mu, c in terms.items()}
 
     def unpack_terms(self, terms: Mapping[int, int], shift: Weight = ()) -> dict[Weight, int]:
-        """{mu + shift: c} for each pack(mu): c; the empty shift unpacks the weights as they are."""
-        mask, bits = self.mask, self.bits
+        """{mu + shift: c} for each pack(mu): c, in weight order; the empty shift unpacks the weights as they are."""
+        mask, keys = self.mask, sorted(terms)  # key order is weight order, and a shift keeps it
         biases = [self.bias - x for x in shift] if shift else [self.bias] * self.rank
         # one coordinate at a time over all keys, the shift folded into its bias; zip builds the tuples
-        columns = [[((k >> s) & mask) - b for k in terms] for s, b in zip(range(0, bits * self.rank, bits), biases)]
-        return dict(zip(zip(*columns), terms.values()))
+        columns = [[((k >> s) & mask) - b for k in keys] for s, b in zip(self.shifts, biases)]
+        return dict(zip(zip(*columns), map(terms.__getitem__, keys)))
 
     def step(self, pos: int, terms: dict[int, int]) -> dict[int, int]:
         """The operator of simple root pos + 1 (0-based pos) on packed terms.
@@ -298,7 +305,7 @@ class Packing:
         hold more than ``MAX_GUARD_TERMS`` terms.  A string holds |t + 1| terms, at most
         ``bias``, so they are measured only when the terms times ``bias`` exceed the bound.
         """
-        shift, mask, bias, a = self.bits * pos, self.mask, self.bias, self.roots[pos]
+        shift, mask, bias, a = self.shifts[pos], self.mask, self.bias, self.roots[pos]
         if len(terms) * bias > MAX_GUARD_TERMS:
             size = sum(abs(((k >> shift) & mask) + 1 - bias) for k in terms)
             if size > MAX_GUARD_TERMS:
@@ -310,10 +317,15 @@ class Packing:
         get = out.get
         for k, c in terms.items():
             t = ((k >> shift) & mask) - bias
-            if t >= 0:
+            # strings of one term, t = 0 and t = -2, are one update each
+            if t > 0:
                 for w in range(k, k - (t + 1) * a, -a):
                     out[w] = get(w, 0) + c
-            elif t <= -2:
+            elif t == 0:
+                out[k] = get(k, 0) + c
+            elif t == -2:
+                out[k + a] = get(k + a, 0) - c
+            elif t < -2:
                 for w in range(k + a, k - t * a, a):
                     out[w] = get(w, 0) - c
         return {k: c for k, c in out.items() if c} if 0 in out.values() else out

@@ -211,8 +211,7 @@ def generate(d: RootDatum, max_order: int = MAX_ELEMENTS) -> WeylGroup:
     level, start, n = [packing.pack(d.rho)], 0, 1
     while level:  # the keys of one length, in index order
         index_of: dict[int, int] = {}
-        for i, a in enumerate(packing.roots):
-            shift = packing.bits * i
+        for i, (a, shift) in enumerate(zip(packing.roots, packing.shifts)):
             for p, key in enumerate(level, start):
                 t = ((key >> shift) & mask) - bias
                 if t > 0:

@@ -1,12 +1,13 @@
 import json
 import pickle
+import random
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demchar.charring import CHAR_ELEMENT_SCHEMA, CharElement, Fragment, json_text
+from demchar.charring import CHAR_ELEMENT_SCHEMA, CHUNK_TERMS, CharElement, Fragment, json_chunks, json_text
 from demchar.rootsys import build_datum
 
 import oracles
@@ -321,6 +322,26 @@ def test_json_text_writes_a_fragment_as_the_value_it_was_rendered_from(doc, data
     assert json_text(mixed) == oracles.json_reference(doc)
     # a fragment that crossed a process boundary
     assert json_text(pickle.loads(pickle.dumps({"a": [mixed]}))) == oracles.json_reference({"a": [doc]})
+
+
+def long_char(size: int) -> CharElement:
+    """A rank-3 character of ``size`` distinct weights, inserted out of weight order."""
+    rng = random.Random(size)
+    weights = rng.sample([(k // 100 - 50, k % 100 - 50, k % 7) for k in range(10**4)], size)
+    return CharElement(3, {mu: rng.choice([-(10**30), -3, 1, 2, 10**30]) for mu in weights})
+
+
+@pytest.mark.parametrize("size", [0, 2 * CHUNK_TERMS + 1], ids=["empty", "over-two-chunks"])
+def test_json_text_writes_a_character_in_chunks_as_its_json_dict(size):
+    v = long_char(size)
+    assert len(v.terms) == size
+    assert json_text(v) == oracles.json_reference(v.to_json_dict())
+    nested = {"a": [1, v], "b": v}
+    assert json_text(nested) == oracles.json_reference({"a": [1, v.to_json_dict()], "b": v.to_json_dict()})
+    # the head, ceil(size / CHUNK_TERMS) chunks of at most CHUNK_TERMS terms, and the close
+    pieces = list(json_chunks(v))
+    assert len(pieces) == (2 + -(-size // CHUNK_TERMS) if size else 1)
+    assert max(piece.count('"coeff"') for piece in pieces) <= CHUNK_TERMS
 
 
 def test_json_text_of_the_zero_element_and_of_bools():

@@ -462,8 +462,10 @@ def test_unexpected_exceptions_from_a_worker_exit_with_one_line(exc, code, err, 
     [
         (["weyl", "--type", "B", "--rank", "4"], 1),  # about 150 kB: the reader leaves mid-output
         (["info", "--type", "A", "--rank", "2"], 0),  # all of it buffered: the final flush fails
+        # about 240 kB of JSON, more than a pipe buffer: the reader leaves between chunks
+        (["demchar", "--type", "B", "--rank", "4", "--tau", "w0", "--mu", "1,1,1,1", "--format", "json"], 1),
     ],
-    ids=["mid-output", "at-shutdown"],
+    ids=["mid-output", "at-shutdown", "mid-document"],
 )
 def test_closed_stdout_exits_141_silently(argv, lines_read):
     # block-buffered stdout, as on a plain pipe, so that the at-shutdown case writes nothing before the end
@@ -477,6 +479,37 @@ def test_closed_stdout_exits_141_silently(argv, lines_read):
     assert child.wait(timeout=60) == 141
     assert child.stderr.read() == ""
     child.stderr.close()
+
+
+class _PieceRecorder:
+    """A stdout that keeps every piece written to it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def test_dump_json_writes_a_document_in_chunks(monkeypatch):
+    from demchar import cli
+    from demchar.charring import CHUNK_TERMS, json_text
+
+    # every term has the same text at a given depth, so no piece may be longer than a
+    # document of CHUNK_TERMS terms at the deepest place a character sits
+    terms = {(10 + k // 90, 10 + k % 90): 1 for k in range(5 * CHUNK_TERMS // 2)}
+    v = CharElement(2, terms)
+    one_chunk = len(json_text({"b": [CharElement(2, dict(list(terms.items())[:CHUNK_TERMS]))]}))
+    for obj in (v, {"b": [v, 1], "a": v}):
+        out = _PieceRecorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        cli._dump_json(obj)
+        assert "".join(out.pieces) == json_text(obj) + "\n"
+        assert max(map(len, out.pieces)) <= one_chunk
 
 
 def test_deeply_nested_json_is_usage_error():

@@ -559,7 +559,7 @@ def test_guard_bound_sums_the_strings_of_the_guard(monkeypatch):
     real = Packing.step
 
     def step(packing, pos, terms):
-        shift = packing.bits * pos
+        shift = packing.shifts[pos]
         for k in terms:
             t = ((k >> shift) & packing.mask) - packing.bias
             counted.append(t + 1 if t >= 0 else max(-t - 1, 0))

@@ -270,7 +270,7 @@ def test_packed_reflection_of_the_orbit_of_rho(family, rank):
         k = packing.pack(mu)
         assert packing.unpack_terms({k: 1}) == {mu: 1}
         for i, a in enumerate(packing.roots):
-            t = ((k >> (packing.bits * i)) & packing.mask) - packing.bias
+            t = ((k >> packing.shifts[i]) & packing.mask) - packing.bias
             nu = simple_reflection(d, i + 1, mu)
             assert t == mu[i] and k - t * a == packing.pack(nu)
             if nu not in orbit:
@@ -294,3 +294,28 @@ def test_pack_terms_packs_each_weight(family, rank):
         for shift in (d.rho, weight_sub((0,) * rank, d.rho)):
             shifted = {weight_add(mu, shift): c for mu, c in terms.items()}
             assert packing.unpack_terms(packing.pack_terms(terms), shift) == shifted
+
+
+@st.composite
+def packed_weights(draw):
+    """A packing and weights that fit it, with a shift the unpacked weights stay inside the field for."""
+    family, rank = draw(st.sampled_from([("A", 1), ("A", 3), ("B", 2), ("G", 2), ("F", 4)]))
+    d = build_datum(family, rank)
+    bound = draw(st.sampled_from([3, 40, 10**12]))
+    coordinate = st.integers(-bound, bound)
+    weights = draw(st.lists(st.tuples(*[coordinate] * rank), min_size=2, max_size=12, unique=True))
+    shift = draw(st.sampled_from([(), d.rho, weight_sub((0,) * rank, d.rho)]))
+    return packing_for(d, weights, shift), weights, shift
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_weights())
+def test_packed_key_order_is_weight_order(case):
+    # coordinate 1 has the most significant field, so integer order on keys is lexicographic order
+    packing, weights, shift = case
+    mu, nu = weights[:2]
+    assert (packing.pack(mu) < packing.pack(nu)) == (mu < nu)
+    terms = {packing.pack(mu): k + 1 for k, mu in enumerate(weights)}
+    unpacked = packing.unpack_terms(terms, shift)
+    assert list(unpacked) == sorted(unpacked)
+    assert unpacked == {weight_add(mu, shift) if shift else mu: k + 1 for k, mu in enumerate(weights)}
