@@ -11,17 +11,21 @@ This is the linear extension of the divided-difference closed form, kept
 division-free so every computation stays in exact integers.  Composites are
 evaluated along reduced words with the last letter acting first.
 
-Inside a computation each weight is one packed int (``rootsys.Packing``),
-so a weight string is an integer range whose step is the packed simple
-root.  ``packing_for`` chooses the radix once per word or per walk over W
-before the first step; no step tests a coordinate.
+The step need not expand every string: it fixes e^mu + e^{s_i mu}, so of a
+pair c*e^mu + c'*e^{s_i mu} with t > 0 it writes only (c - c') times
+e^{mu-alpha} + ... + e^{s_i mu}, and a term with t < 0 expands only when its
+partner s_i mu is absent.  Inside a computation each weight is one packed int
+(``rootsys.Packing``), so a weight string is an integer range whose step is
+the packed simple root.  ``packing_for`` chooses the radix once per word or
+per walk over W before the first step; no step tests a coordinate.
 Tuples stay at every public boundary: CharElement and JSON.
 
 An element of W is named by a word, and the characters act along its
 canonical reduced word (``weyl.act`` on rho, ``weyl.canonical_word``),
 read from the root datum alone.  Each step is bounded where it runs: above
-``rootsys.MAX_GUARD_TERMS`` weight-string terms ``Packing.step`` refuses it
-before it expands anything.
+``rootsys.MAX_GUARD_TERMS`` weight-string terms, counted by the expansion
+above whether or not partners cancel, ``Packing.step`` refuses it before it
+expands anything.
 """
 
 from __future__ import annotations

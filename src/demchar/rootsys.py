@@ -15,11 +15,20 @@ weights.  Adding a weight adds its unbiased offset sum_i x_i * 2^(f_i), the
 pairing <x, alpha_i^vee> is ((k >> f_i) & (2^b - 1)) - B, and so the
 simple reflection s_i is k - t * a_i with t that pairing and a_i the offset
 of alpha_i.  Only ``Packing`` knows the layout: every caller reads the field
-shifts from ``Packing.shifts``.  For the Demazure step a weight string is an
-integer range whose step is a_i: range(k, k - (t+1)*a, -a) for t >= 0 and
-range(k + a, k - t*a, a) for t <= -2; a string of one weight (t = 0 or
-t = -2) is one update.  Negating a weight and adding delta is one
+shifts from ``Packing.shifts``.  Negating a weight and adding delta is one
 subtraction, (2*pack(0) + offset(delta)) - k.
+
+The Demazure step D_i expands only the s_i-asymmetric part of a character.
+D_i fixes every s_i-invariant character (Demazure, Ann. Sci. ENS 7, 1974),
+so with c_k the coefficient of key k, t its pairing and a = a_i,
+
+    D_i f = f + sum_{t > 0} (c_k - c_{k - t*a}) * (e^{k - a} + ... + e^{k - t*a})
+              - sum_{t < 0, k - t*a not in f} c_k * (e^k + ... + e^{k - (t+1)*a}).
+
+Each string is an integer range whose step is a: the step copies f, writes
+range(k - a, k - (t+1)*a, -a) for a key with t > 0 only when its coefficient
+differs from its partner's, and range(k, k - t*a, a) for a key with t < 0
+whose partner is absent; at t = -1 that one write cancels the copied term.
 
 The radix is widened, never wrapped.  One Demazure step keeps D_i(e^nu) on
 the segment from nu to s_i(nu), so every weight of D_w(e^nu), and every
@@ -27,7 +36,9 @@ weight of the orbit W*nu, lies in the convex hull of W*nu, and each of its
 coordinates is at most max |<nu, beta^vee>| <= ht(theta^vee) * max_j |nu_j|
 in absolute value, theta^vee the highest coroot.  ``packing_for`` chooses b
 from that bound, plus any shift to be folded in.  ``Packing.step`` is the
-program's only Demazure step, and it holds the bound on each step's work.
+program's only Demazure step, and it holds the bound on each step's work:
+it still counts sum |t + 1|, the terms of the weight-string formula, and the
+dict it builds holds at most ``len(terms)`` plus that count.
 """
 
 from __future__ import annotations
@@ -301,9 +312,14 @@ class Packing:
     def step(self, pos: int, terms: dict[int, int]) -> dict[int, int]:
         """The operator of simple root pos + 1 (0-based pos) on packed terms.
 
-        Raises ``GuardBoundError`` before expanding anything if the weight strings would
-        hold more than ``MAX_GUARD_TERMS`` terms.  A string holds |t + 1| terms, at most
-        ``bias``, so they are measured only when the terms times ``bias`` exceed the bound.
+        The step fixes e^k + e^(s k), s the simple reflection, so it copies the terms and
+        of each c * e^k + c2 * e^(s k) with t > 0 adds (c - c2) times the string from k - a
+        to s k; a key with t < 0 and no partner subtracts c times its string from k to s k - a.
+
+        Raises ``GuardBoundError`` before expanding anything if the weight strings of the
+        formula D(e^k) would hold more than ``MAX_GUARD_TERMS`` terms, partners or not.  A
+        string holds |t + 1| terms, at most ``bias``, so they are measured only when the terms
+        times ``bias`` exceed the bound.  The dict built holds at most ``len(terms)`` plus that count.
         """
         shift, mask, bias, a = self.shifts[pos], self.mask, self.bias, self.roots[pos]
         if len(terms) * bias > MAX_GUARD_TERMS:
@@ -313,20 +329,18 @@ class Packing:
                     f"the Demazure step of letter {pos + 1} would expand {size} weight-string terms, "
                     f"above the bound MAX_GUARD_TERMS = {MAX_GUARD_TERMS}"
                 )
-        out: dict[int, int] = {}
+        out = dict(terms)
         get = out.get
         for k, c in terms.items():
             t = ((k >> shift) & mask) - bias
-            # strings of one term, t = 0 and t = -2, are one update each
+            # k - t * a is s(k), the partner of k
             if t > 0:
-                for w in range(k, k - (t + 1) * a, -a):
-                    out[w] = get(w, 0) + c
-            elif t == 0:
-                out[k] = get(k, 0) + c
-            elif t == -2:
-                out[k + a] = get(k + a, 0) - c
-            elif t < -2:
-                for w in range(k + a, k - t * a, a):
+                d = c - terms.get(k - t * a, 0)
+                if d:
+                    for w in range(k - a, k - (t + 1) * a, -a):
+                        out[w] = get(w, 0) + d
+            elif t < 0 and k - t * a not in terms:
+                for w in range(k, k - t * a, a):
                     out[w] = get(w, 0) - c
         return {k: c for k, c in out.items() if c} if 0 in out.values() else out
 

@@ -11,8 +11,17 @@ from demchar.demazure import (
     euler_char,
     top_cohomology_char,
 )
-from demchar.rootsys import build_datum, packing_for, simple_reflection, weight_neg, weight_sub
-from demchar.weyl import act, peel
+from demchar.kernel import kernel_basis_element
+from demchar.rootsys import (
+    GuardBoundError,
+    build_datum,
+    orbit_size,
+    packing_for,
+    simple_reflection,
+    weight_neg,
+    weight_sub,
+)
+from demchar.weyl import act, peel, walk
 
 import oracles
 from oracles import alternative_reduced_words, element_by_word, extreme_weight, w_apply
@@ -266,9 +275,11 @@ def test_character_rank_must_match_rank(apply):
             apply(g, v)
 
 
-@pytest.mark.parametrize(
-    "family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
-)
+# the types on which Packing.step is compared with the tuple reference
+STEP_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+
+
+@pytest.mark.parametrize("family,rank", STEP_TYPES)
 def test_packed_operators_match_tuple_reference(family, rank):
     g = oracles.group(family, rank)
     d = g.datum
@@ -327,3 +338,78 @@ def test_packed_radix_widens_for_large_coordinates(data):
     assert demazure_word(d, word, v) == oracles.tuple_word(d, word, v)
     w = element_by_word(g, word)
     assert euler_char(d, word, mu) == oracles.tuple_word(d, g.word(w), monomial(mu))
+
+
+# The step writes only the s_i-asymmetric part of each pair {mu, s_i(mu)}; random characters
+# rarely hold both weights of a pair, so the inputs below are built from pairs.
+def packed_step(d, pos, terms):
+    """``Packing.step`` of letter pos + 1 on weight-keyed terms, unpacked."""
+    packing = packing_for(d, terms)
+    return packing.unpack_terms(packing.step(pos, packing.pack_terms(terms)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_step_on_reflection_pairs_matches_tuple_reference(data):
+    # each drawn mu comes with c * e^mu + c2 * e^(s_i mu), c2 equal to c or not, either one 0
+    family, rank = data.draw(st.sampled_from(STEP_TYPES))
+    d = build_datum(family, rank)
+    pos = data.draw(st.integers(0, rank - 1))
+    coeff = st.integers(-3, 3)
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        t = data.draw(st.sampled_from([1, 2, 3, 10**12]))
+        mu = tuple(t if p == pos else data.draw(st.integers(-3, 3)) for p in range(rank))
+        c = data.draw(coeff)
+        c2 = data.draw(st.one_of(st.just(c), coeff))
+        for nu, b in ((mu, c), (simple_reflection(d, pos + 1, mu), c2)):
+            terms[nu] = terms.get(nu, 0) + b
+    terms = {nu: c for nu, c in terms.items() if c}
+    if any(abs(nu[pos]) == 10**12 for nu in terms):
+        # the guard counts the terms of every weight string, partners or not
+        size = sum(abs(nu[pos] + 1) for nu in terms)
+        with pytest.raises(GuardBoundError, match=f"would expand {size} weight-string terms"):
+            packed_step(d, pos, terms)
+    else:
+        assert packed_step(d, pos, terms) == oracles.tuple_step_terms(d.simple_roots[pos], pos, terms)
+
+
+@pytest.mark.parametrize("family,rank", STEP_TYPES)
+def test_step_on_perturbed_orbit_sums_matches_tuple_reference(family, rank):
+    # a W-orbit sum is fixed by every step; one changed coefficient leaves one pair unequal
+    d = build_datum(family, rank)
+    rng = random.Random(f"orbit-pairs-{family}{rank}")
+    for _ in range(3):
+        orbit, todo = set(), [oracles.random_weight(rng, rank, -2, 2)]
+        while todo:
+            x = todo.pop()
+            if x not in orbit:
+                orbit.add(x)
+                todo += [simple_reflection(d, i, x) for i in range(1, rank + 1)]
+        terms = dict.fromkeys(orbit, rng.choice([-2, 1, 3]))
+        for pos in range(rank):
+            assert packed_step(d, pos, terms) == terms
+        terms[rng.choice(sorted(orbit))] += rng.choice([-1, 1, 2])
+        terms = {nu: c for nu, c in terms.items() if c}
+        for pos in range(rank):
+            assert packed_step(d, pos, terms) == oracles.tuple_step_terms(d.simple_roots[pos], pos, terms)
+
+
+@pytest.mark.parametrize("family,rank", STEP_TYPES)
+def test_step_on_kernel_walk_images_matches_tuple_reference(family, rank):
+    # every step of the walk that sums the kernel element of lam, then each step of that element
+    d = build_datum(family, rank)
+    lam = tuple(2 if p in (0, rank - 1) else 1 for p in range(rank)) if rank > 1 else (3,)
+    packing = packing_for(d, [lam])
+
+    def advance(pos, p):
+        stepped = packing.step(pos, p)
+        expected = oracles.tuple_step_terms(d.simple_roots[pos], pos, packing.unpack_terms(p))
+        assert packing.unpack_terms(stepped) == expected
+        return stepped
+
+    visited = sum(1 for _ in walk(d, {packing.pack(weight_neg(lam)): 1}, advance))
+    assert visited == orbit_size(d, weight_sub(lam, d.rho))
+    v = kernel_basis_element(d, lam)
+    for pos in range(rank):
+        assert packed_step(d, pos, v.terms) == oracles.tuple_step_terms(d.simple_roots[pos], pos, v.terms) == {}
