@@ -34,8 +34,9 @@ Only ``weyl``, ``verify-theorem`` and ``verify-lemma31`` generate the group,
 to read its Bruhat table, and a table above ``weyl.MAX_BRUHAT_TABLE_BYTES`` is
 refused before that; the others build the root datum alone and name an
 element by a word (``_resolve_element``).  A grid of more than
-``MAX_GRID_WEIGHTS`` weights, or a ``verify-kernel`` grid whose largest walk
-exceeds ``weyl.MAX_ELEMENTS``, is refused before any sweep or walk runs.
+``MAX_GRID_WEIGHTS`` weights, or a ``verify-kernel`` grid whose largest
+basis element sums over more than ``weyl.MAX_ELEMENTS`` nonzero terms, is
+refused before any sweep or Demazure step runs.
 Every command that takes a Demazure step refuses one that would expand
 more than ``rootsys.MAX_GUARD_TERMS`` weight-string terms (exit 2);
 ``verify-kernel`` passes that refusal on instead of counting it as a
@@ -423,7 +424,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     lams = _lambda_grid(d, args.grid)
     longest = canonical_word(d, weight_neg(rho))
     dual = lambda mu: weight_neg(act(d, longest, mu))
-    # the last weight has the largest walk, so a grid too large is refused before any other walk runs
+    # the last weight's sum has the most nonzero terms, so a grid too large is refused before any step
     basis = {lam: kernel_basis_element(d, lam) for lam in reversed(lams)}
 
     per_lambda = []

@@ -1,17 +1,17 @@
 """The joint kernel N of all Demazure operators on the root datum alone:
-membership, the e^rho-twist characterization, basis elements summed over one
-pruned peeling walk of W, and the decomposition into the full-group
-section-character basis, read off by folding each weight into the dominant
-chamber (Weyl's character formula).
+membership, the e^rho-twist characterization, basis elements as Norton's
+product of the 1 - D_i along w0's word, and the decomposition into the
+full-group section-character basis, read off by folding each weight into
+the dominant chamber (Weyl's character formula).
 
 Every layer works on packed weight keys (``rootsys.Packing``).  Membership
-is the definition of N and takes Demazure steps; every step it or the walk
-takes is refused by ``Packing.step`` above ``rootsys.MAX_GUARD_TERMS`` with
-``GuardBoundError``.  Invariance is read from the simple reflections, since
-D_i v = v iff s_i v = v (Demazure, Ann. Sci. ENS 7, 1974): one lookup per
-key and letter, which expands no weight string.  The decomposition packs
-e^rho * v once and uses those keys for that lookup and for the fold; only
-the resulting weights are unpacked.
+is the definition of N and takes Demazure steps; every step it or a basis
+element takes is refused by ``Packing.step`` above
+``rootsys.MAX_GUARD_TERMS`` with ``GuardBoundError``.  Invariance is read
+from the simple reflections, since D_i v = v iff s_i v = v (Demazure, Ann.
+Sci. ENS 7, 1974): one lookup per key and letter, which expands no weight
+string.  The decomposition packs e^rho * v once and uses those keys for
+that lookup and for the fold; only the resulting weights are unpacked.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .charring import CharElement
 from .demazure import check_char_rank
 from .rootsys import Packing, RootDatum, Weight, check_regular_dominant, orbit_size, packing_for
 from .rootsys import weight_add, weight_neg, weight_sub
-from .weyl import MAX_ELEMENTS, walk
+from .weyl import MAX_ELEMENTS, canonical_word
 
 DECOMPOSITION_SCHEMA = {
     "type": "object",
@@ -79,10 +79,11 @@ def is_demazure_invariant(d: RootDatum, v: CharElement) -> bool:
 def kernel_basis_element(d: RootDatum, lam: Weight) -> CharElement:
     """Sum over W of the top-cohomology characters of -lam, (-1)^l(w) * D_w(e^-lam).
 
-    The packed images stream from ``weyl.walk``, each one ``Packing.step`` from its
-    parent's, and are added with those signs as they come.  An empty image is pruned with
-    everything below it, so the walk visits the |W * (lam - rho)| elements whose image is
-    not 0 (``rootsys.orbit_size``); above ``MAX_ELEMENTS`` it is refused before it starts.
+    By Norton's 0-Hecke identity (J. Austral. Math. Soc. A 27, 1979) the sum is the
+    product of the 1 - D_i along any reduced word of w0, so the packed e^-lam takes one
+    ``Packing.step`` per letter of w0's canonical word, last letter first: N = |Phi+| steps.
+    The sum has |W * (lam - rho)| nonzero terms (``rootsys.orbit_size``); above
+    ``MAX_ELEMENTS`` it is refused before the first step.
     """
     check_regular_dominant(d, lam)
     size = orbit_size(d, weight_sub(lam, d.rho))
@@ -92,13 +93,11 @@ def kernel_basis_element(d: RootDatum, lam: Weight) -> CharElement:
             f"above the bound MAX_ELEMENTS = {MAX_ELEMENTS}"
         )
     packing = packing_for(d, [lam])
-    total: dict[int, int] = {}
-    get = total.get
-    for length, p in walk(d, {packing.pack(weight_neg(lam)): 1}, packing.step):
-        sign = -1 if length % 2 else 1
-        for k, c in p.items():
-            total[k] = get(k, 0) + sign * c
-    return CharElement.adopt(d.rank, packing.unpack_terms(total))
+    terms = {packing.pack(weight_neg(lam)): 1}
+    for i in reversed(canonical_word(d, weight_neg(d.rho))):
+        image = packing.step(i - 1, terms)
+        terms = {k: c for k in terms.keys() | image.keys() if (c := terms.get(k, 0) - image.get(k, 0))}
+    return CharElement.adopt(d.rank, packing.unpack_terms(terms))
 
 
 def verify_characterization(d: RootDatum, v: CharElement) -> bool:

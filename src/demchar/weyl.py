@@ -15,9 +15,8 @@ d.rho)``, known before any element is generated.  The Bruhat table is built
 on first read.
 
 No group is needed to name one element: ``act(d, word, d.rho)`` is w(rho),
-``canonical_word`` reads w's canonical word back from that key,
-``bruhat_leq`` compares two words by the lifting property on their keys, and
-``walk`` runs down the peeling tree on the keys alone.
+``canonical_word`` reads w's canonical word back from that key, and
+``bruhat_leq`` compares two words by the lifting property on their keys.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ from typing import Iterable
 
 from .rootsys import RootDatum, Weight, check_weight_rank, orbit_size, packing_for, simple_reflection
 
-# The most elements that ``generate`` lists, or a walk over W is asked to visit, unless told otherwise.
+# The most elements that ``generate`` lists, and the most nonzero terms |W * (lam - rho)| of the sum
+# over W that ``kernel.kernel_basis_element`` computes, unless told otherwise.
 MAX_ELEMENTS = 1_000_000
 
 # The Bruhat table holds about |W|^2 / 8 bytes.  This bound admits A6 (5,040
@@ -86,24 +86,6 @@ def act(d: RootDatum, letters: Iterable[int], lam: Weight) -> Weight:
             raise ValueError(f"word letter {i} out of range 1..{d.rank}")
         lam = simple_reflection(d, i, lam)
     return tuple(lam)
-
-
-def walk(d: RootDatum, seed, advance):
-    """Yield (l(w), value) for w in W, depth first down the peeling tree on the keys w(rho).
-
-    The value at e is ``seed``.  The children of w are the s_i*w with <w(rho), alpha_i^vee> > 0
-    whose smallest left descent is i, so each canonical word is i followed by its parent's.  A
-    child's value is ``advance(i - 1, value)``, and a falsy one prunes the child's subtree.
-    """
-    stack = [(d.rho, 0, seed)]
-    while stack:
-        key, length, value = stack.pop()
-        yield length, value
-        for i, t in enumerate(key, 1):
-            if t > 0:
-                child = simple_reflection(d, i, key)
-                if _smallest_descent(child) == i and (image := advance(i - 1, value)):
-                    stack.append((child, length + 1, image))
 
 
 @dataclass(frozen=True, eq=False)

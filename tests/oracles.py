@@ -11,10 +11,11 @@ generator that the compact tables replaced), the theorem references
 evaluate one operator string per interval element, the decomposition
 references subtract one full section character per peeled weight or fold
 weight tuples by ``simple_reflection``, the operator reference steps weights
-as tuples instead of packed ints, the kernel basis element is one string of
-1 - D_i along w0's word (Norton's 0-Hecke identity) with no walk over W, and
-the full section character is rebuilt by Freudenthal's multiplicity formula
-with no Demazure operator at all.
+as tuples instead of packed ints, the kernel basis element is Norton's
+string of 1 - D_i along w0's word stepped on weight tuples (the library
+steps the same string on packed ints; the definition sum over W is in
+``test_kernel``), and the full section character is rebuilt by
+Freudenthal's multiplicity formula with no Demazure operator at all.
 
 The helpers that the library does not need live here too: the element of a
 generated group named by a word, the lower interval of an element read bit
@@ -644,13 +645,15 @@ def tuple_word(d: RootDatum, word, v: CharElement) -> CharElement:
 
 
 def norton_kernel_element(d: RootDatum, lam: Weight) -> CharElement:
-    """Reference for ``kernel_basis_element``: sum_w (-1)^l(w) D_w(e^-lam) without a walk over W.
+    """Reference for ``kernel_basis_element``: sum_w (-1)^l(w) D_w(e^-lam) on weight tuples.
 
     With pi_w = D_w = sum_{v <= w} pibar_v and pibar_i = D_i - 1 (Norton,
     J. Austral. Math. Soc. A 27, 1979), sum_w (-1)^l(w) pi_w is
     sum_v pibar_v sum_{w >= v} (-1)^l(w), and the inner sum vanishes unless
     v = w0, where it is (-1)^N.  So the sum is (-1)^N pibar_w0, the product of
     the 1 - D_i along any reduced word of w0: N steps of ``tuple_word``.
+    The library takes the same N steps with ``Packing.step``, so this checks
+    the packed arithmetic, not the identity.
     """
     v = CharElement.monomial(weight_neg(lam))
     for i in reversed(canonical_word(d, weight_neg(d.rho))):

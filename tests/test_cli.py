@@ -520,13 +520,14 @@ def test_deeply_nested_json_is_usage_error():
 
 
 def test_too_large_group_is_refused_up_front(monkeypatch):
-    # grid 2 holds lam = 2 rho, whose walk would visit all of W; it is refused before any walk runs
-    from demchar import kernel
+    # grid 2 holds lam = 2 rho, whose sum has a nonzero term for every element of W; it is refused
+    # before any Demazure step
+    from demchar.rootsys import Packing
 
     def refuse(*args):
-        raise AssertionError("the walk ran")
+        raise AssertionError("a Demazure step ran")
 
-    monkeypatch.setattr(kernel, "walk", refuse)
+    monkeypatch.setattr(Packing, "step", refuse)
     for rank, order in [(7, 2903040), (8, 696729600)]:
         code, err = run_in_process(["verify-kernel", "--type", "E", "--rank", str(rank), "--grid", "2"])
         assert code == 2
@@ -917,7 +918,7 @@ def test_verify_kernel_passes_on_a_guard_refusal(monkeypatch):
 )
 @pytest.mark.usefixtures("inline_pool")
 def test_the_step_bound_reaches_every_step(monkeypatch, argv):
-    # the sweeps' walk over W and verify-kernel's walk, membership and round trips all step through
+    # the sweeps' walk over W and verify-kernel's basis elements, membership and round trips all step through
     # Packing.step, so a lowered bound refuses each of them as a usage error, never as a mismatch;
     # the largest step of the A2 sweeps at grid 2 expands 8 weight-string terms, verify-kernel's 18
     from demchar import rootsys

@@ -15,13 +15,12 @@ from demchar.kernel import kernel_basis_element
 from demchar.rootsys import (
     GuardBoundError,
     build_datum,
-    orbit_size,
     packing_for,
     simple_reflection,
     weight_neg,
     weight_sub,
 )
-from demchar.weyl import act, peel, walk
+from demchar.weyl import act, canonical_word, peel
 
 import oracles
 from oracles import alternative_reduced_words, element_by_word, extreme_weight, w_apply
@@ -397,19 +396,16 @@ def test_step_on_perturbed_orbit_sums_matches_tuple_reference(family, rank):
 
 @pytest.mark.parametrize("family,rank", STEP_TYPES)
 def test_step_on_kernel_walk_images_matches_tuple_reference(family, rank):
-    # every step of the walk that sums the kernel element of lam, then each step of that element
+    # each step of Norton's chain of 1 - D_i that builds the kernel element of lam, then each step of that element
     d = build_datum(family, rank)
     lam = tuple(2 if p in (0, rank - 1) else 1 for p in range(rank)) if rank > 1 else (3,)
     packing = packing_for(d, [lam])
-
-    def advance(pos, p):
-        stepped = packing.step(pos, p)
-        expected = oracles.tuple_step_terms(d.simple_roots[pos], pos, packing.unpack_terms(p))
-        assert packing.unpack_terms(stepped) == expected
-        return stepped
-
-    visited = sum(1 for _ in walk(d, {packing.pack(weight_neg(lam)): 1}, advance))
-    assert visited == orbit_size(d, weight_sub(lam, d.rho))
+    chain = monomial(weight_neg(lam))
+    for i in reversed(canonical_word(d, weight_neg(d.rho))):
+        stepped = packing.unpack_terms(packing.step(i - 1, packing.pack_terms(chain.terms)))
+        assert stepped == oracles.tuple_step_terms(d.simple_roots[i - 1], i - 1, chain.terms)
+        chain = chain - CharElement(rank, stepped)
     v = kernel_basis_element(d, lam)
+    assert v == chain
     for pos in range(rank):
         assert packed_step(d, pos, v.terms) == oracles.tuple_step_terms(d.simple_roots[pos], pos, v.terms) == {}

@@ -18,9 +18,9 @@ from demchar.kernel import (
     kernel_basis_element,
     verify_characterization,
 )
-from demchar.rootsys import MAX_GUARD_TERMS, GuardBoundError, Packing, build_datum, orbit_size, simple_reflection
-from demchar.rootsys import weight_add, weight_neg, weight_sub
-from demchar.weyl import act, canonical_word
+from demchar.rootsys import MAX_GUARD_TERMS, GuardBoundError, Packing, build_datum, orbit_size, packing_for
+from demchar.rootsys import simple_reflection, weight_add, weight_neg, weight_sub
+from demchar.weyl import act, canonical_word, peel
 
 import oracles
 from oracles import dominance_leq, w_apply
@@ -190,18 +190,32 @@ def test_kernel_basis_element_weight_length_must_match_rank(lam):
         kernel_basis_element(build_datum("A", 2), lam)
 
 
-@pytest.mark.parametrize("family,rank,lam", [("A", 2, (2, 1)), ("B", 2, (1, 2)), ("G", 2, (2, 2)), ("B", 3, (1, 2, 1))])
-def test_kernel_basis_element_is_the_sum_of_top_characters(family, rank, lam):
-    g = oracles.group(family, rank)
-    total = zero(rank)
-    for w in range(g.order):
-        total = total + top_cohomology_char(g.datum, g.word(w), lam)
-    assert kernel_basis_element(g.datum, lam) == total
-
-
 def rho_plus(rank, *omegas):
     """rho plus the fundamental weights omega_i, i in omegas (1-based, each at most once)."""
     return tuple(2 if j in omegas else 1 for j in range(1, rank + 1))
+
+
+def definition_sum(g, lam):
+    """sum_w (-1)^l(w) D_w(e^-lam), one ``top_cohomology_char`` per element of the generated group."""
+    total = zero(g.datum.rank)
+    for w in range(g.order):
+        total = total + top_cohomology_char(g.datum, g.word(w), lam)
+    return total
+
+
+# at 2 rho every element of W has a nonzero term; at rho + omega_1 only the minimal coset representatives do
+@pytest.mark.parametrize(
+    "family,rank,lam",
+    [("A", 2, (2, 1)), ("B", 2, (1, 2)), ("G", 2, (2, 2)), ("B", 3, (1, 2, 1))]
+    + [
+        (family, rank, lam)
+        for family, rank in [("A", 3), ("C", 3), ("B", 4)]
+        for lam in [(2,) * rank, rho_plus(rank, 1)]
+    ],
+)
+def test_kernel_basis_element_is_the_sum_of_top_characters(family, rank, lam):
+    g = oracles.group(family, rank)
+    assert kernel_basis_element(g.datum, lam) == definition_sum(g, lam)
 
 
 @pytest.mark.parametrize("family,rank", [t for t in oracles.ALL_TYPES if oracles.classical_weyl_order(*t) <= 384])
@@ -221,55 +235,47 @@ def test_kernel_basis_element_matches_nortons_product_on_exceptional_types(famil
 
 
 @pytest.mark.parametrize("family,rank,lam", [("A", 3, (1, 2, 1)), ("B", 3, (2, 1, 2)), ("G", 2, (2, 2))])
-def test_a_walk_that_drops_one_nonempty_image_fails_nortons_product(monkeypatch, family, rank, lam):
+def test_nortons_product_that_skips_a_letter_or_applies_d_i_fails_the_definition(monkeypatch, family, rank, lam):
     from demchar import kernel
 
-    d = build_datum(family, rank)
-    real = kernel.walk
-    images = 0
+    g = oracles.group(family, rank)
+    expected = definition_sum(g, lam)
+    assert kernel_basis_element(g.datum, lam) == expected
+    # the middle letter: at a singular lam - rho an end letter can act as 1 (D_i e^-lam = 0 where lam_i = 1)
+    longest = canonical_word(g.datum, weight_neg(g.datum.rho))
+    middle = len(longest) // 2
+    monkeypatch.setattr(kernel, "canonical_word", lambda d, key: longest[:middle] + longest[middle + 1 :])
+    assert kernel_basis_element(g.datum, lam) != expected
+    monkeypatch.undo()
 
-    def dropping(d, seed, advance):
-        def drop_the_third(i, value):
-            nonlocal images
-            image = advance(i, value)
-            images += bool(image)
-            return {} if image and images == 3 else image
+    real = Packing.step
 
-        return real(d, seed, drop_the_third)
+    def complement(self, pos, terms):  # terms - D_i(terms), so that the product applies D_i in place of 1 - D_i
+        image = real(self, pos, terms)
+        return {k: c for k in terms.keys() | image.keys() if (c := terms.get(k, 0) - image.get(k, 0))}
 
-    monkeypatch.setattr(kernel, "walk", dropping)
-    assert kernel_basis_element(d, lam) != oracles.norton_kernel_element(d, lam)
-    assert images >= 3
+    monkeypatch.setattr(Packing, "step", complement)
+    assert kernel_basis_element(g.datum, lam) != expected
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 4), ("D", 4), ("G", 2), ("F", 4), ("D", 5)])
-def test_the_walk_visits_one_element_per_weight_of_the_orbit_of_lam_minus_rho(monkeypatch, family, rank):
-    from demchar import kernel
-
-    d = build_datum(family, rank)
-    real = kernel.walk
-    visits = []
-
-    def counted(d, seed, advance):
-        for item in real(d, seed, advance):
-            visits.append(item)
-            yield item
-
-    monkeypatch.setattr(kernel, "walk", counted)
+def test_the_walk_visits_one_element_per_weight_of_the_orbit_of_lam_minus_rho(family, rank):
+    # MAX_ELEMENTS bounds the w with D_w(e^-lam) != 0, the nonzero images of the peeling walk over W
+    g = oracles.group(family, rank)
+    d = g.datum
     for lam in itertools.product((1, 2), repeat=rank):
-        visits.clear()
-        kernel_basis_element(d, lam)
-        assert len(visits) == orbit_size(d, weight_sub(lam, d.rho)), lam
-        assert all(value for _, value in visits)
+        packing = packing_for(d, [lam])
+        images = peel(g, {packing.pack(weight_neg(lam)): 1}, lambda w, i, sigma, below: packing.step(i, below[sigma]))
+        assert sum(1 for _, p in images if p) == orbit_size(d, weight_sub(lam, d.rho)), lam
 
 
 def test_kernel_basis_element_refuses_a_walk_above_the_bound_before_walking(monkeypatch):
     from demchar import kernel
 
     def refuse(*args):
-        raise AssertionError("the walk ran")
+        raise AssertionError("a Demazure step ran")
 
-    monkeypatch.setattr(kernel, "walk", refuse)
+    monkeypatch.setattr(Packing, "step", refuse)
     with pytest.raises(ValueError, match=r"E7 sums over 2903040 elements, above the bound MAX_ELEMENTS = 1000000$"):
         kernel_basis_element(build_datum("E", 7), (2,) * 7)
     with pytest.raises(ValueError, match="E8 sums over 696729600 elements"):

@@ -18,7 +18,6 @@ from demchar.weyl import (
     lower_covers,
     act,
     peel,
-    walk,
 )
 
 import oracles
@@ -228,17 +227,6 @@ def test_word_key_names_the_element_by_word(family, rank):
         k = element_by_word(g, word)
         assert act(d, word, d.rho) == oracles.act(g, k, d.rho)
         assert canonical_word(d, act(d, iter(word), d.rho)) == g.word(k)
-
-
-@pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
-def test_walk_that_never_prunes_visits_each_element_once_by_its_canonical_word(family, rank):
-    # the value of each node is the word peeled down to it, so the walk's tree is peel's
-    g = oracles.group(family, rank)
-    visited = list(walk(g.datum, (), lambda i, word: (i + 1,) + word))
-    assert len(visited) == g.order
-    assert Counter(length for length, _ in visited) == Counter(g.length)
-    assert all(length == len(word) for length, word in visited)
-    assert sorted(word for _, word in visited) == sorted(g.word(k) for k in range(g.order))
 
 
 def test_canonical_word_of_minus_rho_is_the_longest_word_on_e6():
