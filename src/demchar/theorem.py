@@ -3,9 +3,12 @@ duals, section characters, and boundary-restriction kernels.
 
 One engine checks lemma 3.1: the left side sums the kernel characters eps_w
 over a Bruhat lower interval along the peeling walk ``weyl.peel``, the right
-side is a single operator string.  The main identity is the same check read
-in the frame e^rho, so the two are not independent evidence.  A report
-never fudges: passed is exact term-by-term equality of both sides.
+side is a single operator string.  That string, the section character
+D_tau(e^(lam - rho)), depends on tau only through tau(lam - rho), so it is
+stepped once per coset of the stabilizer of lam - rho and shared across the
+coset.  The main identity is the same check read in the frame e^rho, so the
+two are not independent evidence.  A report never fudges: passed is exact
+term-by-term equality of both sides.
 """
 
 from __future__ import annotations
@@ -66,9 +69,22 @@ def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[Verifica
     """Check sum_{w <= tau} eps_w = D_tau(e^(lam - rho)) for every tau, both sides read in e^frame.
 
     One ``weyl.peel`` walk over W.  At each tau one operator step from
-    sigma = s*tau's entries gives D_tau(e^-lam) and the section
-    D_tau(e^(lam - rho)), and one star and sign per key turn the first into
-    lemma 3.1's eps_tau = e^-rho * ch(H^l(tau)(X(tau), L_-lam))^*.
+    sigma = s_i*tau's entries gives D_tau(e^-lam), and one star and sign per
+    key turn it into lemma 3.1's eps_tau = e^-rho * ch(H^l(tau)(X(tau), L_-lam))^*.
+
+    The section D_tau(e^mu), mu = lam - rho, is stepped only at tau in W^J, J
+    the letters that fix mu.  With tau = tau^J * u and u in W_J, D_j e^mu = e^mu
+    for j in J gives D_tau(e^mu) = D_(tau^J)(e^mu), which depends on tau(mu)
+    alone (Demazure, Ann. Sci. ENS 7, 1974).  A tau outside W^J has a right
+    descent s_j with j in J, and tau*s_j is one letter shorter with the same
+    tau(mu), so its section is in the walk's window; a tau in W^J is the
+    shortest of its coset.  So each value carries x = tau(mu), packed, and
+    x_tau = s_i(x_sigma) is one shift and mask as in ``weyl.generate``; x_e is
+    the section's own seed key.  The window's previous length is indexed by x
+    once per length (``weyl.peel`` passes one dict per length), and tau takes
+    the section found at its x, or else steps sigma's.  Per lam that is
+    (|W| - 1) + (|W * mu| - 1) steps in place of 2(|W| - 1).
+
     L(tau) is not grown from sigma but from c, the lower cover of tau with the
     largest interval (``WeylGroup.largest_covers``): [e, c] lies in [e, tau]
     (Bjorner-Brenti, GTM 231, section 2.2), so L(tau) is a copy of L(c) plus
@@ -77,10 +93,11 @@ def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[Verifica
     derived per lam; c is one letter shorter than tau, so L(c) is in the
     walk's window.  Each tau is compared as soon as it is reached.
 
-    The walk keeps two lengths of images and L; every eps_w stays, since a
-    later tau may add any w.  Both sides share one packing and are compared
-    packed.  A passing report keeps no character; a failing one unpacks L(tau)
-    and the section once, times e^frame (the theorem is lemma 3.1 times e^rho).
+    The walk keeps two lengths of images, sections and L; every eps_w stays,
+    since a later tau may add any w.  Both sides share one packing and are
+    compared packed.  A passing report keeps no character; a failing one
+    unpacks L(tau) and the section once, times e^frame (the theorem is
+    lemma 3.1 times e^rho).
     """
     check_regular_dominant(g.datum, lam)
     rho = g.datum.rho
@@ -90,26 +107,34 @@ def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[Verifica
     packing = packing_for(g.datum, [lam], rho)
     step, m = packing.step, packing.star_key(weight_neg(rho))
     read = lambda terms: CharElement.adopt(g.datum.rank, packing.unpack_terms(terms, frame))
+    shifts, mask, bias, roots = packing.shifts, packing.mask, packing.bias, packing.roots
     epsilon: list[dict[int, int] | None] = [None] * g.order
     reports = []
+    window, sections = None, {}  # the window's previous length, and its sections by packed tau(mu)
 
-    def entries(k, image, section, acc, new):  # (D_k(e^-lam), D_k(e^(lam - rho)), L(k)), storing eps_k
+    def entries(k, image, section, acc, new, x):  # (D_k(e^-lam), D_k(e^mu), L(k), k(mu)), mu = lam - rho; stores eps_k
         epsilon[k] = {m - key: -c if length[k] % 2 else c for key, c in image.items()}
         acc = dict(acc)
         get = acc.get
         for w in new:
             for mu, c in epsilon[w].items():
                 acc[mu] = get(mu, 0) + c
-        return image, section, acc
+        return image, section, acc, x
 
     def advance(k, i, sigma, below):
-        image, section, _ = below[sigma]
+        nonlocal window, sections
+        if below is not window:  # the first tau of a new length
+            window, sections = below, {x: section for _, section, _, x in below.values()}
+        image, section, _, x = below[sigma]
+        x -= (((x >> shifts[i]) & mask) - bias) * roots[i]  # tau(mu) = s_i(sigma(mu))
+        shared = sections.get(x)
         c, new = covers[k]
-        return entries(k, step(i, image), step(i, section), below[c][2], new)
+        return entries(k, step(i, image), step(i, section) if shared is None else shared, below[c][2], new, x)
 
     e = g.identity
-    seed = entries(e, {packing.pack(weight_neg(lam)): 1}, {packing.pack(weight_sub(lam, rho)): 1}, {}, covers[e][1])
-    for k, (_, section, acc) in peel(g, seed, advance):
+    x = packing.pack(weight_sub(lam, rho))
+    seed = entries(e, {packing.pack(weight_neg(lam)): 1}, {x: 1}, {}, covers[e][1], x)
+    for k, (_, section, acc, _) in peel(g, seed, advance):
         lhs = {mu: c for mu, c in acc.items() if c} if 0 in acc.values() else acc
         passed = lhs == section
         dim = sum(section.values())

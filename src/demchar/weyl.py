@@ -222,8 +222,11 @@ def peel(g: WeylGroup, seed, advance):
     Bjorner-Brenti, GTM 231, Prop. 2.2.7).  The value at e is ``seed`` and any
     other is ``advance(tau, i, sigma, below)``, where ``below`` maps every
     index of length l(tau) - 1 to its value, so sigma's value is
-    ``below[sigma]``.  Index order is length order; a value is kept only
-    while the walk is at its length or the next.
+    ``below[sigma]``.  ``below`` is one dict per length: every tau of a
+    length gets the same dict, already complete and not changed while that
+    length is walked, so a caller may index it once, at the first tau of a
+    length.  Index order is length order; a value is kept only while the
+    walk is at its length or the next.
     """
     lengths, first, left_mult, rank = g.length, g.first, g.left_mult, g.datum.rank
     shorter, current, length = {}, {}, 0

@@ -15,6 +15,27 @@ def sections_of_lam(monkeypatch):
 
 
 @pytest.fixture
+def eps_times_minus_rho(monkeypatch):
+    """Multiplies every eps_w by e^-rho, so every check fails and keeps its section as it was.
+
+    The star key's shift -rho becomes -2 rho, and the packing is chosen for
+    the shift 2 rho, so no coordinate of L(tau) = e^-rho * D_tau(e^(lam - rho))
+    wraps.  The section, its seed e^(lam - rho) and its sharing are untouched.
+    """
+    from demchar import theorem
+
+    real = theorem.packing_for
+
+    def packing_for(d, weights, shift=()):
+        packing = real(d, weights, tuple(2 * x for x in shift))
+        star_key = packing.star_key
+        packing.star_key = lambda delta: star_key(tuple(2 * x for x in delta))
+        return packing
+
+    monkeypatch.setattr(theorem, "packing_for", packing_for)
+
+
+@pytest.fixture
 def freeze_reflections(monkeypatch):
     """Returns a switch that makes every packed reflection in ``kernel`` fix its key.
 

@@ -1,12 +1,14 @@
+import copy
 import itertools
 import random
 
 import jsonschema
 import pytest
 
+from demchar import theorem
 from demchar.charring import CharElement
 from demchar.demazure import demazure_char, top_cohomology_char
-from demchar.rootsys import weight_neg, weight_sub
+from demchar.rootsys import Packing, orbit_size, weight_neg, weight_sub
 from demchar.theorem import (
     VERIFICATION_REPORT_SCHEMA,
     epsilon_char,
@@ -268,3 +270,71 @@ def test_rank_four_sweeps_pass_and_sum_the_interval(family, lams, request):
     taus = [g.longest, *random.Random(53).sample(range(g.order), 4)]
     for tau in taus:
         assert sweep[tau].sides[0] == oracles.interval_sum(g, tau, lam), (family, g.word(tau))
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4), ("B", 4)])
+def test_sweeps_step_the_section_once_per_minimal_coset_representative(family, rank, monkeypatch):
+    # D_tau(e^mu) = D_(tau^J)(e^mu) for mu = lam - rho: one image step per tau != e, one section step per tau^J != e
+    g = oracles.group(family, rank)
+    d = g.datum
+    real = Packing.step
+    calls = 0
+
+    def step(packing, pos, terms):
+        nonlocal calls
+        calls += 1
+        return real(packing, pos, terms)
+
+    monkeypatch.setattr(Packing, "step", step)
+    for lam in itertools.product((1, 2), repeat=rank):
+        expected = (g.order - 1) + (orbit_size(d, weight_sub(lam, d.rho)) - 1)
+        for sweep in (sweep_verify_theorem, sweep_verify_lemma31):
+            calls = 0
+            sweep(g, lam)
+            assert calls == expected, (sweep.__name__, lam)
+
+
+def section_mismatches(g, taus):
+    """(lam, tau, frame) for each grid-2 lam, tau in taus and frame whose section differs from the word reference.
+
+    Run under ``eps_times_minus_rho``: every report fails and keeps its section.
+    """
+    d = g.datum
+    mismatches = []
+    for lam in itertools.product((1, 2), repeat=d.rank):
+        sweeps = {d.rho: sweep_verify_theorem(g, lam), (0,) * d.rank: sweep_verify_lemma31(g, lam)}
+        for tau in taus:
+            section = demazure_char(d, g.word(tau), weight_sub(lam, d.rho))
+            for frame, reports in sweeps.items():
+                assert not reports[tau].passed, (g.word(tau), lam)
+                if reports[tau].sides[1] != section.shift(frame):
+                    mismatches.append((lam, tau, frame))
+    return mismatches
+
+
+@pytest.mark.usefixtures("eps_times_minus_rho")
+@pytest.mark.parametrize(
+    "family,rank,sample", [("A", 3, None), ("B", 3, None), ("C", 3, None), ("G", 2, None), ("D", 4, 8)]
+)
+def test_shared_sections_match_the_word_reference(family, rank, sample):
+    # grid 2 holds lam = rho, where mu = 0 and every section is shared, and lam with mu singular and nonzero
+    g = oracles.group(family, rank)
+    taus = range(g.order) if sample is None else [g.longest, *random.Random(59).sample(range(g.order), sample)]
+    assert section_mismatches(g, taus) == []
+
+
+@pytest.mark.usefixtures("eps_times_minus_rho")
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_sections_keyed_on_sigma_fail_the_word_reference(family, rank, monkeypatch):
+    # the key reflection sees zero roots, so tau is looked up at sigma(mu); the Demazure steps keep their roots
+    real = theorem.packing_for
+
+    def packing_for(d, weights, shift=()):
+        packing = real(d, weights, shift)
+        unreflected = copy.copy(packing)
+        unreflected.roots, unreflected.step = (0,) * d.rank, packing.step
+        return unreflected
+
+    monkeypatch.setattr(theorem, "packing_for", packing_for)
+    g = oracles.group(family, rank)
+    assert section_mismatches(g, range(g.order))

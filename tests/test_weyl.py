@@ -325,11 +325,20 @@ def test_peel_holds_at_most_two_lengths_of_values(family, rank):
         alive.add(value)
         return value
 
+    window, window_length = None, 0
+
     def advance(tau, i, sigma, below):
+        nonlocal window, window_length
         assert below[sigma].tau == sigma == g.left_mult[tau * rank + i]
         # the window holds every element one letter shorter than tau
         assert sorted(below) == [k for k in range(g.order) if g.length[k] == g.length[tau] - 1]
         assert g.word(tau) == (i + 1,) + g.word(sigma)
+        # one dict per length: every tau of a length gets the same one, and the next length a new one
+        if g.length[tau] == window_length:
+            assert below is window
+        else:
+            assert below is not window and g.length[tau] == window_length + 1
+            window, window_length = below, g.length[tau]
         return made(tau)
 
     seen = []
