@@ -22,12 +22,6 @@ from .rootsys import (
     pairing,
     simple_reflection,
 )
-from .theorem import (
-    VerificationReport,
-    epsilon_char,
-    sweep_verify_lemma31,
-    sweep_verify_theorem,
-)
 from .weyl import (
     WeylGroup,
     bruhat_leq,
@@ -35,3 +29,12 @@ from .weyl import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # ``theorem`` is imported on first use (PEP 562), so the commands that never sweep do not compile it
+    if name in ("VerificationReport", "epsilon_char", "sweep_verify_lemma31", "sweep_verify_theorem"):
+        from . import theorem
+
+        return getattr(theorem, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

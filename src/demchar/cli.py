@@ -65,7 +65,6 @@ from .kernel import (
     verify_characterization,
 )
 from .rootsys import GuardBoundError, RootDatum, Weight, build_datum, orbit_size, weight_neg, weight_sub, weyl_dimension
-from .theorem import sweep_verify_lemma31, sweep_verify_theorem
 from .weyl import (
     WeylGroup,
     act,
@@ -313,6 +312,20 @@ class _Sweep:
 def _report_field(value) -> str:
     """The JSON text of value as the value of a key in a dict at indent 0."""
     return json_text(value).replace("\n", "\n  ")
+
+
+def sweep_verify_theorem(g: WeylGroup, lam: Weight) -> list:
+    """``theorem.sweep_verify_theorem``; only the sweeps import ``theorem``, so no other command compiles it."""
+    from .theorem import sweep_verify_theorem
+
+    return sweep_verify_theorem(g, lam)
+
+
+def sweep_verify_lemma31(g: WeylGroup, lam: Weight) -> list:
+    """``theorem.sweep_verify_lemma31``, imported like ``sweep_verify_theorem``."""
+    from .theorem import sweep_verify_lemma31
+
+    return sweep_verify_lemma31(g, lam)
 
 
 def _sweep_lambda(sweep: _Sweep, command: str, fmt: str, lam: Weight) -> _Block:

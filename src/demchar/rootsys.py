@@ -28,7 +28,9 @@ so with c_k the coefficient of key k, t its pairing and a = a_i,
 Each string is an integer range whose step is a: the step copies f, writes
 range(k - a, k - (t+1)*a, -a) for a key with t > 0 only when its coefficient
 differs from its partner's, and range(k, k - t*a, a) for a key with t < 0
-whose partner is absent; at t = -1 that one write cancels the copied term.
+whose partner is absent.  At t = +-1 a string is one weight, s(k) or k, and
+is written as one dict update with no range; at t = -1 it cancels the copied
+term.
 
 The radix is widened, never wrapped.  One Demazure step keeps D_i(e^nu) on
 the segment from nu to s_i(nu), so every weight of D_w(e^nu), and every
@@ -315,6 +317,7 @@ class Packing:
         The step fixes e^k + e^(s k), s the simple reflection, so it copies the terms and
         of each c * e^k + c2 * e^(s k) with t > 0 adds (c - c2) times the string from k - a
         to s k; a key with t < 0 and no partner subtracts c times its string from k to s k - a.
+        A string of one weight, at t = +-1, is one dict update.
 
         Raises ``GuardBoundError`` before expanding anything if the weight strings of the
         formula D(e^k) would hold more than ``MAX_GUARD_TERMS`` terms, partners or not.  A
@@ -336,12 +339,17 @@ class Packing:
             # k - t * a is s(k), the partner of k
             if t > 0:
                 d = c - terms.get(k - t * a, 0)
-                if d:
+                if d and t == 1:  # the string is s(k) alone
+                    out[k - a] = get(k - a, 0) + d
+                elif d:
                     for w in range(k - a, k - (t + 1) * a, -a):
                         out[w] = get(w, 0) + d
             elif t < 0 and k - t * a not in terms:
-                for w in range(k, k - t * a, a):
-                    out[w] = get(w, 0) - c
+                if t == -1:  # the string is k alone, copied above
+                    out[k] -= c
+                else:
+                    for w in range(k, k - t * a, a):
+                        out[w] = get(w, 0) - c
         return {k: c for k, c in out.items() if c} if 0 in out.values() else out
 
 

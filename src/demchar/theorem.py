@@ -6,9 +6,11 @@ over a Bruhat lower interval along the peeling walk ``weyl.peel``, the right
 side is a single operator string.  That string, the section character
 D_tau(e^(lam - rho)), depends on tau only through tau(lam - rho), so it is
 stepped once per coset of the stabilizer of lam - rho and shared across the
-coset.  The main identity is the same check read in the frame e^rho, so the
-two are not independent evidence.  A report never fudges: passed is exact
-term-by-term equality of both sides.
+coset; so are the left side and the verdict, whenever the kernel characters
+show that the coset's intervals differ by zero terms alone.  The main
+identity is the same check read in the frame e^rho, so the two are not
+independent evidence.  A report never fudges: passed is exact term-by-term
+equality of both sides.
 """
 
 from __future__ import annotations
@@ -77,21 +79,25 @@ def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[Verifica
     for j in J gives D_tau(e^mu) = D_(tau^J)(e^mu), which depends on tau(mu)
     alone (Demazure, Ann. Sci. ENS 7, 1974).  A tau outside W^J has a right
     descent s_j with j in J, and tau*s_j is one letter shorter with the same
-    tau(mu), so its section is in the walk's window; a tau in W^J is the
-    shortest of its coset.  So each value carries x = tau(mu), packed, and
-    x_tau = s_i(x_sigma) is one shift and mask as in ``weyl.generate``; x_e is
-    the section's own seed key.  The window's previous length is indexed by x
-    once per length (``weyl.peel`` passes one dict per length), and tau takes
-    the section found at its x, or else steps sigma's.  Per lam that is
+    tau(mu); a tau in W^J is the shortest of its coset.  So each value carries
+    x = tau(mu), packed, and x_tau = s_i(x_sigma) is one shift and mask as in
+    ``weyl.generate``.  The window's previous length is indexed by x once per
+    length (``weyl.peel`` passes one dict per length), and tau takes the
+    section of the y found at its x, or else steps sigma's.  Per lam that is
     (|W| - 1) + (|W * mu| - 1) steps in place of 2(|W| - 1).
 
-    L(tau) is not grown from sigma but from c, the lower cover of tau with the
-    largest interval (``WeylGroup.largest_covers``): [e, c] lies in [e, tau]
-    (Bjorner-Brenti, GTM 231, section 2.2), so L(tau) is a copy of L(c) plus
-    eps_w over the increment, the bits of rows[tau] & ~rows[c].  Both c and the
-    increment depend on tau alone, so they are read from the group, not
-    derived per lam; c is one letter shorter than tau, so L(c) is in the
-    walk's window.  Each tau is compared as soon as it is reached.
+    The left side L(tau) is shared with y too when no nonzero eps_w lies
+    under one of tau, y and not the other: the bitmask ``nonzero`` marks each
+    eps_w != 0 as it is formed.  Only w in W^J have eps_w = pibar_w(e^mu) != 0,
+    and w <= tau, w in W^J iff w <= tau^J (Bjorner-Brenti, GTM 231, Prop.
+    2.5.1), so this always holds when the eps_w are right; tau then takes y's
+    L and verdict.  Otherwise L(tau) is grown from c, the lower cover of tau
+    with the largest interval (``WeylGroup.largest_covers``): [e, c] lies in
+    [e, tau] (GTM 231, section 2.2), so L(tau) is a copy of L(c) plus eps_w
+    over the increment, the bits of rows[tau] & ~rows[c], read from the group.
+    c is one letter shorter than tau, so L(c) is in the walk's window.  Such
+    a tau is compared as soon as it is reached, and once it passes its
+    section is its L, so the two sides are one dict.
 
     The walk keeps two lengths of images, sections and L; every eps_w stays,
     since a later tau may add any w.  Both sides share one packing and are
@@ -109,34 +115,55 @@ def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[Verifica
     read = lambda terms: CharElement.adopt(g.datum.rank, packing.unpack_terms(terms, frame))
     shifts, mask, bias, roots = packing.shifts, packing.mask, packing.bias, packing.roots
     epsilon: list[dict[int, int] | None] = [None] * g.order
+    nonzero = 0  # bit w is set once eps_w is formed and nonzero
     reports = []
-    window, sections = None, {}  # the window's previous length, and its sections by packed tau(mu)
+    window, coset = None, {}  # the window's previous length, and an element of it by packed tau(mu)
 
-    def entries(k, image, section, acc, new, x):  # (D_k(e^-lam), D_k(e^mu), L(k), k(mu)), mu = lam - rho; stores eps_k
+    def store(k, image):  # stores eps_k from D_k(e^-lam)
+        nonlocal nonzero
         epsilon[k] = {m - key: -c if length[k] % 2 else c for key, c in image.items()}
+        nonzero |= bool(image) << k
+
+    def grow(acc, new):  # a copy of L(c) plus eps_w over the increment
         acc = dict(acc)
         get = acc.get
         for w in new:
             for mu, c in epsilon[w].items():
                 acc[mu] = get(mu, 0) + c
-        return image, section, acc, x
+        return acc
 
-    def advance(k, i, sigma, below):
-        nonlocal window, sections
+    def advance(k, i, sigma, below):  # [D_k(e^-lam), D_k(e^mu), L(k), k(mu), y whose verdict k shares or None]
+        nonlocal window, coset
         if below is not window:  # the first tau of a new length
-            window, sections = below, {x: section for _, section, _, x in below.values()}
-        image, section, _, x = below[sigma]
+            window, coset = below, {value[3]: y for y, value in below.items()}
+        image, section, _, x, _ = below[sigma]
+        image = step(i, image)
+        store(k, image)
         x -= (((x >> shifts[i]) & mask) - bias) * roots[i]  # tau(mu) = s_i(sigma(mu))
-        shared = sections.get(x)
+        y = coset.get(x)
+        if y is None:
+            section = step(i, section)
+        else:
+            section = below[y][1]
+            if not (rows[k] ^ rows[y]) & nonzero:  # the two intervals differ by zero eps_w alone
+                return [image, section, below[y][2], x, y]
         c, new = covers[k]
-        return entries(k, step(i, image), step(i, section) if shared is None else shared, below[c][2], new, x)
+        return [image, section, grow(below[c][2], new), x, None]
 
     e = g.identity
     x = packing.pack(weight_sub(lam, rho))
-    seed = entries(e, {packing.pack(weight_neg(lam)): 1}, {x: 1}, {}, covers[e][1], x)
-    for k, (_, section, acc, _) in peel(g, seed, advance):
+    image = {packing.pack(weight_neg(lam)): 1}
+    store(e, image)
+    for k, value in peel(g, [image, {x: 1}, grow({}, covers[e][1]), x, None], advance):
+        _, section, acc, _, y = value
+        if y is not None:
+            r = reports[y]
+            reports.append(VerificationReport(r.passed, r.dim_lhs, r.dim_rhs, rows[k].bit_count(), r.sides))
+            continue
         lhs = {mu: c for mu, c in acc.items() if c} if 0 in acc.values() else acc
         passed = lhs == section
+        if passed:
+            value[2] = section  # one dict for both sides from here on
         dim = sum(section.values())
         reports.append(
             VerificationReport(

@@ -60,3 +60,17 @@ def freeze_reflections(monkeypatch):
         monkeypatch.setattr(kernel, "in_kernel", lambda d, v: True)
 
     return freeze
+
+
+@pytest.fixture
+def empty_steps_keep_a_term(monkeypatch):
+    """Makes every Demazure step whose result would be empty return e^0 instead.
+
+    So eps_w != 0 for w outside W^J, and L(tau) differs across a coset of the
+    stabilizer of lam - rho.  0 lies in the convex hull of every orbit, so no
+    packing wraps.
+    """
+    from demchar.rootsys import Packing
+
+    real = Packing.step
+    monkeypatch.setattr(Packing, "step", lambda packing, pos, terms: real(packing, pos, terms) or {packing.origin: 1})

@@ -8,9 +8,11 @@ tables instead of the keys w(rho) (for tests that compare many pairs), the
 reference generator multiplies integer matrices, the tuple generator keys
 the orbit of rho by weight tuples and keeps a word per element (the
 generator that the compact tables replaced), the theorem references
-evaluate one operator string per interval element, the decomposition
-references subtract one full section character per peeled weight or fold
-weight tuples by ``simple_reflection``, the operator reference steps weights
+evaluate one operator string per interval element, the reference interval
+engine grows every L(tau) from its largest cover (the engine that the
+coset-shared left sides replaced), the decomposition references subtract
+one full section character per peeled weight or fold weight tuples by
+``simple_reflection``, the operator reference steps weights
 as tuples instead of packed ints, the kernel basis element is Norton's
 string of 1 - D_i along w0's word stepped on weight tuples (the library
 steps the same string on packed ints; the definition sum over W is in
@@ -38,12 +40,13 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from demchar import build_datum, generate
+from demchar import build_datum, generate, theorem
 from demchar.charring import CharElement
 from demchar.demazure import check_char_rank, demazure_char, top_cohomology_char
 from demchar.kernel import in_kernel
-from demchar.rootsys import RootDatum, Weight, simple_reflection, weight_add, weight_neg, weight_sub
-from demchar.weyl import WeylGroup, canonical_word, check_element
+from demchar.rootsys import RootDatum, Weight, check_regular_dominant, simple_reflection, weight_add, weight_neg, weight_sub
+from demchar.theorem import VerificationReport
+from demchar.weyl import WeylGroup, canonical_word, check_element, peel
 
 _GROUPS: dict[tuple[str, int], WeylGroup] = {}
 
@@ -428,6 +431,66 @@ def interval_sum(g: WeylGroup, tau: int, lam: Weight) -> CharElement:
     for w in lower_interval(g, tau):
         total = total + top_cohomology_char(g.datum, g.word(w), lam).star()
     return total
+
+
+def reference_interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[VerificationReport]:
+    """The interval engine before it shared L(tau) and the verdict across cosets: every tau grows L(tau).
+
+    The code is ``theorem._interval_reports`` as it stood then, apart from
+    reading ``packing_for`` and ``weight_sub`` from ``theorem``, so that the
+    fixtures that replace them there act on both engines alike.  It shares
+    sections, one packing and ``Packing.step`` with the library, so it checks
+    the sharing of L(tau) and of the verdict, not the arithmetic.
+    """
+    check_regular_dominant(g.datum, lam)
+    rho = g.datum.rho
+    rows = g.bruhat_rows
+    covers = g.largest_covers
+    length = g.length
+    packing = theorem.packing_for(g.datum, [lam], rho)
+    step, m = packing.step, packing.star_key(weight_neg(rho))
+    read = lambda terms: CharElement.adopt(g.datum.rank, packing.unpack_terms(terms, frame))
+    shifts, mask, bias, roots = packing.shifts, packing.mask, packing.bias, packing.roots
+    epsilon: list[dict[int, int] | None] = [None] * g.order
+    reports = []
+    window, sections = None, {}  # the window's previous length, and its sections by packed tau(mu)
+
+    def entries(k, image, section, acc, new, x):  # (D_k(e^-lam), D_k(e^mu), L(k), k(mu)), mu = lam - rho; stores eps_k
+        epsilon[k] = {m - key: -c if length[k] % 2 else c for key, c in image.items()}
+        acc = dict(acc)
+        get = acc.get
+        for w in new:
+            for mu, c in epsilon[w].items():
+                acc[mu] = get(mu, 0) + c
+        return image, section, acc, x
+
+    def advance(k, i, sigma, below):
+        nonlocal window, sections
+        if below is not window:  # the first tau of a new length
+            window, sections = below, {x: section for _, section, _, x in below.values()}
+        image, section, _, x = below[sigma]
+        x -= (((x >> shifts[i]) & mask) - bias) * roots[i]  # tau(mu) = s_i(sigma(mu))
+        shared = sections.get(x)
+        c, new = covers[k]
+        return entries(k, step(i, image), step(i, section) if shared is None else shared, below[c][2], new, x)
+
+    e = g.identity
+    x = packing.pack(theorem.weight_sub(lam, rho))
+    seed = entries(e, {packing.pack(weight_neg(lam)): 1}, {x: 1}, {}, covers[e][1], x)
+    for k, (_, section, acc, _) in peel(g, seed, advance):
+        lhs = {mu: c for mu, c in acc.items() if c} if 0 in acc.values() else acc
+        passed = lhs == section
+        dim = sum(section.values())
+        reports.append(
+            VerificationReport(
+                passed=passed,
+                dim_lhs=dim if passed else sum(lhs.values()),
+                dim_rhs=dim,
+                interval_size=rows[k].bit_count(),
+                sides=None if passed else (read(lhs), read(section)),
+            )
+        )
+    return reports
 
 
 def rational_inverse(d: RootDatum) -> tuple[list[list[Fraction]], Fraction]:

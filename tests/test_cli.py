@@ -104,6 +104,20 @@ def test_bruhat_command():
     assert json.loads(r.stdout)["leq"] is True
 
 
+def test_only_the_sweeps_import_theorem():
+    # verify-kernel never sweeps, so it does not compile theorem; the package still exports theorem's names
+    code = """
+import sys
+from demchar import cli
+assert cli.main(["verify-kernel", "--type", "A", "--rank", "2", "--grid", "1"]) == 0
+assert "demchar.theorem" not in sys.modules, "verify-kernel imported demchar.theorem"
+from demchar import sweep_verify_theorem, theorem
+assert sweep_verify_theorem is theorem.sweep_verify_theorem
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
 def test_verify_theorem_command():
     r = run_cli("verify-theorem", "--type", "A", "--rank", "2", "--grid", "2")
     assert r.returncode == 0

@@ -338,3 +338,42 @@ def test_sections_keyed_on_sigma_fail_the_word_reference(family, rank, monkeypat
     monkeypatch.setattr(theorem, "packing_for", packing_for)
     g = oracles.group(family, rank)
     assert section_mismatches(g, range(g.order))
+
+
+def reports_and_reference(g, lam):
+    """Both frames' reports at lam, from the library and from ``oracles.reference_interval_reports``."""
+    rank = g.datum.rank
+    for sweep, frame in ((sweep_verify_theorem, g.datum.rho), (sweep_verify_lemma31, (0,) * rank)):
+        yield sweep(g, lam), oracles.reference_interval_reports(g, lam, frame)
+
+
+REFERENCE_TYPES = [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4), ("B", 4)]
+
+
+@pytest.mark.parametrize(
+    "family,rank,fixture",
+    [(family, rank, fixture) for fixture in (None, "eps_times_minus_rho") for family, rank in REFERENCE_TYPES]
+    # sections_of_lam seeds the section with e^lam, lam regular, so no coset is shared; D4 and B4 would add 13 s and 84 s
+    + [(family, rank, "sections_of_lam") for family, rank in REFERENCE_TYPES[:4]],
+)
+def test_reports_match_the_reference_engine(family, rank, fixture, request):
+    # a tau outside W^J takes L(tau) and the verdict of its coset; the reference grows L(tau) at every tau
+    if fixture is not None:
+        request.getfixturevalue(fixture)
+    g = oracles.group(family, rank)
+    for lam in itertools.product((1, 2), repeat=rank):
+        for reports, reference in reports_and_reference(g, lam):
+            assert reports == reference, lam
+
+
+@pytest.mark.usefixtures("empty_steps_keep_a_term")
+@pytest.mark.parametrize("family,rank,failed", [("B", 3, 143), ("A", 3, 85), ("G", 2, 21)])
+def test_left_sides_that_differ_across_a_coset_are_not_shared(family, rank, failed):
+    # eps_w != 0 off W^J, so L(tau) may differ from L(y) for y in tau's coset; each report must still be tau's own
+    g = oracles.group(family, rank)
+    failures = 0
+    for lam in itertools.product((1, 2), repeat=rank):
+        for reports, reference in reports_and_reference(g, lam):
+            assert reports == reference, lam
+            failures += sum(not r.passed for r in reports)
+    assert failures == 2 * failed  # the same verdicts in both frames
