@@ -72,7 +72,6 @@ from .weyl import (
     canonical_word,
     check_bruhat_table,
     generate,
-    lower_covers,
 )
 
 EXIT_OK = 0
@@ -217,6 +216,8 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_weyl(args: argparse.Namespace) -> int:
+    if args.dot and args.fmt == "json":
+        raise ValueError("--dot prints DOT, not JSON; drop --format json")
     g = load_group(build_datum(args.family, args.rank))
     if args.dot:
         print("digraph bruhat {")
@@ -224,7 +225,7 @@ def cmd_weyl(args: argparse.Namespace) -> int:
         for k in range(g.order):
             label = ",".join(map(str, g.word(k))) or "e"
             print(f'  n{k} [label="{label}"];')
-        for tau, covers in enumerate(lower_covers(g)):
+        for tau, covers in enumerate(g.lower_covers):
             for w in covers:
                 print(f"  n{w} -> n{tau};")
         print("}")
@@ -397,7 +398,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.parallel and len(lams) > 1:
         import multiprocessing
 
-        g.largest_covers  # built once here, with the Bruhat table it reads, so every worker receives both
+        g.lower_covers  # built once here, with the Bruhat table it reads, so every worker receives both
 
         with multiprocessing.Pool(initializer=_init_worker, initargs=(g,)) as pool:
             done = pool.map(_sweep_task, tasks, chunksize=1)

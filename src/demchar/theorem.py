@@ -21,7 +21,7 @@ from typing import Sequence
 from .charring import CHAR_ELEMENT_SCHEMA, CharElement
 from .demazure import top_cohomology_char
 from .rootsys import RootDatum, Weight, check_regular_dominant, packing_for, weight_neg, weight_sub
-from .weyl import WeylGroup, peel
+from .weyl import WeylGroup, bit_indices, peel
 
 VERIFICATION_REPORT_SCHEMA = {
     "type": "object",
@@ -92,9 +92,11 @@ def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[Verifica
     and w <= tau, w in W^J iff w <= tau^J (Bjorner-Brenti, GTM 231, Prop.
     2.5.1), so this always holds when the eps_w are right; tau then takes y's
     L and verdict.  Otherwise L(tau) is grown from c, the lower cover of tau
-    with the largest interval (``WeylGroup.largest_covers``): [e, c] lies in
-    [e, tau] (GTM 231, section 2.2), so L(tau) is a copy of L(c) plus eps_w
-    over the increment, the bits of rows[tau] & ~rows[c], read from the group.
+    (``WeylGroup.lower_covers``) whose interval holds the most nonzero eps_w,
+    the first on ties: [e, c] lies in [e, tau] (GTM 231, section 2.2), so
+    L(tau) is a copy of L(c) plus the nonzero eps_w over the increment, the
+    bits of rows[tau] & ~rows[c] & nonzero.  Every w <= tau has an index
+    below tau's or equal to it, so its bit of ``nonzero`` is already final.
     c is one letter shorter than tau, so L(c) is in the walk's window.  Such
     a tau is compared as soon as it is reached, and once it passes its
     section is its L, so the two sides are one dict.
@@ -108,7 +110,7 @@ def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[Verifica
     check_regular_dominant(g.datum, lam)
     rho = g.datum.rho
     rows = g.bruhat_rows
-    covers = g.largest_covers
+    covers = g.lower_covers
     length = g.length
     packing = packing_for(g.datum, [lam], rho)
     step, m = packing.step, packing.star_key(weight_neg(rho))
@@ -124,10 +126,10 @@ def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[Verifica
         epsilon[k] = {m - key: -c if length[k] % 2 else c for key, c in image.items()}
         nonzero |= bool(image) << k
 
-    def grow(acc, new):  # a copy of L(c) plus eps_w over the increment
+    def grow(acc, new):  # a copy of L(c) plus eps_w over the mask new
         acc = dict(acc)
         get = acc.get
-        for w in new:
+        for w in bit_indices(new):
             for mu, c in epsilon[w].items():
                 acc[mu] = get(mu, 0) + c
         return acc
@@ -147,14 +149,14 @@ def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[Verifica
             section = below[y][1]
             if not (rows[k] ^ rows[y]) & nonzero:  # the two intervals differ by zero eps_w alone
                 return [image, section, below[y][2], x, y]
-        c, new = covers[k]
-        return [image, section, grow(below[c][2], new), x, None]
+        c = max(covers[k], key=lambda c: (rows[c] & nonzero).bit_count())  # the first maximum
+        return [image, section, grow(below[c][2], rows[k] & ~rows[c] & nonzero), x, None]
 
     e = g.identity
     x = packing.pack(weight_sub(lam, rho))
     image = {packing.pack(weight_neg(lam)): 1}
     store(e, image)
-    for k, value in peel(g, [image, {x: 1}, grow({}, covers[e][1]), x, None], advance):
+    for k, value in peel(g, [image, {x: 1}, grow({}, rows[e]), x, None], advance):
         _, section, acc, _, y = value
         if y is not None:
             r = reports[y]

@@ -11,8 +11,8 @@ kept as compact tables, in the manner of Casselman (Invent. Math. 116,
 left-multiplication table and byte arrays of lengths and first letters,
 down which an element's word is read.  An element of a generated group is
 its index and nothing else.  |W| is Macdonald's product ``orbit_size(d,
-d.rho)``, known before any element is generated.  The Bruhat table is built
-on first read.
+d.rho)``, known before any element is generated.  The Bruhat table, and
+the lower covers read from it, are built on first read.
 
 No group is needed to name one element: ``act(d, word, d.rho)`` is w(rho),
 ``canonical_word`` reads w's canonical word back from that key, and
@@ -103,7 +103,7 @@ class WeylGroup:
     s_first*w_k, so it is read down ``left_mult``.  An element is its index:
     every function that takes a group takes indices, and loops over the
     group read the arrays.  Immutable after generation apart from the
-    cached Bruhat table and its table of largest lower covers.
+    cached Bruhat table and the lower covers read from it.
     """
 
     datum: RootDatum
@@ -148,15 +148,23 @@ class WeylGroup:
         return _bruhat_table(self)
 
     @cached_property
-    def largest_covers(self) -> tuple[tuple[int | None, tuple[int, ...]], ...]:
-        """``largest_covers[t]`` is (c, increment): the lower cover c of w_t with the
-        largest interval, and the indices of ``bruhat_rows[t] & ~bruhat_rows[c]``, ascending.
+    def lower_covers(self) -> tuple[tuple[int, ...], ...]:
+        """``lower_covers[t]`` holds the indices c with w_c < w_t and l(c) = l(t) - 1, ascending.
 
-        Ties go to the smallest index.  The identity has no cover: its entry is
-        (None, (identity,)).  Built on first read from the Bruhat table and
-        cached like it.
+        Elements are sorted by length, so the elements of one length fill a
+        contiguous index range, and the covers of t are the bits of its Bruhat
+        row in the range one length down: one shift and mask per element.
+        Built on first read from the Bruhat table and cached like it.
         """
-        return _largest_covers(self)
+        rows, length = self.bruhat_rows, self.length
+        start = [0] * (length[self.longest] + 2)  # start[l] is the first index of length l
+        for k, l in enumerate(length):
+            start[l + 1] = k + 1
+        covers = [()]  # the identity has none
+        for t in range(1, self.order):
+            lo, hi = start[length[t] - 1], start[length[t]]
+            covers.append(tuple(lo + k for k in bit_indices((rows[t] >> lo) & ((1 << (hi - lo)) - 1))))
+        return tuple(covers)
 
 
 def check_element(g: WeylGroup, k: int) -> None:
@@ -254,40 +262,6 @@ def _bruhat_table(g: WeylGroup) -> tuple[int, ...]:
         return mask
 
     return tuple(row for _, row in peel(g, 1, advance))
-
-
-def lower_covers(g: WeylGroup) -> list[list[int]]:
-    """``lower_covers(g)[t]``: the indices c with w_c < w_t and l(c) = l(t) - 1, ascending.
-
-    Elements are sorted by length, so the elements of one length fill a
-    contiguous index range, and the covers of t are the bits of its Bruhat
-    row in the range one length down: one shift and mask per element.
-    """
-    rows, length = g.bruhat_rows, g.length
-    start = [0] * (length[g.longest] + 2)  # start[l] is the first index of length l
-    for k, l in enumerate(length):
-        start[l + 1] = k + 1
-    covers = []
-    for t, l in enumerate(length):
-        if not l:
-            covers.append([])
-            continue
-        lo, hi = start[l - 1], start[l]
-        covers.append([lo + k for k in bit_indices((rows[t] >> lo) & ((1 << (hi - lo)) - 1))])
-    return covers
-
-
-def _largest_covers(g: WeylGroup) -> tuple[tuple[int | None, tuple[int, ...]], ...]:
-    rows = g.bruhat_rows
-    size = [row.bit_count() for row in rows]
-    table = []
-    for tau, covers in enumerate(lower_covers(g)):
-        if not covers:
-            table.append((None, (tau,)))
-            continue
-        c = max(covers, key=size.__getitem__)  # the first maximum: the smallest index on ties
-        table.append((c, tuple(bit_indices(rows[tau] & ~rows[c]))))
-    return tuple(table)
 
 
 def bruhat_leq(d: RootDatum, w: Iterable[int], tau: Iterable[int]) -> bool:

@@ -440,12 +440,20 @@ def reference_interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list
     reading ``packing_for`` and ``weight_sub`` from ``theorem``, so that the
     fixtures that replace them there act on both engines alike.  It shares
     sections, one packing and ``Packing.step`` with the library, so it checks
-    the sharing of L(tau) and of the verdict, not the arithmetic.
+    the sharing of L(tau) and of the verdict, not the arithmetic.  Each tau
+    grows L(tau) from its lower cover with the largest interval, ties to the
+    smallest index, and adds every eps_w of the increment, zero or not; the
+    library picks its cover by the nonzero eps_w alone, so the two engines
+    also compare two cover choices.
     """
     check_regular_dominant(g.datum, lam)
     rho = g.datum.rho
     rows = g.bruhat_rows
-    covers = g.largest_covers
+    size = [row.bit_count() for row in rows]
+    covers = [(None, (g.identity,))]  # (c, the indices of rows[tau] & ~rows[c]); the identity has no cover
+    for tau in range(1, g.order):
+        c = max(g.lower_covers[tau], key=size.__getitem__)  # the first maximum
+        covers.append((c, [w for w in lower_interval(g, tau) if not (rows[c] >> w) & 1]))
     length = g.length
     packing = theorem.packing_for(g.datum, [lam], rho)
     step, m = packing.step, packing.star_key(weight_neg(rho))
@@ -510,12 +518,6 @@ def rational_inverse(d: RootDatum) -> tuple[list[list[Fraction]], Fraction]:
                 factor = work[r][col]
                 work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work], det
-
-
-def simple_root_solve(d: RootDatum, lam: Weight) -> list[Fraction]:
-    """Coordinates of lam in the simple-root basis, as exact rationals."""
-    inv, _ = rational_inverse(d)
-    return [sum(a * x for a, x in zip(row, lam)) for row in inv]
 
 
 @functools.cache

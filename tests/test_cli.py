@@ -64,6 +64,14 @@ def test_weyl_dump_and_dot():
     assert r.stdout.count("->") == 8
 
 
+def test_weyl_dot_refuses_json():
+    # DOT has no JSON form; the request is refused before the group is generated, not ignored
+    r = run_cli("weyl", "--type", "A", "--rank", "2", "--dot", "--format", "json")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: --dot prints DOT, not JSON; drop --format json\n"
+
+
 def test_demchar_command():
     r = run_cli("demchar", "--type", "A", "--rank", "1", "--tau", "1", "--mu", "2")
     assert r.returncode == 0
@@ -419,7 +427,7 @@ def inline_pool(monkeypatch):
     class InlinePool:
         def __init__(self, initializer, initargs):
             built = vars(initargs[0])
-            record["tables"].append("bruhat_rows" in built and "largest_covers" in built)
+            record["tables"].append("bruhat_rows" in built and "lower_covers" in built)
             initializer(*initargs)
 
         def __enter__(self):

@@ -15,7 +15,6 @@ from demchar.weyl import (
     canonical_word,
     check_bruhat_table,
     generate,
-    lower_covers,
     act,
     peel,
 )
@@ -141,38 +140,35 @@ def test_orbit_generation_matches_matrix_reference(family, rank):
 
 
 @pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
-def test_largest_covers_grow_each_interval_by_its_increment(family, rank):
+def test_lower_covers_lie_below_by_the_table_free_walk(family, rank):
     g = oracles.group(family, rank)
     rows = g.bruhat_rows
     by_length = {}
     for w, l in enumerate(g.length):
         by_length.setdefault(l, []).append(w)
-    assert g.largest_covers[g.identity] == (None, (g.identity,))
+    assert g.lower_covers[g.identity] == ()
     for tau in range(1, g.order):
-        c, increment = g.largest_covers[tau]
-        # the lower covers by the table-free index walk and the lengths alone
-        covers = [w for w in by_length[g.length[tau] - 1] if oracles.bruhat_leq_index(g, w, tau)]
-        assert c in covers
-        assert rows[c].bit_count() == max(rows[w].bit_count() for w in covers)
-        assert all(rows[w].bit_count() < rows[c].bit_count() for w in covers if w < c)
-        assert list(increment) == sorted(set(increment))
-        inc = sum(1 << w for w in increment)
-        assert inc & rows[c] == 0 and inc | rows[c] == rows[tau]
+        covers = list(g.lower_covers[tau])
+        # the covers by the table-free index walk and the lengths alone
+        assert covers == [w for w in by_length[g.length[tau] - 1] if oracles.bruhat_leq_index(g, w, tau)]
+        assert all(rows[c] & ~rows[tau] == 0 for c in covers)  # [e, c] lies in [e, tau]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4), ("G", 2)])
 def test_lower_covers_are_the_interval_one_length_down(family, rank):
     g = oracles.group(family, rank)
-    for tau, covers in enumerate(lower_covers(g)):
-        assert covers == [w for w in lower_interval(g, tau) if g.length[w] == g.length[tau] - 1]
+    rows = g.bruhat_rows
+    for tau, covers in enumerate(g.lower_covers):
+        assert list(covers) == [w for w in lower_interval(g, tau) if g.length[w] == g.length[tau] - 1]
+        assert all(rows[c] & ~rows[tau] == 0 for c in covers)  # [e, c] lies in [e, tau]
 
 
-def test_largest_covers_built_on_first_read_and_pickled():
+def test_lower_covers_built_on_first_read_and_pickled():
     g = generate(build_datum("B", 3))
-    assert "largest_covers" not in vars(g) and "bruhat_rows" not in vars(g)
-    covers = g.largest_covers
-    assert vars(g)["largest_covers"] is covers
-    assert vars(pickle.loads(pickle.dumps(g)))["largest_covers"] == covers
+    assert "lower_covers" not in vars(g) and "bruhat_rows" not in vars(g)
+    covers = g.lower_covers
+    assert vars(g)["lower_covers"] is covers
+    assert vars(pickle.loads(pickle.dumps(g)))["lower_covers"] == covers
 
 
 def test_bruhat_rows_built_on_first_read_and_pickled():
