@@ -97,9 +97,6 @@ class CharElement:
         """Sum of coefficients: additive under +, multiplicative under *."""
         return sum(self.terms.values())
 
-    def coeff(self, mu: Weight) -> int:
-        return self.terms.get(tuple(mu), 0)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CharElement)

@@ -9,12 +9,13 @@ their weights over a process pool; ``verify-kernel`` runs serially.
 
 A sweep hands out its weights in descending order of predicted work, dim
 V(lam - rho) by Weyl's dimension formula, ties in grid order, and puts the
-blocks back in grid order.  Serial and parallel runs share one path: each
-weight's block is summarized where it is computed (``_sweep_lambda``), so
-only its failing reports and, for JSON, its rendered text outlive it.  A
-passing report is written from one template, with each tau's word rendered
-once per command; a failing one goes through
-``VerificationReport.to_json_dict``.
+blocks back in grid order.  The pool has one worker per weight, at most one
+per usable core (``_usable_cores``); a sweep with one worker runs serially.
+Serial and parallel runs share one path: each weight's block is summarized
+where it is computed (``_sweep_lambda``), so only its failing reports and,
+for JSON, its rendered text outlive it.  A passing report is written from
+one template, with each tau's word rendered once per command; a failing
+one goes through ``VerificationReport.to_json_dict``.
 
 Exit codes: 0 all checks verified, 1 mathematical mismatch, 2 usage error
 (also when memory runs out, in this process or in a pool worker), 3
@@ -387,6 +388,13 @@ def _emit_sweep(args: argparse.Namespace, g: WeylGroup, blocks: list[_Block]) ->
     return EXIT_OK if not failures else EXIT_MISMATCH
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the platform has one, else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     d = build_datum(args.family, args.rank)
     lams = _lambda_grid(d, args.grid)
@@ -395,12 +403,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # sorted() is stable, so ties keep grid order
     order = sorted(range(len(lams)), key=lambda k: -weyl_dimension(d, weight_sub(lams[k], d.rho)))
     tasks = [(args.command, args.fmt, lams[k]) for k in order]
-    if args.parallel and len(lams) > 1:
+    workers = min(len(lams), _usable_cores()) if args.parallel else 1
+    if workers > 1:
         import multiprocessing
 
         g.lower_covers  # built once here, with the Bruhat table it reads, so every worker receives both
 
-        with multiprocessing.Pool(initializer=_init_worker, initargs=(g,)) as pool:
+        with multiprocessing.Pool(processes=workers, initializer=_init_worker, initargs=(g,)) as pool:
             done = pool.map(_sweep_task, tasks, chunksize=1)
     else:
         sweep = _Sweep(g)

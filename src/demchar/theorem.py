@@ -70,8 +70,9 @@ class VerificationReport:
 def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[VerificationReport]:
     """Check sum_{w <= tau} eps_w = D_tau(e^(lam - rho)) for every tau, both sides read in e^frame.
 
-    One ``weyl.peel`` walk over W.  At each tau one operator step from
-    sigma = s_i*tau's entries gives D_tau(e^-lam), and one star and sign per
+    One loop over ``weyl.peel(g)``; the loop keeps the values of two lengths
+    of elements, ``below`` and ``current``.  At each tau one operator step from
+    sigma = s_i*tau's value gives D_tau(e^-lam), and one star and sign per
     key turn it into lemma 3.1's eps_tau = e^-rho * ch(H^l(tau)(X(tau), L_-lam))^*.
 
     The section D_tau(e^mu), mu = lam - rho, is stepped only at tau in W^J, J
@@ -81,10 +82,10 @@ def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[Verifica
     descent s_j with j in J, and tau*s_j is one letter shorter with the same
     tau(mu); a tau in W^J is the shortest of its coset.  So each value carries
     x = tau(mu), packed, and x_tau = s_i(x_sigma) is one shift and mask as in
-    ``weyl.generate``.  The window's previous length is indexed by x once per
-    length (``weyl.peel`` passes one dict per length), and tau takes the
-    section of the y found at its x, or else steps sigma's.  Per lam that is
-    (|W| - 1) + (|W * mu| - 1) steps in place of 2(|W| - 1).
+    ``weyl.generate``.  At the first tau of a length, ``below`` is indexed by
+    x, and tau takes the section of the y found at its x, or else steps
+    sigma's.  Per lam that is (|W| - 1) + (|W * mu| - 1) steps in place of
+    2(|W| - 1).
 
     The left side L(tau) is shared with y too when no nonzero eps_w lies
     under one of tau, y and not the other: the bitmask ``nonzero`` marks each
@@ -97,11 +98,11 @@ def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[Verifica
     L(tau) is a copy of L(c) plus the nonzero eps_w over the increment, the
     bits of rows[tau] & ~rows[c] & nonzero.  Every w <= tau has an index
     below tau's or equal to it, so its bit of ``nonzero`` is already final.
-    c is one letter shorter than tau, so L(c) is in the walk's window.  Such
+    c is one letter shorter than tau, so L(c) is in ``below``.  Such
     a tau is compared as soon as it is reached, and once it passes its
     section is its L, so the two sides are one dict.
 
-    The walk keeps two lengths of images, sections and L; every eps_w stays,
+    The window keeps two lengths of images, sections and L; every eps_w stays,
     since a later tau may add any w.  Both sides share one packing and are
     compared packed.  A passing report keeps no character; a failing one
     unpacks L(tau) and the section once, times e^frame (the theorem is
@@ -119,7 +120,6 @@ def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[Verifica
     epsilon: list[dict[int, int] | None] = [None] * g.order
     nonzero = 0  # bit w is set once eps_w is formed and nonzero
     reports = []
-    window, coset = None, {}  # the window's previous length, and an element of it by packed tau(mu)
 
     def store(k, image):  # stores eps_k from D_k(e^-lam)
         nonlocal nonzero
@@ -134,38 +134,9 @@ def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[Verifica
                 acc[mu] = get(mu, 0) + c
         return acc
 
-    def advance(k, i, sigma, below):  # [D_k(e^-lam), D_k(e^mu), L(k), k(mu), y whose verdict k shares or None]
-        nonlocal window, coset
-        if below is not window:  # the first tau of a new length
-            window, coset = below, {value[3]: y for y, value in below.items()}
-        image, section, _, x, _ = below[sigma]
-        image = step(i, image)
-        store(k, image)
-        x -= (((x >> shifts[i]) & mask) - bias) * roots[i]  # tau(mu) = s_i(sigma(mu))
-        y = coset.get(x)
-        if y is None:
-            section = step(i, section)
-        else:
-            section = below[y][1]
-            if not (rows[k] ^ rows[y]) & nonzero:  # the two intervals differ by zero eps_w alone
-                return [image, section, below[y][2], x, y]
-        c = max(covers[k], key=lambda c: (rows[c] & nonzero).bit_count())  # the first maximum
-        return [image, section, grow(below[c][2], rows[k] & ~rows[c] & nonzero), x, None]
-
-    e = g.identity
-    x = packing.pack(weight_sub(lam, rho))
-    image = {packing.pack(weight_neg(lam)): 1}
-    store(e, image)
-    for k, value in peel(g, [image, {x: 1}, grow({}, rows[e]), x, None], advance):
-        _, section, acc, _, y = value
-        if y is not None:
-            r = reports[y]
-            reports.append(VerificationReport(r.passed, r.dim_lhs, r.dim_rhs, rows[k].bit_count(), r.sides))
-            continue
+    def compare(k, section, acc):  # appends k's report; a passing k's section is its L from here on
         lhs = {mu: c for mu, c in acc.items() if c} if 0 in acc.values() else acc
         passed = lhs == section
-        if passed:
-            value[2] = section  # one dict for both sides from here on
         dim = sum(section.values())
         reports.append(
             VerificationReport(
@@ -176,6 +147,34 @@ def _interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[Verifica
                 sides=None if passed else (read(lhs), read(section)),
             )
         )
+        return section if passed else acc
+
+    # values are (D_k(e^-lam), D_k(e^mu), L(k), k(mu)) for the elements k of two lengths: below and current
+    e = g.identity
+    x = packing.pack(weight_sub(lam, rho))
+    image, section = {packing.pack(weight_neg(lam)): 1}, {x: 1}
+    store(e, image)
+    below, current, level = {}, {e: (image, section, compare(e, section, grow({}, rows[e])), x)}, 0
+    for k, i, sigma in peel(g):
+        if length[k] > level:  # the first tau of a new length
+            below, current, level = current, {}, length[k]
+            coset = {value[3]: y for y, value in below.items()}  # an element of below by packed tau(mu)
+        image, section, _, x = below[sigma]
+        image = step(i, image)
+        store(k, image)
+        x -= (((x >> shifts[i]) & mask) - bias) * roots[i]  # tau(mu) = s_i(sigma(mu))
+        y = coset.get(x)
+        if y is None:
+            section = step(i, section)
+        else:
+            section = below[y][1]
+            if not (rows[k] ^ rows[y]) & nonzero:  # the two intervals differ by zero eps_w alone
+                r = reports[y]
+                reports.append(VerificationReport(r.passed, r.dim_lhs, r.dim_rhs, rows[k].bit_count(), r.sides))
+                current[k] = (image, section, below[y][2], x)
+                continue
+        c = max(covers[k], key=lambda c: (rows[c] & nonzero).bit_count())  # the first maximum
+        current[k] = (image, section, compare(k, section, grow(below[c][2], rows[k] & ~rows[c] & nonzero)), x)
     return reports
 
 

@@ -11,8 +11,10 @@ kept as compact tables, in the manner of Casselman (Invent. Math. 116,
 left-multiplication table and byte arrays of lengths and first letters,
 down which an element's word is read.  An element of a generated group is
 its index and nothing else.  |W| is Macdonald's product ``orbit_size(d,
-d.rho)``, known before any element is generated.  The Bruhat table, and
-the lower covers read from it, are built on first read.
+d.rho)``, known before any element is generated.  ``peel`` walks the
+group in index order, each element with its first letter and its peeling
+parent; the Bruhat table is built along that walk, and it and the lower
+covers read from it are built on first read.
 
 No group is needed to name one element: ``act(d, word, d.rho)`` is w(rho),
 ``canonical_word`` reads w's canonical word back from that key, and
@@ -222,46 +224,32 @@ def generate(d: RootDatum, max_order: int = MAX_ELEMENTS) -> WeylGroup:
     return WeylGroup(datum=d, left_mult=left_mult, length=bytes(length), first=bytes(first))
 
 
-def peel(g: WeylGroup, seed, advance):
-    """Yield (tau, value) for every index tau of W, in index order.
+def peel(g: WeylGroup):
+    """Yield (tau, i, sigma) for every index tau > 0 of W, in index order.
 
-    With i the 0-based first letter of tau's canonical word and sigma = s_i*tau,
-    one letter shorter, [e, tau] = [e, sigma] u s_i[e, sigma] (lifting property,
-    Bjorner-Brenti, GTM 231, Prop. 2.2.7).  The value at e is ``seed`` and any
-    other is ``advance(tau, i, sigma, below)``, where ``below`` maps every
-    index of length l(tau) - 1 to its value, so sigma's value is
-    ``below[sigma]``.  ``below`` is one dict per length: every tau of a
-    length gets the same dict, already complete and not changed while that
-    length is walked, so a caller may index it once, at the first tau of a
-    length.  Index order is length order; a value is kept only while the
-    walk is at its length or the next.
+    i is the 0-based first letter of tau's canonical word and sigma = s_i*tau,
+    one letter shorter, so [e, tau] = [e, sigma] u s_i[e, sigma] (lifting
+    property, Bjorner-Brenti, GTM 231, Prop. 2.2.7).  Index order is length
+    order, so sigma comes before tau.
     """
-    lengths, first, left_mult, rank = g.length, g.first, g.left_mult, g.datum.rank
-    shorter, current, length = {}, {}, 0
-    for tau in range(g.order):
-        if lengths[tau] > length:
-            shorter, current, length = current, {}, lengths[tau]
-        if length:
-            i = first[tau] - 1
-            current[tau] = advance(tau, i, left_mult[tau * rank + i], shorter)
-        else:
-            current[tau], seed = seed, None  # the window alone holds it
-        yield tau, current[tau]
+    first, left_mult, rank = g.first, g.left_mult, g.datum.rank
+    for tau in range(1, g.order):
+        i = first[tau] - 1
+        yield tau, i, left_mult[tau * rank + i]
 
 
 def _bruhat_table(g: WeylGroup) -> tuple[int, ...]:
     check_bruhat_table(g.datum)
     rank = g.datum.rank
     columns = [tuple(g.left_mult[s::rank]) for s in range(rank)]  # columns[s][w] is s*w
-
-    def advance(tau, s, sigma, below):  # the row of tau is base | s*base, one OR per Bruhat pair
-        mask = base = below[sigma]
+    rows = [1]
+    for _, s, sigma in peel(g):  # the row of tau is rows[sigma] | s*rows[sigma], one OR per Bruhat pair
+        mask = base = rows[sigma]
         column = columns[s]
         for w in bit_indices(base):
             mask |= 1 << column[w]
-        return mask
-
-    return tuple(row for _, row in peel(g, 1, advance))
+        rows.append(mask)
+    return tuple(rows)
 
 
 def bruhat_leq(d: RootDatum, w: Iterable[int], tau: Iterable[int]) -> bool:

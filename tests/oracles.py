@@ -433,6 +433,23 @@ def interval_sum(g: WeylGroup, tau: int, lam: Weight) -> CharElement:
     return total
 
 
+def _peel_by_length(g: WeylGroup, seed, advance):
+    """The windowed walk that ``reference_interval_reports`` was written against, on ``weyl.peel``.
+
+    Yields (tau, value) for every index tau in index order.  The value at e is
+    ``seed`` and any other is ``advance(tau, i, sigma, below)``, where ``below``
+    maps every index one letter shorter than tau to its value: one dict per
+    length, complete and unchanged while that length is walked.
+    """
+    below, current, level = {}, {g.identity: seed}, 0
+    yield g.identity, seed
+    for tau, i, sigma in peel(g):
+        if g.length[tau] > level:
+            below, current, level = current, {}, g.length[tau]
+        current[tau] = advance(tau, i, sigma, below)
+        yield tau, current[tau]
+
+
 def reference_interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list[VerificationReport]:
     """The interval engine before it shared L(tau) and the verdict across cosets: every tau grows L(tau).
 
@@ -485,7 +502,7 @@ def reference_interval_reports(g: WeylGroup, lam: Weight, frame: Weight) -> list
     e = g.identity
     x = packing.pack(theorem.weight_sub(lam, rho))
     seed = entries(e, {packing.pack(weight_neg(lam)): 1}, {x: 1}, {}, covers[e][1], x)
-    for k, (_, section, acc, _) in peel(g, seed, advance):
+    for k, (_, section, acc, _) in _peel_by_length(g, seed, advance):
         lhs = {mu: c for mu, c in acc.items() if c} if 0 in acc.values() else acc
         passed = lhs == section
         dim = sum(section.values())

@@ -415,17 +415,20 @@ def test_internal_error_exits_three(monkeypatch, capsys):
 def inline_pool(monkeypatch):
     """Stands in for multiprocessing.Pool: runs each task in this process, in the order it is handed.
 
-    Returns the record of what the pool saw: per pool, whether the group it
-    was handed carries both tables, and the lambdas in dispatch order.
+    Returns the record of what the pool saw: per pool, its number of workers
+    and whether the group it was handed carries both tables, and the lambdas
+    in dispatch order.  The process may run on 64 cores, so that the pool is
+    sized by its lambdas alone.
     """
     import multiprocessing
 
     from demchar import cli
 
-    record = {"tables": [], "dispatched": []}
+    record = {"workers": [], "tables": [], "dispatched": []}
 
     class InlinePool:
-        def __init__(self, initializer, initargs):
+        def __init__(self, processes, initializer, initargs):
+            record["workers"].append(processes)
             built = vars(initargs[0])
             record["tables"].append("bruhat_rows" in built and "lower_covers" in built)
             initializer(*initargs)
@@ -443,6 +446,7 @@ def inline_pool(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     monkeypatch.setattr(cli, "_worker_sweep", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     return record
 
 
@@ -868,6 +872,29 @@ def test_parallel_sweep_hands_workers_the_built_table(inline_pool, capsys):
     assert parallel == stdout_in_process(argv, capsys)
     lines = parallel[1].splitlines()[1:10]
     assert [line.split(" checks=")[0] for line in lines] == [f"lambda={list(lam)}" for lam in grid]
+
+
+def test_parallel_pool_starts_one_worker_per_lambda_up_to_the_usable_cores(inline_pool, monkeypatch, capsys):
+    argv = ["verify-theorem", "--type", "A", "--rank", "2", "--grid", "2", "--format", "json"]
+    serial = stdout_in_process(argv, capsys)
+    assert serial[0] == 0 and inline_pool["workers"] == []
+    # 64 usable cores and 4 lambdas: 4 workers
+    assert stdout_in_process([*argv, "--parallel"], capsys) == serial
+    assert inline_pool["workers"] == [4]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9})
+    assert stdout_in_process([*argv, "--parallel"], capsys) == serial
+    assert inline_pool["workers"] == [4, 3]
+    # where the platform has no CPU affinity, every core counts
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert stdout_in_process([*argv, "--parallel"], capsys) == serial
+    assert inline_pool["workers"] == [4, 3, 2]
+    # one usable core runs the sweep serially, and so does one lambda
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert stdout_in_process([*argv, "--parallel"], capsys) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert stdout_in_process([*argv[:-4], "--grid", "1", "--parallel"], capsys)[0] == 0
+    assert inline_pool["workers"] == [4, 3, 2]
 
 
 def test_decompose_fold_past_its_bound_exits_three(freeze_reflections):

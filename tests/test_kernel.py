@@ -265,8 +265,10 @@ def test_the_walk_visits_one_element_per_weight_of_the_orbit_of_lam_minus_rho(fa
     d = g.datum
     for lam in itertools.product((1, 2), repeat=rank):
         packing = packing_for(d, [lam])
-        images = peel(g, {packing.pack(weight_neg(lam)): 1}, lambda w, i, sigma, below: packing.step(i, below[sigma]))
-        assert sum(1 for _, p in images if p) == orbit_size(d, weight_sub(lam, d.rho)), lam
+        images = [{packing.pack(weight_neg(lam)): 1}]
+        for _, i, sigma in peel(g):
+            images.append(packing.step(i, images[sigma]))
+        assert sum(1 for p in images if p) == orbit_size(d, weight_sub(lam, d.rho)), lam
 
 
 def test_kernel_basis_element_refuses_a_walk_above_the_bound_before_walking(monkeypatch):

@@ -1,6 +1,8 @@
 import copy
 import itertools
 import random
+import weakref
+from collections import Counter
 
 import jsonschema
 import pytest
@@ -166,7 +168,7 @@ def test_epsilon_nonnegative_with_expected_lowest_weight(family, rank):
             if not eps.is_zero():
                 low = act(g.datum, g.word(w), weight_sub(lam, d.rho))
                 assert extreme_weight(d, eps, "lowest") == low
-                assert eps.coeff(low) == 1
+                assert eps.terms.get(low) == 1
 
 
 def test_starred_top_lowest_weight():
@@ -292,6 +294,39 @@ def test_sweeps_step_the_section_once_per_minimal_coset_representative(family, r
             calls = 0
             sweep(g, lam)
             assert calls == expected, (sweep.__name__, lam)
+
+
+class _Tagged(dict):
+    """A step result that a weakref can follow, tagged one level above the terms it was stepped from."""
+
+    level = 0
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4)])
+def test_the_sweep_holds_at_most_two_lengths_of_values(family, rank, monkeypatch):
+    # images are stepped from e^-lam along the peeling walk, so an image's tag is its element's length
+    g = oracles.group(family, rank)
+    d = g.datum
+    sizes = Counter(g.length)
+    real = Packing.step
+    alive, top = [], 0  # weakrefs to the step results, and the highest tag so far
+
+    def step(packing, pos, terms):
+        nonlocal top
+        out = _Tagged(real(packing, pos, terms))
+        out.level = getattr(terms, "level", 0) + 1
+        top = max(top, out.level)
+        alive[:] = [r for r in alive if r() is not None] + [weakref.ref(out)]
+        # each window value holds one image and one section or L, and a shared section is one object
+        assert len(alive) <= 2 * (sizes[top - 1] + sizes[top]) + 1, (lam, top)
+        return out
+
+    monkeypatch.setattr(Packing, "step", step)
+    for lam in itertools.product((1, 2), repeat=rank):
+        for sweep in (sweep_verify_theorem, sweep_verify_lemma31):
+            alive, top = [], 0
+            assert all(r.passed for r in sweep(g, lam)), (sweep.__name__, lam)
+            assert top == g.length[g.longest]
 
 
 def section_mismatches(g, taus):

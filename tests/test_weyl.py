@@ -1,9 +1,7 @@
 import pickle
 import random
 import tracemalloc
-import weakref
 from array import array
-from collections import Counter
 
 import pytest
 
@@ -89,13 +87,7 @@ def test_peel_visits_the_steps_of_the_tuple_tables(family, rank):
     d = build_datum(family, rank)
     ref = oracles.tuple_generate(d)
     expected = [(tau, word[0] - 1, ref.left_mult[tau][word[0] - 1]) for tau, word in enumerate(ref.words) if word]
-    steps = []
-
-    def advance(tau, i, sigma, below):
-        steps.append((tau, i, sigma))
-
-    assert [tau for tau, _ in peel(generate(d), None, advance)] == list(range(len(ref.words)))
-    assert steps == expected
+    assert list(peel(generate(d))) == expected
 
 
 def test_a_generated_group_keeps_under_32_bytes_per_element():
@@ -301,50 +293,6 @@ def test_lower_interval_ordering_and_monotonicity():
         assert interval == bit_indices(g.bruhat_rows[tau])
         for w in interval:
             assert set(lower_interval(g, w)) <= set(interval)
-
-
-class _Tracked:
-    """A walk value that a weakref can follow; it names its element."""
-
-    def __init__(self, tau):
-        self.tau = tau
-
-
-@pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4)])
-def test_peel_holds_at_most_two_lengths_of_values(family, rank):
-    g = oracles.group(family, rank)
-    alive = weakref.WeakSet()
-    sizes = Counter(g.length)
-
-    def made(tau):
-        value = _Tracked(tau)
-        alive.add(value)
-        return value
-
-    window, window_length = None, 0
-
-    def advance(tau, i, sigma, below):
-        nonlocal window, window_length
-        assert below[sigma].tau == sigma == g.left_mult[tau * rank + i]
-        # the window holds every element one letter shorter than tau
-        assert sorted(below) == [k for k in range(g.order) if g.length[k] == g.length[tau] - 1]
-        assert g.word(tau) == (i + 1,) + g.word(sigma)
-        # one dict per length: every tau of a length gets the same one, and the next length a new one
-        if g.length[tau] == window_length:
-            assert below is window
-        else:
-            assert below is not window and g.length[tau] == window_length + 1
-            window, window_length = below, g.length[tau]
-        return made(tau)
-
-    seen = []
-    for tau, value in peel(g, made(g.identity), advance):
-        seen.append(tau)
-        assert value.tau == tau
-        length = g.length[tau]
-        assert {g.length[v.tau] for v in alive} <= {length - 1, length}
-        assert len(alive) <= sizes[length] + sizes[length - 1]
-    assert seen == list(range(g.order))
 
 
 def test_alternative_reduced_words_examples():
